@@ -26,6 +26,7 @@ from .tokens import Language, SourceUnit, tokenize
 VERDICT_OK = "ok"
 VERDICT_TIMEOUT = "timeout"
 VERDICT_CRASH = "crash"
+VERDICT_KILLED = "killed"  # only from overall_time: output differs from expected
 
 UNIT_STEPS = "steps"
 UNIT_MS = "ms"
@@ -78,8 +79,7 @@ class ExecBackendConfig:
     run_cmd: str | None = None      # placeholders {bin} {input}; input fed on stdin
     repetitions: int = 5
     warmups: int = 1
-    timeout_factor: float = 10.0
-    step_budget_factor: float = 10.0
+    timeout_factor: float = 10.0  # mutant budget per input, times the baseline cost
     # caps for the baseline itself, which has no reference cost to scale from
     baseline_step_limit: int = 2_000_000_000
     baseline_time_limit: float = 300.0
@@ -93,8 +93,8 @@ class ExecBackendConfig:
             raise ValueError("repetitions must be >= 1")
         if self.warmups < 0:
             raise ValueError("warmups must be >= 0")
-        if self.timeout_factor <= 1 or self.step_budget_factor <= 1:
-            raise ValueError("budget factors must be > 1")
+        if self.timeout_factor <= 1:
+            raise ValueError("timeout_factor must be > 1")
 
 
 def normalize_output(raw: bytes) -> bytes:
@@ -115,7 +115,8 @@ class MiniBackend:
     def __init__(self, config: ExecBackendConfig):
         self.config = config
 
-    def compile(self, source: SourceUnit | bytes) -> Program:
+    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Program:
+        # name only matters to external toolchains; accepted for one signature
         if isinstance(source, (bytes, bytearray)):
             source = tokenize(source, Language.MINI)
         program = parse_mini(source)  # raises CompileError
@@ -133,7 +134,7 @@ class MiniBackend:
                          Cost(result.steps, UNIT_STEPS), VERDICT_OK)
 
     def mutant_budget(self, baseline: Cost) -> int:
-        return max(1, math.ceil(baseline.value * self.config.step_budget_factor))
+        return max(1, math.ceil(baseline.value * self.config.timeout_factor))
 
     def baseline_budget(self) -> int:
         return self.config.baseline_step_limit
@@ -228,19 +229,27 @@ class OverallTime:
     cost: Cost | None
     verdict: str
     failing_index: int | None = None
+    results: tuple[RunResult, ...] = ()  # every run made, in input order
 
 
 def overall_time(backend: Backend, program: Program,
                  inputs: Sequence[Sequence[int]],
-                 budgets: Sequence[Union[int, float]]) -> OverallTime:
-    """Sum of per-input costs; aborts at the first non-ok verdict.
+                 budgets: Sequence[Union[int, float]],
+                 expected: Sequence[bytes] | None = None) -> OverallTime:
+    """Sum of per-input costs; aborts at the first non-ok verdict and, when
+    ``expected`` outputs are given, with verdict ``killed`` at the first
+    output that differs.
 
     Empty input list yields a zero cost in the backend's unit.
     """
     total = Cost(0, backend.unit)
+    results: list[RunResult] = []
     for i, (values, budget) in enumerate(zip(inputs, budgets)):
         result = backend.run(program, values, budget)
+        results.append(result)
         if not result.ok:
-            return OverallTime(None, result.verdict, i)
+            return OverallTime(None, result.verdict, i, tuple(results))
+        if expected is not None and result.output != expected[i]:
+            return OverallTime(None, VERDICT_KILLED, i, tuple(results))
         total = total + result.cost
-    return OverallTime(total, VERDICT_OK)
+    return OverallTime(total, VERDICT_OK, None, tuple(results))

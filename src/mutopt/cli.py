@@ -11,12 +11,20 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from .backend import ExecBackendConfig, ToolchainError
-from .mutation import OPERATOR_REGISTRY, apply_all
-from .optimizer import InputEntry, InputSet, InvalidBaseline, OptimizeConfig, optimize
+from .mutation import OPERATOR_REGISTRY
+from .optimizer import (
+    InputEntry,
+    InputSet,
+    InvalidBaseline,
+    OptimizeConfig,
+    _split_source_name,
+    optimize,
+    select_mutants,
+)
 from .report import render_summary, write_report
 from .tokens import Language, MalformedSource, tokenize
 
@@ -31,25 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class CliConfig:
-    source_path: Path
-    backend: str
-    compile_cmd: str | None
-    run_cmd: str | None
-    operators: list[str]
-    inputs_path: Path | None
-    repetitions: int
-    warmups: int
-    timeout_factor: float
-    threshold: float
-    line_range: tuple[int, int] | None
-    report_path: Path | None
-    scratch_dir: Path
-    keep_scratch: bool
-    jobs: int
 
 
 class InputSetError(Exception):
@@ -166,11 +155,11 @@ def _cmd_mutants(args, parser) -> int:
     except MalformedSource as exc:
         sys.stderr.write(f"mutopt: {exc}\n")
         return EXIT_ERROR
-    mutants = apply_all([OPERATOR_REGISTRY[n] for n in names], unit)
+    line_range = None
     if args.lines:
-        lo, hi = _parse_lines(args.lines, parser)
-        _check_line_range((lo, hi), text, parser)
-        mutants = [m for m in mutants if lo <= m.line <= hi]
+        line_range = _parse_lines(args.lines, parser)
+        _check_line_range(line_range, text, parser)
+    mutants = select_mutants([OPERATOR_REGISTRY[n] for n in names], unit, line_range)
     for m in mutants:
         print(f"{m.id:<8} {m.operator}  line {m.line}, col {m.col}:  "
               f"{m.original} -> {m.replacement}")
@@ -191,9 +180,7 @@ def _check_line_range(line_range, text: bytes, parser):
 
 
 def _cmd_optimize(args, parser) -> int:
-    names = _parse_operators(args.operators, parser)
-    if not (0.0 <= args.threshold <= 0.5):
-        parser.error("--threshold must be in [0, 0.5]")
+    operators = [OPERATOR_REGISTRY[n] for n in _parse_operators(args.operators, parser)]
     source_path = Path(args.source)
     if not source_path.is_file():
         sys.stderr.write(f"mutopt: source not found: {source_path}\n")
@@ -204,64 +191,53 @@ def _cmd_optimize(args, parser) -> int:
     if args.lines:
         line_range = _parse_lines(args.lines, parser)
         _check_line_range(line_range, text, parser)
+    if args.backend == "external" and not (args.compile_cmd and args.run_cmd):
+        parser.error("external backend requires --compile-cmd and --run-cmd")
+
+    try:
+        config = OptimizeConfig(
+            backend=ExecBackendConfig(
+                kind=args.backend, compile_cmd=args.compile_cmd,
+                run_cmd=args.run_cmd, repetitions=args.reps,
+                warmups=args.warmups, timeout_factor=args.timeout_factor),
+            threshold=args.threshold, line_range=line_range,
+            jobs=args.jobs or os.cpu_count() or 1,
+            source_name=source_path.name,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     scratch_root = os.environ.get("MUTOPT_SCRATCH") or tempfile.gettempdir()
     Path(scratch_root).mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="mutopt-", dir=scratch_root))
-
-    cfg = CliConfig(
-        source_path=source_path, backend=args.backend,
-        compile_cmd=args.compile_cmd, run_cmd=args.run_cmd,
-        operators=names, inputs_path=Path(args.inputs),
-        repetitions=args.reps, warmups=args.warmups,
-        timeout_factor=args.timeout_factor, threshold=args.threshold,
-        line_range=line_range,
-        report_path=Path(args.report) if args.report else None,
-        scratch_dir=scratch, keep_scratch=args.keep_scratch,
-        jobs=args.jobs or os.cpu_count() or 1,
-    )
+    config = replace(config, scratch_dir=scratch)
     try:
-        code = _run_optimize(cfg, text, parser)
+        code = _run_optimize(args, operators, config, text)
     except Exception:
         sys.stderr.write(f"mutopt: scratch kept for post-mortem: {scratch}\n")
         raise
-    if code in (EXIT_IMPROVED, EXIT_NO_IMPROVEMENT) and not cfg.keep_scratch:
+    if code in (EXIT_IMPROVED, EXIT_NO_IMPROVEMENT) and not args.keep_scratch:
         shutil.rmtree(scratch, ignore_errors=True)
     else:
         sys.stderr.write(f"mutopt: scratch directory: {scratch}\n")
     return code
 
 
-def _run_optimize(cfg: CliConfig, text: bytes, parser) -> int:
+def _run_optimize(args, operators, config: OptimizeConfig, text: bytes) -> int:
     try:
-        unit = tokenize(text, _language_for(cfg.source_path, cfg.backend))
+        unit = tokenize(text, _language_for(Path(args.source), args.backend))
     except MalformedSource as exc:
         sys.stderr.write(f"mutopt: cannot mutate source: {exc}\n")
         return EXIT_ERROR
 
     try:
-        input_set = load_inputs(cfg.inputs_path)
+        input_set = load_inputs(Path(args.inputs))
     except InputSetError as exc:
         sys.stderr.write(f"mutopt: {exc}\n")
         return EXIT_ERROR
     if len(input_set) == 0:
         sys.stderr.write("mutopt: warning: empty input set; every mutant is "
                          "vacuously equivalent and none can improve\n")
-
-    if cfg.backend == "external" and not (cfg.compile_cmd and cfg.run_cmd):
-        parser.error("external backend requires --compile-cmd and --run-cmd")
-
-    backend_config = ExecBackendConfig(
-        kind=cfg.backend, compile_cmd=cfg.compile_cmd, run_cmd=cfg.run_cmd,
-        repetitions=cfg.repetitions, warmups=cfg.warmups,
-        timeout_factor=cfg.timeout_factor, step_budget_factor=cfg.timeout_factor,
-    )
-    config = OptimizeConfig(
-        backend=backend_config, threshold=cfg.threshold,
-        line_range=cfg.line_range, jobs=cfg.jobs,
-        scratch_dir=cfg.scratch_dir, source_name=cfg.source_path.name,
-    )
-    operators = [OPERATOR_REGISTRY[n] for n in cfg.operators]
 
     try:
         report = optimize(operators, unit, input_set, config)
@@ -272,25 +248,24 @@ def _run_optimize(cfg: CliConfig, text: bytes, parser) -> int:
         sys.stderr.write(f"mutopt: toolchain error: {exc}\n")
         return EXIT_ERROR
 
-    if cfg.keep_scratch:
-        _write_mutant_files(operators, unit, cfg)
+    if args.keep_scratch:
+        _write_mutant_files(operators, unit, config)
 
     print(render_summary(report))
-    if cfg.report_path is not None:
+    if args.report:
         try:
-            write_report(report, cfg.report_path)
+            write_report(report, Path(args.report))
         except OSError as exc:
             sys.stderr.write(f"mutopt: cannot write report: {exc}\n")
             return EXIT_ERROR
     return EXIT_IMPROVED if report.improved else EXIT_NO_IMPROVEMENT
 
 
-def _write_mutant_files(operators, unit, cfg: CliConfig):
-    stem = cfg.source_path.stem
-    ext = cfg.source_path.suffix.lstrip(".") or "src"
-    mutant_dir = cfg.scratch_dir / "mutants"
+def _write_mutant_files(operators, unit, config: OptimizeConfig):
+    stem, ext = _split_source_name(config.source_name)
+    mutant_dir = config.scratch_dir / "mutants"
     mutant_dir.mkdir(exist_ok=True)
-    for m in apply_all(operators, unit):
+    for m in select_mutants(operators, unit, config.line_range):
         (mutant_dir / m.filename(stem, ext)).write_bytes(m.mutated_text)
 
 

@@ -8,7 +8,7 @@ so mutant ids and reports are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .tokens import (
     ARITHMETIC_LEXEMES,
@@ -117,13 +117,3 @@ def apply_all(operators: Sequence[MutationOperator],
         out.extend(block)
     return out
 
-
-def site_census(operators: Iterable[MutationOperator],
-                source: SourceUnit) -> dict[str, int]:
-    """Expected mutant count per operator from site enumeration alone,
-    independent of the generator."""
-    counts = {}
-    for op in operators:
-        counts[op.kind] = sum(len(op.codomain(t.lexeme))
-                              for t in _eligible_sites(op, source))
-    return counts

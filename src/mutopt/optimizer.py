@@ -4,9 +4,7 @@ input set, keep the equivalent ones, and select the fastest.
 The baseline program's outputs are computed once per input up front and
 reused for every comparison; when an improving mutant replaces the current
 best, its outputs are equal to the baseline's by construction, so the memo
-stays valid.  Setting ``memoize_baseline=False`` re-runs the current best
-program for every comparison instead, which is observably identical and
-exists so tests can prove that.
+stays valid.
 
 Each mutant runs the inputs in the set's order and aborts at the first
 output mismatch or non-ok verdict.  Per-input budgets are derived from the
@@ -21,6 +19,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -29,9 +28,12 @@ from .backend import (
     Cost,
     ExecBackendConfig,
     MiniBackend,
+    ToolchainError,
     UNIT_STEPS,
     UnitMismatch,
+    VERDICT_OK,
     make_backend,
+    overall_time,
 )
 from .minilang import CompileError
 from .mutation import Mutant, MutationOperator, apply_all
@@ -83,7 +85,6 @@ class MutantVerdict:
     input_id: str | None = None  # set for killed/crash/timeout
     tau: Cost | None = None      # set for equivalent_* and selected
     runs: int = 0                # executions performed before the verdict
-    duplicate_of: str | None = None  # earlier mutant with identical text
 
 
 @dataclass
@@ -111,7 +112,6 @@ class OptimizeConfig:
     threshold: float = 0.05  # noise guard for wall-clock units; forced to 0 on steps
     line_range: tuple[int, int] | None = None
     jobs: int = 1
-    memoize_baseline: bool = True
     scratch_dir: Path | None = None
     source_name: str = "unit"  # stem for mutant files on the external backend
 
@@ -142,8 +142,19 @@ def _split_source_name(name: str) -> tuple[str, str]:
     return stem, ext
 
 
+def select_mutants(operators: Sequence[MutationOperator], source: SourceUnit,
+                   line_range: tuple[int, int] | None) -> list[Mutant]:
+    """``apply_all`` restricted to mutants whose site is in ``line_range``
+    (inclusive; None keeps all)."""
+    mutants = apply_all(operators, source)
+    if line_range is None:
+        return mutants
+    lo, hi = line_range
+    return [m for m in mutants if lo <= m.line <= hi]
+
+
 def _evaluate_one(backend: Backend, source_bytes: bytes,
-                  entries: Sequence[InputEntry],
+                  inputs: Sequence[Sequence[int]],
                   budgets: Sequence[Union[int, float]],
                   expected: Sequence[bytes],
                   name: str = "unit.src") -> tuple[str, int | None, Union[int, float, None], int]:
@@ -152,33 +163,15 @@ def _evaluate_one(backend: Backend, source_bytes: bytes,
     status is one of compile_error/killed/crash/timeout/equivalent.
     """
     try:
-        if isinstance(backend, MiniBackend):
-            program = backend.compile(source_bytes)
-        else:
-            program = backend.compile(source_bytes, name=name)
+        program = backend.compile(source_bytes, name=name)
     except CompileError:
         return (STATUS_COMPILE_ERROR, None, None, 0)
     except ToolchainError as exc:
         raise ToolchainError(f"while compiling mutant {name}: {exc}") from exc
-    tau: Union[int, float] = 0
-    runs = 0
-    for k, entry in enumerate(entries):
-        result = backend.run(program, entry.values, budgets[k])
-        runs += 1
-        if result.verdict != "ok":
-            return (result.verdict, k, None, runs)
-        if result.output != expected[k]:
-            return (STATUS_KILLED, k, None, runs)
-        tau += result.cost.value
-    return ("equivalent", None, tau, runs)
-
-
-def _evaluate_mini_task(payload) -> tuple[int, str, int | None, Union[int, float, None], int]:
-    idx, config, mutated_text, entries, budgets, expected = payload
-    backend = MiniBackend(config)
-    status, failing, tau, runs = _evaluate_one(backend, mutated_text,
-                                               entries, budgets, expected)
-    return (idx, status, failing, tau, runs)
+    run = overall_time(backend, program, inputs, budgets, expected)
+    if run.verdict != VERDICT_OK:
+        return (run.verdict, run.failing_index, None, len(run.results))
+    return ("equivalent", None, run.cost.value, len(run.results))
 
 
 def _host_block() -> dict:
@@ -197,21 +190,20 @@ def confirm_equivalence(candidate: SourceUnit | bytes,
     on every input in the set.  Any mismatch, compile failure, timeout or
     crash yields False."""
     backend = make_backend(config.backend, config.scratch_dir)
-    extra = {} if isinstance(backend, MiniBackend) else {"name": config.source_name}
     try:
-        orig_prog = backend.compile(original, **extra)
-        cand_prog = backend.compile(candidate, **extra)
+        orig_prog = backend.compile(original, name=config.source_name)
+        cand_prog = backend.compile(candidate, name=config.source_name)
     except CompileError:
         return False
-    for entry in inputs.entries:
-        base = backend.run(orig_prog, entry.values, backend.baseline_budget())
-        if not base.ok:
-            return False
-        cand = backend.run(cand_prog, entry.values,
-                           backend.mutant_budget(base.cost))
-        if not cand.ok or cand.output != base.output:
-            return False
-    return True
+    values = [entry.values for entry in inputs.entries]
+    base = overall_time(backend, orig_prog, values,
+                        [backend.baseline_budget()] * len(values))
+    if base.verdict != VERDICT_OK:
+        return False
+    cand = overall_time(backend, cand_prog, values,
+                        [backend.mutant_budget(r.cost) for r in base.results],
+                        [r.output for r in base.results])
+    return cand.verdict == VERDICT_OK
 
 
 def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
@@ -225,46 +217,41 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     stem, ext = _split_source_name(config.source_name)
 
     try:
-        baseline_prog = backend.compile(
-            source,
-            **({} if isinstance(backend, MiniBackend) else {"name": config.source_name}))
+        baseline_prog = backend.compile(source, name=config.source_name)
     except CompileError as exc:
         raise InvalidBaseline(f"original program does not compile: {exc}") from exc
 
-    baseline_outputs: list[bytes] = []
-    budgets: list[Union[int, float]] = []
-    original_tau = Cost(0, backend.unit)
-    for entry in inputs.entries:
-        result = backend.run(baseline_prog, entry.values, backend.baseline_budget())
-        if not result.ok:
-            raise InvalidBaseline(
-                f"original program verdict {result.verdict!r} on input {entry.id!r}")
-        baseline_outputs.append(result.output)
-        budgets.append(backend.mutant_budget(result.cost))
-        original_tau = original_tau + result.cost
+    values = [entry.values for entry in inputs.entries]
+    baseline = overall_time(backend, baseline_prog, values,
+                            [backend.baseline_budget()] * len(values))
+    if baseline.verdict != VERDICT_OK:
+        raise InvalidBaseline(
+            f"original program verdict {baseline.verdict!r} on input "
+            f"{inputs.entries[baseline.failing_index].id!r}")
+    baseline_outputs = [r.output for r in baseline.results]
+    budgets = [backend.mutant_budget(r.cost) for r in baseline.results]
+    original_tau = baseline.cost
 
-    mutants = apply_all(operators, source)
-    if config.line_range is not None:
-        lo, hi = config.line_range
-        mutants = [m for m in mutants if lo <= m.line <= hi]
+    mutants = select_mutants(operators, source, config.line_range)
 
+    # perfbench/trace_run.py attributes a compile or run span to a mutant
+    # only when it is a direct child of optimize, between the apply_all span
+    # and the one final confirm_equivalence span.  So the baseline stays
+    # above, and the evaluate phase must not go through make_backend,
+    # apply_all or confirm_equivalence, the module globals the tracer wraps.
     threshold = 0.0 if backend.unit == UNIT_STEPS else config.threshold
-    outcomes = _evaluate_all(backend, config, mutants, inputs.entries,
-                             budgets, baseline_outputs, baseline_prog, stem,
-                             ext, original_tau, threshold)
+    outcomes = _evaluate_all(backend, config, mutants, values, budgets,
+                             baseline_outputs, stem, ext)
     verdicts: list[MutantVerdict] = []
     current_tau = original_tau
     best: Mutant | None = None
     best_index: int | None = None
-    first_with_text: dict[bytes, str] = {}
     for idx, (mutant, (status, failing, tau, runs)) in enumerate(zip(mutants, outcomes)):
-        earlier = first_with_text.setdefault(mutant.mutated_text, mutant.id)
         verdict = MutantVerdict(
             mutant_id=mutant.id, operator=mutant.operator,
             line=mutant.line, col=mutant.col,
             original=mutant.original, replacement=mutant.replacement,
             status=status, runs=runs,
-            duplicate_of=None if earlier == mutant.id else earlier,
         )
         if status in (STATUS_KILLED, STATUS_CRASH, STATUS_TIMEOUT):
             verdict.input_id = inputs.entries[failing].id
@@ -303,74 +290,26 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     )
 
 
-def _evaluate_all(backend, config, mutants, entries, budgets,
-                  baseline_outputs, baseline_prog, stem, ext, original_tau,
-                  threshold):
-    if not config.memoize_baseline:
-        return _evaluate_all_literal(backend, mutants, entries, budgets,
-                                     baseline_prog, original_tau, threshold)
+def _evaluate_all(backend, config, mutants, inputs, budgets,
+                  baseline_outputs, stem, ext):
     if isinstance(backend, MiniBackend) and config.jobs > 1 and len(mutants) > 1:
-        payloads = [(i, config.backend, m.mutated_text, tuple(entries),
-                     tuple(budgets), tuple(baseline_outputs))
-                    for i, m in enumerate(mutants)]
-        outcomes: list = [None] * len(mutants)
+        task = partial(_evaluate_one, backend, inputs=inputs, budgets=budgets,
+                       expected=baseline_outputs)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunk = max(1, len(payloads) // (config.jobs * 4))
-            for idx, status, failing, tau, runs in pool.map(
-                    _evaluate_mini_task, payloads, chunksize=chunk):
-                outcomes[idx] = (status, failing, tau, runs)
-        return outcomes
+            chunk = max(1, len(mutants) // (config.jobs * 4))
+            return list(pool.map(task, [m.mutated_text for m in mutants],
+                                 chunksize=chunk))
     return [
-        _evaluate_one(backend, m.mutated_text, entries, budgets,
+        _evaluate_one(backend, m.mutated_text, inputs, budgets,
                       baseline_outputs, name=m.filename(stem, ext))
         for m in mutants
     ]
 
 
-def _evaluate_all_literal(backend, mutants, entries, budgets, baseline_prog,
-                          original_tau, threshold):
-    """Algorithm-literal mode: re-run the current best program for every
-    comparison instead of using memoized outputs.  A mutant is adopted as
-    the new reference under the same improvement test the outer fold uses,
-    so later mutants compare against the current best; its outputs equal the
-    memoized ones by construction and the verdicts are identical."""
-    best_prog = baseline_prog
-    current_tau = original_tau
-    outcomes = []
-    for mutant in mutants:
-        try:
-            program = backend.compile(mutant.mutated_text)
-        except CompileError:
-            outcomes.append((STATUS_COMPILE_ERROR, None, None, 0))
-            continue
-        tau = 0
-        runs = 0
-        outcome = None
-        for k, entry in enumerate(entries):
-            reference = backend.run(best_prog, entry.values,
-                                    backend.baseline_budget())
-            result = backend.run(program, entry.values, budgets[k])
-            runs += 1
-            if result.verdict != "ok":
-                outcome = (result.verdict, k, None, runs)
-                break
-            if result.output != reference.output:
-                outcome = (STATUS_KILLED, k, None, runs)
-                break
-            tau += result.cost.value
-        if outcome is None:
-            outcome = ("equivalent", None, tau, runs)
-            tau_cost = Cost(tau, backend.unit)
-            if improvement_test(current_tau, tau_cost, threshold):
-                current_tau = tau_cost
-                best_prog = program
-        outcomes.append(outcome)
-    return outcomes
-
-
 def _config_echo(operators, inputs, config: OptimizeConfig) -> dict:
-    # jobs and memoize_baseline are deliberately absent: they are execution
-    # strategy, observationally invisible, and reports must not depend on them
+    # jobs is deliberately absent: it is execution strategy, observationally
+    # invisible, and reports must not depend on it.  "step_budget_factor"
+    # is kept as an alias of timeout_factor so the report format is unchanged.
     return {
         "backend": config.backend.kind,
         "operators": [op.kind.lower() for op in operators],
@@ -378,7 +317,7 @@ def _config_echo(operators, inputs, config: OptimizeConfig) -> dict:
         "repetitions": config.backend.repetitions,
         "warmups": config.backend.warmups,
         "timeout_factor": config.backend.timeout_factor,
-        "step_budget_factor": config.backend.step_budget_factor,
+        "step_budget_factor": config.backend.timeout_factor,
         "threshold": config.threshold,
         "line_range": list(config.line_range) if config.line_range else None,
         "source_name": config.source_name,

@@ -79,7 +79,7 @@ def test_mini_run_verdicts():
 
 
 def test_mini_budget_derivation():
-    backend = mini_backend(step_budget_factor=10.0)
+    backend = mini_backend(timeout_factor=10.0)
     assert backend.mutant_budget(Cost(15, "steps")) == 150
     assert backend.mutant_budget(Cost(1, "steps")) == 10
 
@@ -100,13 +100,19 @@ def test_overall_time_sums_per_input_costs():
     assert total.cost.value == sum(singles)
 
 
-def test_overall_time_aborts_on_bad_verdict():
+@pytest.mark.parametrize("expected, verdict, index", [
+    (None, "crash", 2),
+    ([b"3", b"5", b"0"], "killed", 1),  # stops before the crashing input
+], ids=["crash", "killed"])
+def test_overall_time_aborts_on_bad_verdict(expected, verdict, index):
     backend = mini_backend()
     program = backend.compile(b"print(in[0] / in[1]);")
-    result = overall_time(backend, program, [[6, 2], [1, 0], [4, 2]], [100] * 3)
+    result = overall_time(backend, program, [[6, 2], [8, 2], [1, 0]], [100] * 3,
+                          expected)
     assert result.cost is None
-    assert result.verdict == "crash"
-    assert result.failing_index == 1
+    assert result.verdict == verdict
+    assert result.failing_index == index
+    assert len(result.results) == index + 1
 
 
 def test_mini_overall_time_is_bit_identical_across_invocations():
@@ -224,8 +230,13 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
     backend = mini_backend()
     unit = load_unit("b2tob10.mini")
     for m in apply_all([ROR, ASR, AOR], unit):
+        name = m.filename("b2tob10", "mini")
         try:
             program = backend.compile(m.mutated_text)
         except CompileError:
+            # the name argument, shared with the external backend, is ignored
+            with pytest.raises(CompileError):
+                backend.compile(m.mutated_text, name=name)
             continue
         assert program.mini is not None
+        assert backend.compile(m.mutated_text, name=name).mini is not None

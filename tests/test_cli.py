@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, input loading, report files."""
 
 import json
+import shutil
 
 import pytest
 
@@ -141,6 +142,57 @@ def test_scratch_keeps_mutant_files(tmp_path, monkeypatch, capsys):
     assert len(kept) == 12  # 3 sites x 4 replacements
     err = capsys.readouterr().err
     assert "scratch" in err
+
+    # only the mutants that --lines selects are written
+    for old in tmp_path.glob("mutopt-*"):
+        shutil.rmtree(old)
+    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
+                 "--inputs", str(FIXTURES / "m_powsum"),
+                 "--operators", "asr", "--lines", "17:17", "--keep-scratch"])
+    assert code == 0
+    kept = sorted(p.name for p in tmp_path.glob("mutopt-*/mutants/*"))
+    assert kept == [f"powsum.ASR_{n}.mini" for n in (10, 11, 12, 9)]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--reps", "0"), ("--warmups", "-1"), ("--timeout-factor", "1"),
+    ("--jobs", "-1"),
+])
+def test_out_of_range_number_is_usage_error(flag, value, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
+    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
+                 "--inputs", str(FIXTURES / "m_powsum"),
+                 "--operators", "asr", flag, value])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("mutopt: error:")
+    assert list(tmp_path.iterdir()) == []  # no scratch directory left behind
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiler_vanishing_after_baseline_is_toolchain_error(tmp_path, capsys):
+    # compiles the original, then deletes itself before the first mutant
+    compiler = tmp_path / "cc-once"
+    compiler.write_text('#!/bin/sh\ncc "$@" && rm -f "$0"\n')
+    compiler.chmod(0o755)
+    src = tmp_path / "bigger.c"
+    src.write_text('#include <stdio.h>\nint main(void) {\n  int a = 0;\n'
+                   '  if (scanf("%d", &a) != 1) return 1;\n'
+                   '  printf("%d\\n", a > 3);\n  return 0;\n}\n')
+    inputs = tmp_path / "m"
+    inputs.mkdir()
+    (inputs / "a.in").write_text("5\n")
+    code = main(["optimize", "--source", str(src), "--inputs", str(inputs),
+                 "--operators", "ror", "--backend", "external",
+                 "--compile-cmd", f"{compiler} -O0 {{src}} -o {{out}}",
+                 "--run-cmd", "{bin}", "--reps", "1", "--warmups", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("toolchain error") == 1
+    assert "\nmutopt: toolchain error: while compiling mutant" in "\n" + err
+    assert "Traceback" not in err
 
 
 def test_scratch_removed_on_success(tmp_path, monkeypatch):

@@ -24,9 +24,11 @@ from mutopt import (
     parse_mini,
     tokenize,
 )
+from mutopt.cli import load_inputs
 from mutopt.report import report_to_dict
 
-from conftest import load_unit
+from conftest import FIXTURES, load_unit
+from oracle import literal_verdicts
 
 HAVE_CC = shutil.which("cc") is not None
 
@@ -252,18 +254,18 @@ def strip_host(report):
     return d
 
 
-def test_memoization_off_yields_identical_report(max_search_unit):
-    a = run_optimize(max_search_unit, MAX_INPUTS, memoize_baseline=True)
-    b = run_optimize(max_search_unit, MAX_INPUTS, memoize_baseline=False)
-    assert strip_host(a) == strip_host(b)
-
-
-def test_memoization_off_on_improving_fixture():
-    unit = load_unit("powsum.mini")
-    inputs = input_set(("n", [64]))
-    a = run_optimize(unit, inputs, memoize_baseline=True)
-    b = run_optimize(unit, inputs, memoize_baseline=False)
-    assert strip_host(a) == strip_host(b)
+@pytest.mark.parametrize("fixture, inputs", [
+    ("max_search.mini", MAX_INPUTS),
+    ("powsum.mini", input_set(("n", [64]))),
+    ("hostile.mini", load_inputs(FIXTURES / "m_hostile")),
+], ids=["max_search", "powsum", "hostile"])
+def test_memoized_verdicts_match_literal_oracle(fixture, inputs):
+    # the oracle re-runs the current best program for every comparison
+    unit = load_unit(fixture)
+    report = run_optimize(unit, inputs)
+    got = [(v.mutant_id, v.status, v.input_id, v.tau, v.runs)
+           for v in report.verdicts]
+    assert got == literal_verdicts([ROR, ASR, AOR], unit, inputs)
 
 
 def test_parallel_evaluation_yields_identical_report():
