@@ -31,6 +31,10 @@ VERDICT_KILLED = "killed"  # only from overall_time: output differs from expecte
 UNIT_STEPS = "steps"
 UNIT_MS = "ms"
 
+# Caps for the baseline itself, which has no reference cost to scale from.
+BASELINE_STEP_LIMIT = 2_000_000_000
+BASELINE_TIME_LIMIT = 300.0  # seconds
+
 
 class ToolchainError(Exception):
     """The toolchain itself is unusable (missing compiler, bad template);
@@ -80,9 +84,6 @@ class ExecBackendConfig:
     repetitions: int = 5
     warmups: int = 1
     timeout_factor: float = 10.0  # mutant budget per input, times the baseline cost
-    # caps for the baseline itself, which has no reference cost to scale from
-    baseline_step_limit: int = 2_000_000_000
-    baseline_time_limit: float = 300.0
 
     def __post_init__(self):
         if self.kind not in ("mini", "external"):
@@ -137,7 +138,7 @@ class MiniBackend:
         return max(1, math.ceil(baseline.value * self.config.timeout_factor))
 
     def baseline_budget(self) -> int:
-        return self.config.baseline_step_limit
+        return BASELINE_STEP_LIMIT
 
 
 class ExternalBackend:
@@ -209,7 +210,7 @@ class ExternalBackend:
         return max(0.05, baseline.value / 1000.0 * self.config.timeout_factor)
 
     def baseline_budget(self) -> float:
-        return self.config.baseline_time_limit
+        return BASELINE_TIME_LIMIT
 
 
 Backend = Union[MiniBackend, ExternalBackend]

@@ -26,7 +26,7 @@ from .optimizer import (
     select_mutants,
 )
 from .report import render_summary, write_report
-from .tokens import Language, MalformedSource, tokenize
+from .tokens import Language, MalformedSource, SourceUnit, tokenize
 
 EXIT_IMPROVED = 0
 EXIT_USAGE = 1
@@ -54,7 +54,11 @@ def load_inputs(path: Path) -> InputSet:
         files = sorted(path.glob("*.in"), key=lambda p: p.name)
     elif path.is_file():
         files = []
-        for raw_line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            manifest = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputSetError(f"manifest is not valid UTF-8: {path}") from exc
+        for raw_line in manifest.splitlines():
             line = raw_line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -207,12 +211,26 @@ def _cmd_optimize(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    try:
+        unit = tokenize(text, _language_for(source_path, args.backend))
+    except MalformedSource as exc:
+        sys.stderr.write(f"mutopt: cannot mutate source: {exc}\n")
+        return EXIT_ERROR
+    try:
+        input_set = load_inputs(Path(args.inputs))
+    except InputSetError as exc:
+        sys.stderr.write(f"mutopt: {exc}\n")
+        return EXIT_ERROR
+    if len(input_set) == 0:
+        sys.stderr.write("mutopt: warning: empty input set; every mutant is "
+                         "vacuously equivalent and none can improve\n")
+
     scratch_root = os.environ.get("MUTOPT_SCRATCH") or tempfile.gettempdir()
     Path(scratch_root).mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="mutopt-", dir=scratch_root))
     config = replace(config, scratch_dir=scratch)
     try:
-        code = _run_optimize(args, operators, config, text)
+        code = _run_optimize(args, operators, config, unit, input_set)
     except Exception:
         sys.stderr.write(f"mutopt: scratch kept for post-mortem: {scratch}\n")
         raise
@@ -223,22 +241,8 @@ def _cmd_optimize(args, parser) -> int:
     return code
 
 
-def _run_optimize(args, operators, config: OptimizeConfig, text: bytes) -> int:
-    try:
-        unit = tokenize(text, _language_for(Path(args.source), args.backend))
-    except MalformedSource as exc:
-        sys.stderr.write(f"mutopt: cannot mutate source: {exc}\n")
-        return EXIT_ERROR
-
-    try:
-        input_set = load_inputs(Path(args.inputs))
-    except InputSetError as exc:
-        sys.stderr.write(f"mutopt: {exc}\n")
-        return EXIT_ERROR
-    if len(input_set) == 0:
-        sys.stderr.write("mutopt: warning: empty input set; every mutant is "
-                         "vacuously equivalent and none can improve\n")
-
+def _run_optimize(args, operators, config: OptimizeConfig, unit: SourceUnit,
+                  input_set: InputSet) -> int:
     try:
         report = optimize(operators, unit, input_set, config)
     except InvalidBaseline as exc:

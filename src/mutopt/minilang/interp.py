@@ -235,7 +235,6 @@ class CompiledMini:
     """A MiniImp program lowered to a Python function."""
 
     def __init__(self, program: MiniProgram):
-        self.program = program
         self.source = generate_source(program)
         namespace = {"_wrap": _wrap, "_over": _over, "_div0": _div0, "_oob": _oob}
         exec(compile(self.source, "<mini>", "exec"), namespace)

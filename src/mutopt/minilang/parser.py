@@ -257,9 +257,4 @@ def parse_mini(source: SourceUnit) -> ast.MiniProgram:
     if source.language is not Language.MINI:
         raise ValueError(f"expected a mini unit, got {source.language.value}")
     tokens = [t for t in source.tokens if t.kind is not TokenKind.COMMENT]
-    parser = _Parser(tokens)
-    program = parser.parse_program()
-    for name in ("in", "in_len"):
-        if name in program.variables:  # unreachable via grammar, belt and braces
-            raise CompileError(f"{name} is read-only", 1, 1)
-    return program
+    return _Parser(tokens).parse_program()

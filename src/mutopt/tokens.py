@@ -3,13 +3,19 @@
 Spans are byte offsets into the UTF-8 source so mutants can be written back
 losslessly.  The lexer knows operators, strings, comments, identifiers and
 numbers; everything else is ``OTHER``.  It never parses.
+
+Lexing is one left-to-right scan of a single compiled regex with one named
+group per token class.  The same scan tracks line and column and decides
+whether each ``+ - * / %`` is binary from the token before it.  A source
+that is not valid UTF-8, or that has an unterminated string or block comment,
+raises ``MalformedSource``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Sequence
 
 
 class Language(str, Enum):
@@ -34,7 +40,7 @@ SHORTCUT_ASSIGN_LEXEMES = ("+=", "-=", "*=", "/=", "%=")
 ARITHMETIC_LEXEMES = ("+", "-", "*", "/", "%")
 
 # Multi-character operators and punctuation, longest first so maximal munch
-# falls out of a linear scan of this table.
+# falls out of the regex alternation built from this table.
 _OPERATOR_TABLE = sorted(
     [
         "<<=", ">>=", "...",
@@ -51,7 +57,27 @@ _KIND_BY_LEXEME = {lex: TokenKind.RELATIONAL for lex in RELATIONAL_LEXEMES}
 _KIND_BY_LEXEME.update({lex: TokenKind.SHORTCUT_ASSIGN for lex in SHORTCUT_ASSIGN_LEXEMES})
 _KIND_BY_LEXEME.update({"++": TokenKind.INCREMENT, "--": TokenKind.INCREMENT})
 
-_CLOSING_BRACKETS = (")", "]")
+_IDENT_START = rb"A-Za-z_\x80-\xff"  # every non-ASCII byte lexes as identifier
+
+# One alternative per token class, tried in this order at every position.  A
+# failed comment or string match falls through to ``unterminated``, which
+# then catches its opener before the single-byte operator fallback can.
+_TOKEN_RE = re.compile(
+    rb"(?P<space>[ \t\r\n\v\f]+)"
+    rb"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    rb"|(?P<string>\"(?:[^\"\\\n]|\\.)*\"|'(?:[^'\\\n]|\\.)*')"
+    rb"|(?P<unterminated>/\*|[\"'])"
+    # C preprocessing number; the parser decides validity.  1e+5 is one token.
+    rb"|(?P<number>\.?[0-9](?:[eE][+-]|[0-9.%s])*)"
+    rb"|(?P<identifier>[%s][0-9%s]*)"
+    rb"|(?P<operator>%s|.)"
+    % (_IDENT_START, _IDENT_START, _IDENT_START,
+       b"|".join(re.escape(op.encode()) for op in _OPERATOR_TABLE)),
+    re.DOTALL,
+)
+_KIND_BY_GROUP = {"comment": TokenKind.COMMENT, "string": TokenKind.STRING_LITERAL,
+                  "number": TokenKind.LITERAL, "identifier": TokenKind.IDENTIFIER}
+_MULTILINE_GROUPS = ("space", "comment", "string")
 
 
 class MalformedSource(Exception):
@@ -92,169 +118,48 @@ class SourceUnit:
         return b"".join(parts)
 
 
-def _is_ident_start(b: int) -> bool:
-    return b == 0x5F or 0x41 <= b <= 0x5A or 0x61 <= b <= 0x7A or b >= 0x80
-
-
-def _is_ident_part(b: int) -> bool:
-    return _is_ident_start(b) or 0x30 <= b <= 0x39
-
-
-def _is_digit(b: int) -> bool:
-    return 0x30 <= b <= 0x39
-
-
-class _Lexer:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.n = len(data)
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-
-    def error(self, message: str, line: int, col: int):
-        raise MalformedSource(message, line, col)
-
-    def peek(self, offset: int = 0) -> int:
-        p = self.pos + offset
-        return self.data[p] if p < self.n else -1
-
-    def advance(self, count: int = 1):
-        for _ in range(count):
-            if self.pos >= self.n:
-                return
-            if self.data[self.pos] == 0x0A:
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def emit(self, kind: TokenKind, start: int, line: int, col: int):
-        lexeme = self.data[start:self.pos].decode("utf-8")
-        self.tokens.append(Token(kind, lexeme, start, self.pos, line, col))
-
-    def run(self) -> list[Token]:
-        while self.pos < self.n:
-            b = self.peek()
-            if b in (0x20, 0x09, 0x0D, 0x0A, 0x0B, 0x0C):
-                self.advance()
-            elif b == 0x2F and self.peek(1) == 0x2F:
-                self.line_comment()
-            elif b == 0x2F and self.peek(1) == 0x2A:
-                self.block_comment()
-            elif b in (0x22, 0x27):  # " or '
-                self.string_literal(b)
-            elif _is_digit(b) or (b == 0x2E and _is_digit(self.peek(1))):
-                self.number()
-            elif _is_ident_start(b):
-                self.identifier()
-            else:
-                self.operator()
-        return self.tokens
-
-    def line_comment(self):
-        start, line, col = self.pos, self.line, self.col
-        while self.pos < self.n and self.peek() != 0x0A:
-            self.advance()
-        self.emit(TokenKind.COMMENT, start, line, col)
-
-    def block_comment(self):
-        start, line, col = self.pos, self.line, self.col
-        self.advance(2)
-        while self.pos < self.n:
-            if self.peek() == 0x2A and self.peek(1) == 0x2F:
-                self.advance(2)
-                self.emit(TokenKind.COMMENT, start, line, col)
-                return
-            self.advance()
-        self.error("unterminated block comment", line, col)
-
-    def string_literal(self, quote: int):
-        start, line, col = self.pos, self.line, self.col
-        self.advance()
-        while self.pos < self.n:
-            b = self.peek()
-            if b == quote:
-                self.advance()
-                self.emit(TokenKind.STRING_LITERAL, start, line, col)
-                return
-            if b == 0x5C:  # backslash escape
-                self.advance(2)
-            elif b == 0x0A:
-                break
-            else:
-                self.advance()
-        self.error("unterminated string literal", line, col)
-
-    def number(self):
-        # C-style preprocessing number: digits, letters, dots, and exponent
-        # signs; the parser decides validity.
-        start, line, col = self.pos, self.line, self.col
-        self.advance()
-        while self.pos < self.n:
-            b = self.peek()
-            if _is_ident_part(b) or b == 0x2E:
-                self.advance()
-            elif b in (0x2B, 0x2D) and self.data[self.pos - 1] in (0x65, 0x45):
-                self.advance()  # 1e+5 stays one literal
-            else:
-                break
-        self.emit(TokenKind.LITERAL, start, line, col)
-
-    def identifier(self):
-        start, line, col = self.pos, self.line, self.col
-        self.advance()
-        while self.pos < self.n and _is_ident_part(self.peek()):
-            self.advance()
-        self.emit(TokenKind.IDENTIFIER, start, line, col)
-
-    def operator(self):
-        start, line, col = self.pos, self.line, self.col
-        window = self.data[self.pos:self.pos + 3].decode("utf-8", errors="replace")
-        for op in _OPERATOR_TABLE:
-            if window.startswith(op):
-                self.advance(len(op))
-                kind = _KIND_BY_LEXEME.get(op, TokenKind.OTHER)
-                self.emit(kind, start, line, col)
-                return
-        self.advance()
-        self.emit(TokenKind.OTHER, start, line, col)
-
-
-def classify_binary_context(tokens: Sequence[Token], index: int) -> bool:
-    """True iff the candidate arithmetic lexeme at ``index`` sits in binary
-    position: the previous non-comment token is an identifier, a literal, or
-    a closing bracket.  Anything else is treated as unary and skipped."""
-    if tokens[index].lexeme not in ARITHMETIC_LEXEMES:
-        raise ValueError(f"token {index} is not an arithmetic candidate")
-    for prev in reversed(tokens[:index]):
-        if prev.kind is TokenKind.COMMENT:
-            continue
-        return (
-            prev.kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
-            or prev.lexeme in _CLOSING_BRACKETS
-        )
-    return False
-
-
 def tokenize(text: bytes | str, language: Language = Language.C_LIKE) -> SourceUnit:
-    """Lex ``text`` into a SourceUnit.
+    """Lex ``text`` into a SourceUnit with one scan of ``_TOKEN_RE``.
 
     Maximal munch: ``>=`` is one relational token, ``+=`` one shortcut
     assignment, ``++`` one increment token.  ``+ - * / %`` become ARITHMETIC
-    only in binary position; unary occurrences stay OTHER.  Raises
-    MalformedSource for unterminated strings or block comments.
+    only in binary position, that is when the previous non-comment token is
+    an identifier, a literal, ``)`` or ``]``; unary occurrences stay OTHER.
+    Raises MalformedSource for bytes that are not valid UTF-8 and for
+    unterminated strings or block comments, at the offending byte or opener.
     """
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-    data.decode("utf-8")  # reject invalid UTF-8 up front
-    raw = _Lexer(data).run()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise MalformedSource("invalid UTF-8", data.count(b"\n", 0, exc.start) + 1,
+                              exc.start - line_start + 1) from None
     tokens = []
-    for i, tok in enumerate(raw):
-        if tok.kind is TokenKind.OTHER and tok.lexeme in ARITHMETIC_LEXEMES:
-            if classify_binary_context(raw, i):
-                tok = Token(TokenKind.ARITHMETIC, tok.lexeme, tok.start, tok.end,
-                            tok.line, tok.col)
-        tokens.append(tok)
+    line, line_start = 1, 0
+    binary_position = False  # the previous non-comment token ends an operand
+    for m in _TOKEN_RE.finditer(data):
+        group, start, end = m.lastgroup, m.start(), m.end()
+        token_line, col = line, start - line_start + 1
+        if group in _MULTILINE_GROUPS:
+            newlines = data.count(b"\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = data.rfind(b"\n", start, end) + 1
+            if group == "space":
+                continue
+        lexeme = m.group().decode("utf-8")
+        if group == "operator":
+            kind = _KIND_BY_LEXEME.get(lexeme, TokenKind.OTHER)
+            if binary_position and lexeme in ARITHMETIC_LEXEMES:
+                kind = TokenKind.ARITHMETIC
+        elif group == "unterminated":
+            what = "block comment" if lexeme == "/*" else "string literal"
+            raise MalformedSource(f"unterminated {what}", token_line, col)
+        else:
+            kind = _KIND_BY_GROUP[group]
+        tokens.append(Token(kind, lexeme, start, end, token_line, col))
+        if kind is not TokenKind.COMMENT:
+            binary_position = (kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
+                               or lexeme in (")", "]"))
     return SourceUnit(text=data, language=Language(language), tokens=tuple(tokens))

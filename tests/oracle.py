@@ -1,13 +1,31 @@
-"""Algorithm-literal reference for the optimizer's selection loop.
+"""Reference implementations that tests compare ``mutopt`` against.
 
-``optimize`` runs the original once per input and compares every mutant
-against those memoized outputs.  This oracle follows the paper's procedure
-word for word instead: for every comparison it re-runs the current best
-program, and it adopts an equivalent mutant as the new best under
+``literal_verdicts`` is the algorithm-literal reference for the optimizer's
+selection loop.  ``optimize`` runs the original once per input and compares
+every mutant against those memoized outputs.  This oracle follows the paper's
+procedure word for word instead: for every comparison it re-runs the current
+best program, and it adopts an equivalent mutant as the new best under
 ``improvement_test``.  Its verdicts must equal ``optimize``'s.
+
+``reference_tokenize`` is an independent byte-at-a-time lexer, with a second
+pass that decides binary position per arithmetic operator; ``tokenize`` does
+both in one regex scan.  Token streams and ``MalformedSource`` errors of the
+two must agree on every valid UTF-8 source.
 """
 
+from typing import Sequence
+
 from mutopt import CompileError, Cost, OptimizeConfig, apply_all, improvement_test, make_backend
+from mutopt.tokens import (
+    _KIND_BY_LEXEME,
+    _OPERATOR_TABLE,
+    ARITHMETIC_LEXEMES,
+    Language,
+    MalformedSource,
+    SourceUnit,
+    Token,
+    TokenKind,
+)
 
 
 def literal_verdicts(operators, unit, inputs, config=OptimizeConfig()):
@@ -54,3 +72,174 @@ def literal_verdicts(operators, unit, inputs, config=OptimizeConfig()):
     if selected is not None:
         verdicts[selected][1] = "selected"
     return [tuple(v) for v in verdicts]
+
+
+_CLOSING_BRACKETS = (")", "]")
+
+
+def _is_ident_start(b: int) -> bool:
+    return b == 0x5F or 0x41 <= b <= 0x5A or 0x61 <= b <= 0x7A or b >= 0x80
+
+
+def _is_ident_part(b: int) -> bool:
+    return _is_ident_start(b) or 0x30 <= b <= 0x39
+
+
+def _is_digit(b: int) -> bool:
+    return 0x30 <= b <= 0x39
+
+
+class _Lexer:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.n = len(data)
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+        self.tokens: list[Token] = []
+
+    def error(self, message: str, line: int, col: int):
+        raise MalformedSource(message, line, col)
+
+    def peek(self, offset: int = 0) -> int:
+        p = self.pos + offset
+        return self.data[p] if p < self.n else -1
+
+    def advance(self, count: int = 1):
+        for _ in range(count):
+            if self.pos >= self.n:
+                return
+            if self.data[self.pos] == 0x0A:
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def emit(self, kind: TokenKind, start: int, line: int, col: int):
+        lexeme = self.data[start:self.pos].decode("utf-8")
+        self.tokens.append(Token(kind, lexeme, start, self.pos, line, col))
+
+    def run(self) -> list[Token]:
+        while self.pos < self.n:
+            b = self.peek()
+            if b in (0x20, 0x09, 0x0D, 0x0A, 0x0B, 0x0C):
+                self.advance()
+            elif b == 0x2F and self.peek(1) == 0x2F:
+                self.line_comment()
+            elif b == 0x2F and self.peek(1) == 0x2A:
+                self.block_comment()
+            elif b in (0x22, 0x27):  # " or '
+                self.string_literal(b)
+            elif _is_digit(b) or (b == 0x2E and _is_digit(self.peek(1))):
+                self.number()
+            elif _is_ident_start(b):
+                self.identifier()
+            else:
+                self.operator()
+        return self.tokens
+
+    def line_comment(self):
+        start, line, col = self.pos, self.line, self.col
+        while self.pos < self.n and self.peek() != 0x0A:
+            self.advance()
+        self.emit(TokenKind.COMMENT, start, line, col)
+
+    def block_comment(self):
+        start, line, col = self.pos, self.line, self.col
+        self.advance(2)
+        while self.pos < self.n:
+            if self.peek() == 0x2A and self.peek(1) == 0x2F:
+                self.advance(2)
+                self.emit(TokenKind.COMMENT, start, line, col)
+                return
+            self.advance()
+        self.error("unterminated block comment", line, col)
+
+    def string_literal(self, quote: int):
+        start, line, col = self.pos, self.line, self.col
+        self.advance()
+        while self.pos < self.n:
+            b = self.peek()
+            if b == quote:
+                self.advance()
+                self.emit(TokenKind.STRING_LITERAL, start, line, col)
+                return
+            if b == 0x5C:  # backslash escape
+                self.advance(2)
+            elif b == 0x0A:
+                break
+            else:
+                self.advance()
+        self.error("unterminated string literal", line, col)
+
+    def number(self):
+        # C-style preprocessing number: digits, letters, dots, and exponent
+        # signs; the parser decides validity.
+        start, line, col = self.pos, self.line, self.col
+        self.advance()
+        while self.pos < self.n:
+            b = self.peek()
+            if _is_ident_part(b) or b == 0x2E:
+                self.advance()
+            elif b in (0x2B, 0x2D) and self.data[self.pos - 1] in (0x65, 0x45):
+                self.advance()  # 1e+5 stays one literal
+            else:
+                break
+        self.emit(TokenKind.LITERAL, start, line, col)
+
+    def identifier(self):
+        start, line, col = self.pos, self.line, self.col
+        self.advance()
+        while self.pos < self.n and _is_ident_part(self.peek()):
+            self.advance()
+        self.emit(TokenKind.IDENTIFIER, start, line, col)
+
+    def operator(self):
+        start, line, col = self.pos, self.line, self.col
+        window = self.data[self.pos:self.pos + 3].decode("utf-8", errors="replace")
+        for op in _OPERATOR_TABLE:
+            if window.startswith(op):
+                self.advance(len(op))
+                kind = _KIND_BY_LEXEME.get(op, TokenKind.OTHER)
+                self.emit(kind, start, line, col)
+                return
+        self.advance()
+        self.emit(TokenKind.OTHER, start, line, col)
+
+
+def classify_binary_context(tokens: Sequence[Token], index: int) -> bool:
+    """True iff the candidate arithmetic lexeme at ``index`` sits in binary
+    position: the previous non-comment token is an identifier, a literal, or
+    a closing bracket.  Anything else is treated as unary and skipped."""
+    if tokens[index].lexeme not in ARITHMETIC_LEXEMES:
+        raise ValueError(f"token {index} is not an arithmetic candidate")
+    for prev in reversed(tokens[:index]):
+        if prev.kind is TokenKind.COMMENT:
+            continue
+        return (
+            prev.kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL)
+            or prev.lexeme in _CLOSING_BRACKETS
+        )
+    return False
+
+
+def reference_tokenize(text: bytes | str, language: Language = Language.C_LIKE) -> SourceUnit:
+    """Lex ``text`` into a SourceUnit.
+
+    Maximal munch: ``>=`` is one relational token, ``+=`` one shortcut
+    assignment, ``++`` one increment token.  ``+ - * / %`` become ARITHMETIC
+    only in binary position; unary occurrences stay OTHER.  Raises
+    MalformedSource for unterminated strings or block comments.
+    """
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    data.decode("utf-8")  # reject invalid UTF-8 up front
+    raw = _Lexer(data).run()
+    tokens = []
+    for i, tok in enumerate(raw):
+        if tok.kind is TokenKind.OTHER and tok.lexeme in ARITHMETIC_LEXEMES:
+            if classify_binary_context(raw, i):
+                tok = Token(TokenKind.ARITHMETIC, tok.lexeme, tok.start, tok.end,
+                            tok.line, tok.col)
+        tokens.append(tok)
+    return SourceUnit(text=data, language=Language(language), tokens=tuple(tokens))

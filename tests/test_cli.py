@@ -43,6 +43,38 @@ def test_nonexistent_source_is_operational_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "mutants"])
+def test_non_utf8_source_is_operational_error(command, tmp_path, monkeypatch, capsys):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(scratch))
+    src = tmp_path / "bad.mini"
+    src.write_bytes(b"x = 1;\n\xff = 2;\nprint(x);\n")
+    argv = [command, "--source", str(src), "--operators", "ror"]
+    if command == "optimize":
+        argv += ["--inputs", str(FIXTURES / "m_powsum")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("mutopt: ")
+    assert "invalid UTF-8 at line 2, col 1" in err
+    assert "Traceback" not in err
+    assert list(scratch.iterdir()) == []  # checked before the scratch directory
+
+
+def test_non_utf8_manifest_is_operational_error(tmp_path, monkeypatch, capsys):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(scratch))
+    manifest = tmp_path / "suite.txt"
+    manifest.write_bytes(b"# caf\xe9\n")
+    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
+                 "--inputs", str(manifest), "--operators", "asr"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"mutopt: manifest is not valid UTF-8: {manifest}\n"
+    assert list(scratch.iterdir()) == []
+
+
 def test_optimize_powsum_improves(tmp_path, capsys):
     report_path = tmp_path / "out.json"
     code = main(["optimize",

@@ -1,12 +1,17 @@
-"""Tokenizer tests: maximal munch, operator classification, round-trips."""
+"""Tokenizer tests: maximal munch, operator classification, round-trips,
+and agreement with the reference lexer in ``oracle.py``."""
+
+import importlib.util
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mutopt import Language, MalformedSource, TokenKind, tokenize
-from mutopt.tokens import classify_binary_context
 
 from conftest import FIXTURES, load_unit
+from oracle import reference_tokenize
+
+_ARITHMETIC = ("+", "-", "*", "/", "%")
 
 
 def kinds_of(text, kind):
@@ -50,9 +55,8 @@ def test_comments_and_strings_are_opaque():
 ])
 def test_classify_binary_context_spec_cases(text, expected):
     unit = tokenize(text)
-    idx = next(i for i, t in enumerate(unit.tokens)
-               if t.lexeme in ("-", "*", "+", "/", "%"))
-    assert classify_binary_context(unit.tokens, idx) is expected
+    tok = next(t for t in unit.tokens if t.lexeme in _ARITHMETIC)
+    assert (tok.kind is TokenKind.ARITHMETIC) is expected
 
 
 # Hand-built classification table over corpus-style snippets: one entry per
@@ -74,17 +78,11 @@ _BINARY_TABLE = [
 @pytest.mark.parametrize("text,expected", _BINARY_TABLE)
 def test_classify_binary_context_table(text, expected):
     unit = tokenize(text)
-    got = [classify_binary_context(unit.tokens, i)
-           for i, t in enumerate(unit.tokens)
+    got = [t.kind is TokenKind.ARITHMETIC
+           for t in unit.tokens
            if t.kind in (TokenKind.ARITHMETIC, TokenKind.OTHER)
-           and t.lexeme in ("+", "-", "*", "/", "%")]
+           and t.lexeme in _ARITHMETIC]
     assert got == expected
-
-
-def test_classify_rejects_non_candidates():
-    unit = tokenize("a < b")
-    with pytest.raises(ValueError):
-        classify_binary_context(unit.tokens, 1)
 
 
 def census(unit):
@@ -153,6 +151,7 @@ def test_utf8_content_round_trips():
     's = "unterminated',
     "/* never closed",
     's = "broken\nx = 1;',
+    b"x = 1;\n\xff = 2;",  # not UTF-8
 ])
 def test_malformed_source(bad):
     with pytest.raises(MalformedSource):
@@ -183,3 +182,57 @@ def test_round_trip_property(parts):
     for t in unit.tokens:
         assert t.start >= last_end
         last_end = t.end
+
+
+def _outcome(lex, data):
+    """The token tuple, or the MalformedSource message, line and column."""
+    try:
+        return lex(data).tokens
+    except MalformedSource as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+def assert_matches_reference(data: bytes):
+    try:
+        expected = _outcome(reference_tokenize, data)
+    except UnicodeDecodeError as exc:
+        # the reference lets the decode error escape; tokenize reports the
+        # first bad byte's line and byte column
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        expected = ("invalid UTF-8", data.count(b"\n", 0, exc.start) + 1,
+                    exc.start - line_start + 1)
+    assert _outcome(tokenize, data) == expected
+
+
+@pytest.mark.parametrize("name", sorted(
+    str(p.relative_to(FIXTURES)) for p in FIXTURES.rglob("*") if p.is_file()))
+def test_fixture_matches_reference_tokenizer(name):
+    assert_matches_reference((FIXTURES / name).read_bytes())
+
+
+def test_wide_program_matches_reference_tokenizer():
+    # the benchmark's generated program, seed 1
+    path = FIXTURES.parent / "perfbench" / "widegen.py"
+    spec = importlib.util.spec_from_file_location("widegen", path)
+    widegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widegen)
+    assert_matches_reference(widegen.generate_program(1).encode("utf-8"))
+
+
+# Pieces that exercise every token class boundary: quotes, escaped newlines,
+# comment openers and closers, exponent signs, non-ASCII and stray bytes.
+_LEXER_ALPHABET = st.sampled_from([
+    '"', "'", "\\", "\\\n", "\n", " ", "\t", "/*", "*/", "//", "/", "*",
+    "1e+5", ".5", "0xE+1", "1", ".", "...", "e", "E", "a", "_x",
+    "+", "-", "%", "+=", "++", ">>=", "<", "(", ")", "[", "]", ";",
+    "é", "π", "$", "`", "\x00",
+])
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(_LEXER_ALPHABET, max_size=40).map(lambda parts: "".join(parts).encode()),
+    st.binary(max_size=40),
+))
+def test_matches_reference_tokenizer(data):
+    assert_matches_reference(data)
