@@ -2,9 +2,11 @@
 
 Two kinds behind one contract: the in-process MiniImp interpreter (costs in
 deterministic steps) and an external toolchain driven by command templates
-(costs in wall-clock milliseconds, median of repeated runs).  Costs from
-different backends are never comparable; ``Cost`` carries its unit and adds
-only within it.
+(costs in wall-clock milliseconds, median of repeated runs).  Each
+backend's ``compile`` returns the artifact that its ``run`` takes: a
+``CompiledMini`` for the interpreter, the binary's ``Path`` for the external
+toolchain.  Costs from different backends are never comparable; ``Cost``
+carries its unit and adds only within it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import shlex
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 from typing import Sequence, Union
@@ -68,15 +70,6 @@ class RunResult:
 
 
 @dataclass(frozen=True)
-class Program:
-    """A successfully compiled program; compile failures never produce one."""
-
-    kind: str
-    mini: CompiledMini | None = None
-    binary: Path | None = None
-
-
-@dataclass(frozen=True)
 class ExecBackendConfig:
     kind: str = "mini"  # "mini" | "external"
     compile_cmd: str | None = None  # placeholders {src} {out}
@@ -94,8 +87,8 @@ class ExecBackendConfig:
             raise ValueError("repetitions must be >= 1")
         if self.warmups < 0:
             raise ValueError("warmups must be >= 0")
-        if self.timeout_factor <= 1:
-            raise ValueError("timeout_factor must be > 1")
+        if not 1 < self.timeout_factor < math.inf:  # inf would overflow budgets
+            raise ValueError("timeout_factor must be > 1 and finite")
 
 
 def normalize_output(raw: bytes) -> bytes:
@@ -116,23 +109,22 @@ class MiniBackend:
     def __init__(self, config: ExecBackendConfig):
         self.config = config
 
-    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Program:
+    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
         # name only matters to external toolchains; accepted for one signature
         if isinstance(source, (bytes, bytearray)):
             source = tokenize(source, Language.MINI)
-        program = parse_mini(source)  # raises CompileError
-        return Program(kind="mini", mini=compile_program(program))
+        return compile_program(parse_mini(source))  # parse raises CompileError
 
-    def run(self, program: Program, input_values: Sequence[int],
+    def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:
         try:
-            result = program.mini.run(input_values, budget)
+            result = program.run(input_values, budget)
         except BudgetExceeded:
             return RunResult(b"", None, VERDICT_TIMEOUT)
         except MiniRuntimeError:
             return RunResult(b"", None, VERDICT_CRASH)
-        return RunResult(normalize_output(result.output),
-                         Cost(result.steps, UNIT_STEPS), VERDICT_OK)
+        # already normal: one decimal per line, no trailing newline
+        return RunResult(result.output, Cost(result.steps, UNIT_STEPS), VERDICT_OK)
 
     def mutant_budget(self, baseline: Cost) -> int:
         return max(1, math.ceil(baseline.value * self.config.timeout_factor))
@@ -157,7 +149,7 @@ class ExternalBackend:
             raise ToolchainError(f"empty command template {template!r}")
         return filled
 
-    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Program:
+    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Path:
         # name keeps the real extension so compilers that sniff suffixes
         # (gcc, javac) treat the file correctly; the counter avoids clashes
         data = source.text if isinstance(source, SourceUnit) else bytes(source)
@@ -176,13 +168,13 @@ class ExternalBackend:
         if proc.returncode != 0:
             diag = proc.stderr.decode("utf-8", errors="replace").strip()
             raise CompileError(diag or f"compiler exited {proc.returncode}", 0, 0)
-        return Program(kind="external", binary=out_path)
+        return out_path
 
-    def run(self, program: Program, input_values: Sequence[int],
+    def run(self, program: Path, input_values: Sequence[int],
             budget: float) -> RunResult:
         stdin_data = (" ".join(str(v) for v in input_values) + "\n").encode("ascii")
         cmd = self._fill(self.config.run_cmd,
-                         {"bin": str(program.binary), "input": "-"})
+                         {"bin": str(program), "input": "-"})
         times_ms: list[float] = []
         output: bytes | None = None
         total = self.config.warmups + self.config.repetitions
@@ -233,7 +225,7 @@ class OverallTime:
     results: tuple[RunResult, ...] = ()  # every run made, in input order
 
 
-def overall_time(backend: Backend, program: Program,
+def overall_time(backend: Backend, program: CompiledMini | Path,
                  inputs: Sequence[Sequence[int]],
                  budgets: Sequence[Union[int, float]],
                  expected: Sequence[bytes] | None = None) -> OverallTime:

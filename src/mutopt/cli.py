@@ -7,23 +7,21 @@ Exit codes: 0 an improving mutant was selected; 3 no improvement found;
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from .backend import ExecBackendConfig, ToolchainError
-from .mutation import OPERATOR_REGISTRY
+from .mutation import OPERATOR_REGISTRY, apply_all
 from .optimizer import (
     InputEntry,
     InputSet,
     InvalidBaseline,
     OptimizeConfig,
-    _split_source_name,
     optimize,
-    select_mutants,
 )
 from .report import render_summary, write_report
 from .tokens import Language, MalformedSource, SourceUnit, tokenize
@@ -36,8 +34,10 @@ EXIT_NO_IMPROVEMENT = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # "mutopt: error:" also from a subcommand's parser, whose prog is
+        # "mutopt optimize", so every message starts with "mutopt:"
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"mutopt: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -74,6 +74,8 @@ def load_inputs(path: Path) -> InputSet:
     for f in files:
         try:
             values = tuple(int(tok) for tok in f.read_text(encoding="utf-8").split())
+        except OSError as exc:
+            raise InputSetError(f"cannot read input file {f}: {exc.strerror}") from exc
         except ValueError as exc:
             raise InputSetError(f"bad integer in input file {f}: {exc}") from exc
         entries.append(InputEntry(id=f.stem, values=values))
@@ -93,7 +95,7 @@ def _parse_operators(raw: str, parser: argparse.ArgumentParser) -> list[str]:
     return names
 
 
-def _parse_lines(raw: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
+def _parse_lines(raw: str, text: bytes, parser: argparse.ArgumentParser) -> tuple[int, int]:
     try:
         a, b = raw.split(":")
         lo, hi = int(a), int(b)
@@ -101,7 +103,22 @@ def _parse_lines(raw: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         parser.error("--lines expects A:B with integers")
     if lo < 1 or hi < lo:
         parser.error("--lines expects 1 <= A <= B")
+    total_lines = text.count(b"\n") + (0 if text.endswith(b"\n") or not text else 1)
+    if hi > max(total_lines, 1):
+        parser.error(f"--lines {lo}:{hi} exceeds the {total_lines}-line file")
     return lo, hi
+
+
+def _number(convert, ok, rule: str):
+    """An argparse ``type`` that converts the text and rejects values that
+    fail ``ok``, so the error names the flag: ``argument --reps: must be >= 1``."""
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}")
+        return value
+    parse.__name__ = convert.__name__  # argparse says "invalid int value: ..."
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,18 +138,25 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory of *.in files or a manifest file")
     opt.add_argument("--operators", required=True,
                      help="comma list from: ror, asr, aor")
-    opt.add_argument("--reps", type=int, default=5, help="timed repetitions")
-    opt.add_argument("--warmups", type=int, default=1, help="discarded warmup runs")
-    opt.add_argument("--timeout-factor", type=float, default=10.0,
+    opt.add_argument("--reps", type=_number(int, lambda v: v >= 1, ">= 1"),
+                     default=5, help="timed repetitions")
+    opt.add_argument("--warmups", type=_number(int, lambda v: v >= 0, ">= 0"),
+                     default=1, help="discarded warmup runs")
+    opt.add_argument("--timeout-factor",
+                     type=_number(float, lambda v: 1 < v < math.inf, "> 1 and finite"),
+                     default=10.0,
                      help="per-input budget as a multiple of the baseline cost")
-    opt.add_argument("--threshold", type=float, default=0.05,
-                     help="wall-clock noise guard in [0, 0.5]")
+    opt.add_argument("--threshold",
+                     type=_number(float, lambda v: 0 <= v <= 0.5, "in [0, 0.5]"),
+                     default=0.05, help="wall-clock noise guard in [0, 0.5]")
     opt.add_argument("--lines", default=None, help="restrict mutation to lines A:B")
     opt.add_argument("--report", default=None, help="write the JSON report here")
     opt.add_argument("--keep-scratch", action="store_true",
                      help="keep the scratch directory on success")
-    opt.add_argument("--jobs", type=int, default=None,
-                     help="parallel mutant evaluations (mini backend)")
+    opt.add_argument("--jobs", type=_number(int, lambda v: v >= 1, ">= 1"),
+                     default=None,
+                     help="parallel mutant evaluations (mini backend); "
+                          "default one per CPU")
 
     lst = sub.add_parser("mutants", help="list the mutants without executing")
     lst.add_argument("--source", required=True)
@@ -147,23 +171,26 @@ def _language_for(path: Path, backend: str) -> Language:
     return Language.C_LIKE
 
 
+def _load_source(args, parser, backend: str):
+    """``--source`` as a path and tokenized, and the ``--lines`` range checked
+    against it.  A missing or malformed source exits 2."""
+    path = Path(args.source)
+    if not path.is_file():
+        sys.stderr.write(f"mutopt: source not found: {path}\n")
+        raise SystemExit(EXIT_ERROR)
+    text = path.read_bytes()
+    line_range = _parse_lines(args.lines, text, parser) if args.lines else None
+    try:
+        return path, tokenize(text, _language_for(path, backend)), line_range
+    except MalformedSource as exc:
+        sys.stderr.write(f"mutopt: cannot mutate source: {exc}\n")
+        raise SystemExit(EXIT_ERROR)
+
+
 def _cmd_mutants(args, parser) -> int:
     names = _parse_operators(args.operators, parser)
-    source_path = Path(args.source)
-    if not source_path.is_file():
-        sys.stderr.write(f"mutopt: source not found: {source_path}\n")
-        return EXIT_ERROR
-    text = source_path.read_bytes()
-    try:
-        unit = tokenize(text, _language_for(source_path, "mini"))
-    except MalformedSource as exc:
-        sys.stderr.write(f"mutopt: {exc}\n")
-        return EXIT_ERROR
-    line_range = None
-    if args.lines:
-        line_range = _parse_lines(args.lines, parser)
-        _check_line_range(line_range, text, parser)
-    mutants = select_mutants([OPERATOR_REGISTRY[n] for n in names], unit, line_range)
+    _, unit, line_range = _load_source(args, parser, "mini")
+    mutants = apply_all([OPERATOR_REGISTRY[n] for n in names], unit, line_range)
     for m in mutants:
         print(f"{m.id:<8} {m.operator}  line {m.line}, col {m.col}:  "
               f"{m.original} -> {m.replacement}")
@@ -176,46 +203,11 @@ def _cmd_mutants(args, parser) -> int:
     return EXIT_IMPROVED
 
 
-def _check_line_range(line_range, text: bytes, parser):
-    total_lines = text.count(b"\n") + (0 if text.endswith(b"\n") or not text else 1)
-    lo, hi = line_range
-    if hi > max(total_lines, 1):
-        parser.error(f"--lines {lo}:{hi} exceeds the {total_lines}-line file")
-
-
 def _cmd_optimize(args, parser) -> int:
     operators = [OPERATOR_REGISTRY[n] for n in _parse_operators(args.operators, parser)]
-    source_path = Path(args.source)
-    if not source_path.is_file():
-        sys.stderr.write(f"mutopt: source not found: {source_path}\n")
-        return EXIT_ERROR
-
-    line_range = None
-    text = source_path.read_bytes()
-    if args.lines:
-        line_range = _parse_lines(args.lines, parser)
-        _check_line_range(line_range, text, parser)
     if args.backend == "external" and not (args.compile_cmd and args.run_cmd):
         parser.error("external backend requires --compile-cmd and --run-cmd")
-
-    try:
-        config = OptimizeConfig(
-            backend=ExecBackendConfig(
-                kind=args.backend, compile_cmd=args.compile_cmd,
-                run_cmd=args.run_cmd, repetitions=args.reps,
-                warmups=args.warmups, timeout_factor=args.timeout_factor),
-            threshold=args.threshold, line_range=line_range,
-            jobs=args.jobs or os.cpu_count() or 1,
-            source_name=source_path.name,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    try:
-        unit = tokenize(text, _language_for(source_path, args.backend))
-    except MalformedSource as exc:
-        sys.stderr.write(f"mutopt: cannot mutate source: {exc}\n")
-        return EXIT_ERROR
+    source_path, unit, line_range = _load_source(args, parser, args.backend)
     try:
         input_set = load_inputs(Path(args.inputs))
     except InputSetError as exc:
@@ -228,7 +220,16 @@ def _cmd_optimize(args, parser) -> int:
     scratch_root = os.environ.get("MUTOPT_SCRATCH") or tempfile.gettempdir()
     Path(scratch_root).mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="mutopt-", dir=scratch_root))
-    config = replace(config, scratch_dir=scratch)
+    # argparse has checked every number's range, so these cannot raise
+    config = OptimizeConfig(
+        backend=ExecBackendConfig(
+            kind=args.backend, compile_cmd=args.compile_cmd,
+            run_cmd=args.run_cmd, repetitions=args.reps,
+            warmups=args.warmups, timeout_factor=args.timeout_factor),
+        threshold=args.threshold, line_range=line_range,
+        jobs=args.jobs if args.jobs is not None else os.cpu_count() or 1,
+        scratch_dir=scratch, source_name=source_path.name,
+    )
     try:
         code = _run_optimize(args, operators, config, unit, input_set)
     except Exception:
@@ -266,29 +267,22 @@ def _run_optimize(args, operators, config: OptimizeConfig, unit: SourceUnit,
 
 
 def _write_mutant_files(operators, unit, config: OptimizeConfig):
-    stem, ext = _split_source_name(config.source_name)
     mutant_dir = config.scratch_dir / "mutants"
     mutant_dir.mkdir(exist_ok=True)
-    for m in select_mutants(operators, unit, config.line_range):
-        (mutant_dir / m.filename(stem, ext)).write_bytes(m.mutated_text)
+    for m in apply_all(operators, unit, config.line_range):
+        (mutant_dir / m.filename(config.source_name)).write_bytes(m.mutated_text)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "mutants":
+            return _cmd_mutants(args, parser)
+        if args.command == "optimize":
+            return _cmd_optimize(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.command == "mutants":
-        try:
-            return _cmd_mutants(args, parser)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.command == "optimize":
-        try:
-            return _cmd_optimize(args, parser)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     parser.print_usage(sys.stderr)
     return EXIT_USAGE
 

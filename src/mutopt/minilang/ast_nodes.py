@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -115,18 +115,3 @@ class MiniProgram:
 
     body: tuple[Stmt, ...]
     variables: tuple[str, ...]
-    _compiled: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def statement_count(self) -> int:
-        def count(stmts) -> int:
-            total = 0
-            for s in stmts:
-                total += 1
-                if isinstance(s, If):
-                    total += count(s.then_body) + count(s.else_body)
-                elif isinstance(s, While):
-                    total += count(s.body)
-            return total
-
-        return count(self.body)

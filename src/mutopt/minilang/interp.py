@@ -250,11 +250,7 @@ class CompiledMini:
 
 
 def compile_program(program: MiniProgram) -> CompiledMini:
-    compiled = program._compiled
-    if compiled is None:
-        compiled = CompiledMini(program)
-        program._compiled = compiled
-    return compiled
+    return CompiledMini(program)
 
 
 def eval_mini(program: MiniProgram, input_values: Sequence[int],

@@ -15,7 +15,6 @@ from .tokens import (
     RELATIONAL_LEXEMES,
     SHORTCUT_ASSIGN_LEXEMES,
     SourceUnit,
-    Token,
     TokenKind,
 )
 
@@ -59,61 +58,49 @@ class Mutant:
     replacement: str
     mutated_text: bytes
 
-    def filename(self, stem: str, ext: str) -> str:
-        return f"{stem}.{self.id}.{ext.lstrip('.')}"
+    def filename(self, source_name: str) -> str:
+        """``source_name`` with the mutant id before its extension; a name
+        without one gets ``.src``."""
+        stem, dot, ext = source_name.rpartition(".")
+        if not dot:
+            stem, ext = source_name, "src"
+        return f"{stem}.{self.id}.{ext}"
 
 
-def _eligible_sites(operator: MutationOperator, source: SourceUnit) -> list[Token]:
-    return [t for t in source.tokens
-            if t.kind is operator.token_kind and t.lexeme in operator.domain]
+def apply_all(operators: Sequence[MutationOperator], source: SourceUnit,
+              line_range: tuple[int, int] | None = None) -> list[Mutant]:
+    """All first-order mutants of ``source`` under the operators, in their
+    given order, restricted to sites on lines in ``line_range`` (inclusive;
+    None keeps all).
 
-
-def _generate(operator: MutationOperator, source: SourceUnit,
-              first_index: int) -> list[Mutant]:
-    mutants = []
-    n = first_index
-    for tok in _eligible_sites(operator, source):
-        for replacement in operator.codomain(tok.lexeme):
-            mutated = (source.text[:tok.start]
-                       + replacement.encode("utf-8")
-                       + source.text[tok.end:])
-            mutants.append(Mutant(
-                id=f"{operator.kind}_{n}",
-                operator=operator.kind,
-                line=tok.line,
-                col=tok.col,
-                start=tok.start,
-                end=tok.end,
-                original=tok.lexeme,
-                replacement=replacement,
-                mutated_text=mutated,
-            ))
-            n += 1
-    return mutants
-
-
-def mutate(operator: MutationOperator, source: SourceUnit) -> list[Mutant]:
-    """All first-order mutants of ``source`` under one operator.
-
-    Empty list when the unit has no eligible sites.  Ids count from 1 in
-    emission order.
-    """
-    return _generate(operator, source, 1)
-
-
-def apply_all(operators: Sequence[MutationOperator],
-              source: SourceUnit) -> list[Mutant]:
-    """Concatenation of ``mutate`` over the operators, in their given order.
-
-    Ids stay unique across the whole list: a duplicated operator continues
-    its counter instead of restarting, so the duplicates are distinct.
+    Ids count from 1 per operator in emission order, over the whole unit, so
+    a mutant keeps its id whatever ``line_range`` is.  A duplicated operator
+    continues its counter instead of restarting, so the duplicates are
+    distinct.
     """
     out: list[Mutant] = []
     next_index: dict[str, int] = {}
     for op in operators:
-        start = next_index.get(op.kind, 1)
-        block = _generate(op, source, start)
-        next_index[op.kind] = start + len(block)
-        out.extend(block)
-    return out
-
+        for tok in source.tokens:
+            if tok.kind is not op.token_kind or tok.lexeme not in op.domain:
+                continue
+            for replacement in op.codomain(tok.lexeme):
+                n = next_index.get(op.kind, 1)
+                next_index[op.kind] = n + 1
+                out.append(Mutant(
+                    id=f"{op.kind}_{n}",
+                    operator=op.kind,
+                    line=tok.line,
+                    col=tok.col,
+                    start=tok.start,
+                    end=tok.end,
+                    original=tok.lexeme,
+                    replacement=replacement,
+                    mutated_text=(source.text[:tok.start]
+                                  + replacement.encode("utf-8")
+                                  + source.text[tok.end:]),
+                ))
+    if line_range is None:
+        return out
+    lo, hi = line_range
+    return [m for m in out if lo <= m.line <= hi]

@@ -10,6 +10,11 @@ Each mutant runs the inputs in the set's order and aborts at the first
 output mismatch or non-ok verdict.  Per-input budgets are derived from the
 baseline cost on that input, scaled by the backend's budget factor; mutants
 that exceed them are classified ``timeout`` and discarded.
+
+``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
+in-process or in a pool worker; the selection loop in ``optimize`` only
+refines its ``equivalent`` status into ``equivalent_faster``,
+``equivalent_not_faster`` or ``selected``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 from .backend import (
     Backend,
@@ -41,9 +46,7 @@ from .tokens import SourceUnit
 
 
 STATUS_COMPILE_ERROR = "compile_error"
-STATUS_KILLED = "killed"
-STATUS_CRASH = "crash"
-STATUS_TIMEOUT = "timeout"
+STATUS_EQUIVALENT = "equivalent"  # until the selection loop refines it
 STATUS_EQUIVALENT_NOT_FASTER = "equivalent_not_faster"
 STATUS_EQUIVALENT_FASTER = "equivalent_faster"
 STATUS_SELECTED = "selected"
@@ -135,43 +138,37 @@ def improvement_test(tau_o: Cost, tau_p: Cost, threshold: float) -> bool:
     return tau_p.value < (1.0 - threshold) * tau_o.value
 
 
-def _split_source_name(name: str) -> tuple[str, str]:
-    stem, dot, ext = name.rpartition(".")
-    if not dot:
-        return name, "src"
-    return stem, ext
+def _evaluate_one(backend: Backend, inputs: InputSet,
+                  budgets: Sequence[int | float], expected: Sequence[bytes],
+                  mutant: Mutant, name: str) -> MutantVerdict:
+    """Compile one mutant and run it on the inputs, stopping at the first
+    non-ok verdict or differing output.
 
-
-def select_mutants(operators: Sequence[MutationOperator], source: SourceUnit,
-                   line_range: tuple[int, int] | None) -> list[Mutant]:
-    """``apply_all`` restricted to mutants whose site is in ``line_range``
-    (inclusive; None keeps all)."""
-    mutants = apply_all(operators, source)
-    if line_range is None:
-        return mutants
-    lo, hi = line_range
-    return [m for m in mutants if lo <= m.line <= hi]
-
-
-def _evaluate_one(backend: Backend, source_bytes: bytes,
-                  inputs: Sequence[Sequence[int]],
-                  budgets: Sequence[Union[int, float]],
-                  expected: Sequence[bytes],
-                  name: str = "unit.src") -> tuple[str, int | None, Union[int, float, None], int]:
-    """Evaluate one candidate; returns (status, failing_input_index, tau, runs).
-
-    status is one of compile_error/killed/crash/timeout/equivalent.
+    The status is compile_error, the backend's verdict (killed, crash or
+    timeout, with ``input_id`` naming the input) or ``equivalent`` (with
+    ``tau``).
     """
+    verdict = MutantVerdict(
+        mutant_id=mutant.id, operator=mutant.operator,
+        line=mutant.line, col=mutant.col,
+        original=mutant.original, replacement=mutant.replacement,
+        status=STATUS_COMPILE_ERROR,
+    )
     try:
-        program = backend.compile(source_bytes, name=name)
+        program = backend.compile(mutant.mutated_text, name=name)
     except CompileError:
-        return (STATUS_COMPILE_ERROR, None, None, 0)
+        return verdict
     except ToolchainError as exc:
         raise ToolchainError(f"while compiling mutant {name}: {exc}") from exc
-    run = overall_time(backend, program, inputs, budgets, expected)
-    if run.verdict != VERDICT_OK:
-        return (run.verdict, run.failing_index, None, len(run.results))
-    return ("equivalent", None, run.cost.value, len(run.results))
+    run = overall_time(backend, program, [e.values for e in inputs.entries],
+                       budgets, expected)
+    verdict.runs = len(run.results)
+    if run.verdict == VERDICT_OK:
+        verdict.status, verdict.tau = STATUS_EQUIVALENT, run.cost
+    else:
+        verdict.status = run.verdict
+        verdict.input_id = inputs.entries[run.failing_index].id
+    return verdict
 
 
 def _host_block() -> dict:
@@ -214,7 +211,6 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     does not run cleanly on every input; propagates ToolchainError.
     """
     backend = make_backend(config.backend, config.scratch_dir)
-    stem, ext = _split_source_name(config.source_name)
 
     try:
         baseline_prog = backend.compile(source, name=config.source_name)
@@ -232,7 +228,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     budgets = [backend.mutant_budget(r.cost) for r in baseline.results]
     original_tau = baseline.cost
 
-    mutants = select_mutants(operators, source, config.line_range)
+    mutants = apply_all(operators, source, config.line_range)
 
     # perfbench/trace_run.py attributes a compile or run span to a mutant
     # only when it is a direct child of optimize, between the apply_all span
@@ -240,35 +236,22 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     # above, and the evaluate phase must not go through make_backend,
     # apply_all or confirm_equivalence, the module globals the tracer wraps.
     threshold = 0.0 if backend.unit == UNIT_STEPS else config.threshold
-    outcomes = _evaluate_all(backend, config, mutants, values, budgets,
-                             baseline_outputs, stem, ext)
-    verdicts: list[MutantVerdict] = []
+    verdicts = _evaluate_all(backend, config, mutants, inputs, budgets,
+                             baseline_outputs)
     current_tau = original_tau
     best: Mutant | None = None
-    best_index: int | None = None
-    for idx, (mutant, (status, failing, tau, runs)) in enumerate(zip(mutants, outcomes)):
-        verdict = MutantVerdict(
-            mutant_id=mutant.id, operator=mutant.operator,
-            line=mutant.line, col=mutant.col,
-            original=mutant.original, replacement=mutant.replacement,
-            status=status, runs=runs,
-        )
-        if status in (STATUS_KILLED, STATUS_CRASH, STATUS_TIMEOUT):
-            verdict.input_id = inputs.entries[failing].id
-        elif status == "equivalent":
-            tau_cost = Cost(tau, backend.unit)
-            verdict.tau = tau_cost
-            if improvement_test(current_tau, tau_cost, threshold):
-                verdict.status = STATUS_EQUIVALENT_FASTER
-                current_tau = tau_cost
-                best = mutant
-                best_index = idx
-            else:
-                verdict.status = STATUS_EQUIVALENT_NOT_FASTER
-        verdicts.append(verdict)
-
-    if best_index is not None:
-        verdicts[best_index].status = STATUS_SELECTED
+    best_verdict: MutantVerdict | None = None
+    for mutant, verdict in zip(mutants, verdicts):
+        if verdict.status != STATUS_EQUIVALENT:
+            continue
+        if improvement_test(current_tau, verdict.tau, threshold):
+            verdict.status = STATUS_EQUIVALENT_FASTER
+            current_tau = verdict.tau
+            best, best_verdict = mutant, verdict
+        else:
+            verdict.status = STATUS_EQUIVALENT_NOT_FASTER
+    if best_verdict is not None:
+        best_verdict.status = STATUS_SELECTED
 
     selected_source = best.mutated_text if best is not None else source.text
     if not confirm_equivalence(selected_source, source, inputs, config):
@@ -290,20 +273,15 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     )
 
 
-def _evaluate_all(backend, config, mutants, inputs, budgets,
-                  baseline_outputs, stem, ext):
+def _evaluate_all(backend, config, mutants, inputs, budgets, expected):
+    # the same call either way; only the mapper differs
+    task = partial(_evaluate_one, backend, inputs, budgets, expected)
+    names = [m.filename(config.source_name) for m in mutants]
     if isinstance(backend, MiniBackend) and config.jobs > 1 and len(mutants) > 1:
-        task = partial(_evaluate_one, backend, inputs=inputs, budgets=budgets,
-                       expected=baseline_outputs)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             chunk = max(1, len(mutants) // (config.jobs * 4))
-            return list(pool.map(task, [m.mutated_text for m in mutants],
-                                 chunksize=chunk))
-    return [
-        _evaluate_one(backend, m.mutated_text, inputs, budgets,
-                      baseline_outputs, name=m.filename(stem, ext))
-        for m in mutants
-    ]
+            return list(pool.map(task, mutants, names, chunksize=chunk))
+    return list(map(task, mutants, names))
 
 
 def _config_echo(operators, inputs, config: OptimizeConfig) -> dict:

@@ -6,9 +6,7 @@ import difflib
 import json
 from pathlib import Path
 
-from .backend import Cost
-from .mutation import Mutant
-from .optimizer import MutantVerdict, OptimizationReport
+from .optimizer import OptimizationReport
 
 
 def make_patch(original: bytes, optimized: bytes, name: str) -> str:
@@ -69,44 +67,6 @@ def report_to_dict(report: OptimizationReport) -> dict:
         "patch": make_patch(report.original_source, report.selected_source, name),
         "host": report.host,
     }
-
-
-def report_from_dict(data: dict) -> OptimizationReport:
-    """Rebuild a report from its JSON form, host block and all."""
-    unit = data["unit"]
-    verdicts = []
-    for v in data["verdicts"]:
-        verdicts.append(MutantVerdict(
-            mutant_id=v["mutant_id"], operator=v["operator"],
-            line=v["line"], col=v["col"],
-            original=v["original"], replacement=v["replacement"],
-            status=v["status"], input_id=v["input_id"],
-            tau=None if v["tau"] is None else Cost(v["tau"], unit),
-            runs=v["runs"],
-        ))
-    selected = None
-    if data["selected"] is not None:
-        s = data["selected"]
-        selected = Mutant(
-            id=s["mutant_id"], operator=s["operator"],
-            line=s["line"], col=s["col"],
-            start=s["start"], end=s["end"],
-            original=s["original"], replacement=s["replacement"],
-            mutated_text=data["final_source"].encode("utf-8"),
-        )
-    return OptimizationReport(
-        unit=unit,
-        original_tau=Cost(data["original_tau"], unit),
-        final_tau=Cost(data["final_tau"], unit),
-        selected=selected,
-        selected_source=data["final_source"].encode("utf-8"),
-        original_source=data["original_source"].encode("utf-8"),
-        verdicts=verdicts,
-        input_ids=tuple(data["inputs"]),
-        backend_kind=data["backend"],
-        config_echo=data["config"],
-        host=data["host"],
-    )
 
 
 def write_report(report: OptimizationReport, path: Path | str) -> None:

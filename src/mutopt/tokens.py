@@ -106,17 +106,6 @@ class SourceUnit:
     language: Language
     tokens: tuple[Token, ...]
 
-    def rebuild_text(self) -> bytes:
-        """Token lexemes plus inter-token gaps, byte-for-byte."""
-        parts = []
-        pos = 0
-        for tok in self.tokens:
-            parts.append(self.text[pos:tok.start])
-            parts.append(tok.lexeme.encode("utf-8"))
-            pos = tok.end
-        parts.append(self.text[pos:])
-        return b"".join(parts)
-
 
 def tokenize(text: bytes | str, language: Language = Language.C_LIKE) -> SourceUnit:
     """Lex ``text`` into a SourceUnit with one scan of ``_TOKEN_RE``.

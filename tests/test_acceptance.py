@@ -18,9 +18,9 @@ from mutopt import (
     Language,
     OptimizeConfig,
     ROR,
+    apply_all,
     confirm_equivalence,
     eval_mini,
-    mutate,
     optimize,
     parse_mini,
     tokenize,
@@ -93,7 +93,7 @@ def test_criterion_1_scaled_rediscovery(scaled_run):
 def test_criterion_2_full_width_outputs(scaled_run):
     report, _ = scaled_run
     unit = load_unit("b2tob10.mini")
-    twin = next(m for m in mutate(ASR, unit)
+    twin = next(m for m in apply_all([ASR], unit)
                 if m.line == report.selected.line
                 and m.col == report.selected.col
                 and m.replacement == "*=")
@@ -111,7 +111,7 @@ def test_criterion_2_full_width_outputs(scaled_run):
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_criterion_2_external_wall_clock_ordering(tmp_path):
     c_unit = tokenize((FIXTURES / "b2tob10.c").read_bytes(), Language.C_LIKE)
-    star = [m for m in mutate(ASR, c_unit)
+    star = [m for m in apply_all([ASR], c_unit)
             if m.original == "+=" and m.replacement == "*="]
     tail = max(star, key=lambda m: m.line)  # the loop-tail increment
 
@@ -176,7 +176,7 @@ def test_criterion_4_kill_classification():
 
     # exhaustive interpreter oracle over M, independent of the optimizer
     original = parse_mini(unit)
-    for m in mutate(ROR, unit):
+    for m in apply_all([ROR], unit):
         if m.original != ">=":
             continue
         mutant_prog = parse_mini(tokenize(m.mutated_text, Language.MINI))

@@ -16,6 +16,7 @@ from mutopt import (
     tokenize,
 )
 from mutopt.backend import normalize_output
+from mutopt.minilang.interp import CompiledMini
 
 from conftest import encode_bits, load_unit
 
@@ -36,8 +37,9 @@ def test_external_config_requires_commands():
         ExecBackendConfig(kind="bogus")
     with pytest.raises(ValueError):
         ExecBackendConfig(repetitions=0)
-    with pytest.raises(ValueError):
-        ExecBackendConfig(timeout_factor=1.0)
+    for factor in (1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExecBackendConfig(timeout_factor=factor)
 
 
 def test_cost_addition_checks_units():
@@ -206,12 +208,12 @@ def test_mini_data_flows_through_source_units():
 def test_overall_time_speedup_of_walk_doubling_rewrite():
     # golden bound fixed from the first oracle run: the rewrite is over
     # 100x cheaper on the scaled input set
-    from mutopt import ASR, mutate
+    from mutopt import ASR, apply_all
 
     backend = mini_backend()
     unit = load_unit("b2tob10.mini")
     original = backend.compile(unit)
-    star = [m for m in mutate(ASR, unit)
+    star = [m for m in apply_all([ASR], unit)
             if m.original == "+=" and m.replacement == "*="]
     tail = max(star, key=lambda m: m.line)
     mutant = backend.compile(tail.mutated_text)
@@ -230,7 +232,7 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
     backend = mini_backend()
     unit = load_unit("b2tob10.mini")
     for m in apply_all([ROR, ASR, AOR], unit):
-        name = m.filename("b2tob10", "mini")
+        name = m.filename("b2tob10.mini")
         try:
             program = backend.compile(m.mutated_text)
         except CompileError:
@@ -238,5 +240,5 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
             with pytest.raises(CompileError):
                 backend.compile(m.mutated_text, name=name)
             continue
-        assert program.mini is not None
-        assert backend.compile(m.mutated_text, name=name).mini is not None
+        assert isinstance(program, CompiledMini)
+        assert isinstance(backend.compile(m.mutated_text, name=name), CompiledMini)

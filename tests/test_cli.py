@@ -5,10 +5,50 @@ import shutil
 
 import pytest
 
+from mutopt import Cost, Mutant
 from mutopt.cli import InputSetError, load_inputs, main
-from mutopt.report import report_from_dict, report_to_dict
+from mutopt.optimizer import MutantVerdict, OptimizationReport
+from mutopt.report import report_to_dict
 
 from conftest import FIXTURES
+
+
+def report_from_dict(data: dict) -> OptimizationReport:
+    """Rebuild a report from its JSON form, host block and all."""
+    unit = data["unit"]
+    verdicts = []
+    for v in data["verdicts"]:
+        verdicts.append(MutantVerdict(
+            mutant_id=v["mutant_id"], operator=v["operator"],
+            line=v["line"], col=v["col"],
+            original=v["original"], replacement=v["replacement"],
+            status=v["status"], input_id=v["input_id"],
+            tau=None if v["tau"] is None else Cost(v["tau"], unit),
+            runs=v["runs"],
+        ))
+    selected = None
+    if data["selected"] is not None:
+        s = data["selected"]
+        selected = Mutant(
+            id=s["mutant_id"], operator=s["operator"],
+            line=s["line"], col=s["col"],
+            start=s["start"], end=s["end"],
+            original=s["original"], replacement=s["replacement"],
+            mutated_text=data["final_source"].encode("utf-8"),
+        )
+    return OptimizationReport(
+        unit=unit,
+        original_tau=Cost(data["original_tau"], unit),
+        final_tau=Cost(data["final_tau"], unit),
+        selected=selected,
+        selected_source=data["final_source"].encode("utf-8"),
+        original_source=data["original_source"].encode("utf-8"),
+        verdicts=verdicts,
+        input_ids=tuple(data["inputs"]),
+        backend_kind=data["backend"],
+        config_echo=data["config"],
+        host=data["host"],
+    )
 
 
 def test_mutants_census_is_13(capsys):
@@ -72,6 +112,21 @@ def test_non_utf8_manifest_is_operational_error(tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"mutopt: manifest is not valid UTF-8: {manifest}\n"
+    assert list(scratch.iterdir()) == []
+
+
+def test_unreadable_input_entry_is_operational_error(tmp_path, monkeypatch, capsys):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(scratch))
+    inputs = tmp_path / "m"
+    (inputs / "x.in").mkdir(parents=True)  # matches *.in but is a directory
+    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
+                 "--inputs", str(inputs), "--operators", "asr"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"mutopt: cannot read input file {inputs / 'x.in'}: Is a directory\n"
+    assert "Traceback" not in err
     assert list(scratch.iterdir()) == []
 
 
@@ -188,7 +243,8 @@ def test_scratch_keeps_mutant_files(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--reps", "0"), ("--warmups", "-1"), ("--timeout-factor", "1"),
-    ("--jobs", "-1"),
+    ("--timeout-factor", "inf"), ("--jobs", "-1"), ("--jobs", "0"),
+    ("--threshold", "0.9"),
 ])
 def test_out_of_range_number_is_usage_error(flag, value, tmp_path, monkeypatch,
                                             capsys):
@@ -200,6 +256,7 @@ def test_out_of_range_number_is_usage_error(flag, value, tmp_path, monkeypatch,
     errors = [line for line in capsys.readouterr().err.splitlines()
               if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("mutopt: error:")
+    assert f"argument {flag}: must be " in errors[0]
     assert list(tmp_path.iterdir()) == []  # no scratch directory left behind
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mutopt import AOR, ASR, Language, ROR, apply_all, mutate, tokenize
+from mutopt import AOR, ASR, Language, ROR, apply_all, tokenize
 from mutopt.tokens import TokenKind
 
 from conftest import DATA, FIXTURES, load_unit
@@ -30,7 +30,7 @@ def test_codomain_rejects_foreign_lexeme():
 
 def test_asr_on_single_shortcut_site():
     unit = tokenize(b"i += 2", Language.MINI)
-    mutants = mutate(ASR, unit)
+    mutants = apply_all([ASR], unit)
     assert len(mutants) == 4
     star = [m for m in mutants if m.replacement == "*="]
     assert len(star) == 1
@@ -40,19 +40,19 @@ def test_asr_on_single_shortcut_site():
 
 def test_ror_on_max_snippet_produces_strict_comparison():
     unit = load_unit("snippets/max_snippet.c", Language.C_LIKE)
-    mutants = mutate(ROR, unit)
+    mutants = apply_all([ROR], unit)
     texts = [m.mutated_text for m in mutants]
     assert any(b"if (arr[i] > max)" in t for t in texts)
 
 
 def test_ror_with_no_relational_sites():
     unit = tokenize(b"x = a + b;", Language.MINI)
-    assert mutate(ROR, unit) == []
+    assert apply_all([ROR], unit) == []
 
 
 def test_census_counts_13():
     unit = load_unit("census.mini")
-    counts = {op.kind: len(mutate(op, unit)) for op in (ROR, ASR, AOR)}
+    counts = {op.kind: len(apply_all([op], unit)) for op in (ROR, ASR, AOR)}
     assert counts == {"ROR": 5, "ASR": 4, "AOR": 4}
     assert len(apply_all([ROR, ASR, AOR], unit)) == 13
 
@@ -77,7 +77,7 @@ def test_apply_all_duplicate_operator_keeps_ids_unique():
 def test_emission_order_and_ids():
     unit = load_unit("b2tob10.mini")
     for op in (ROR, ASR, AOR):
-        mutants = mutate(op, unit)
+        mutants = apply_all([op], unit)
         assert [m.id for m in mutants] == [f"{op.kind}_{n}"
                                            for n in range(1, len(mutants) + 1)]
         spans = [(m.start, CANONICAL_ORDER.index(m.replacement)) for m in mutants]
@@ -157,5 +157,6 @@ def test_strings_and_comments_are_never_mutated():
 
 def test_mutant_filename():
     unit = tokenize(b"i += 2", Language.MINI)
-    m = mutate(ASR, unit)[0]
-    assert m.filename("b2tob10", "mini") == f"b2tob10.{m.id}.mini"
+    m = apply_all([ASR], unit)[0]
+    assert m.filename("b2tob10.mini") == f"b2tob10.{m.id}.mini"
+    assert m.filename("b2tob10") == f"b2tob10.{m.id}.src"

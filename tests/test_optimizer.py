@@ -16,10 +16,10 @@ from mutopt import (
     OptimizeConfig,
     ROR,
     UnitMismatch,
+    apply_all,
     confirm_equivalence,
     eval_mini,
     improvement_test,
-    mutate,
     optimize,
     parse_mini,
     tokenize,
@@ -110,7 +110,7 @@ def classify_with_oracle(unit, inputs):
     >= site directly, no optimizer involved."""
     original = parse_mini(unit)
     expected = {}
-    for m in mutate(ROR, unit):
+    for m in apply_all([ROR], unit):
         if m.original != ">=":
             continue
         mutant_prog = parse_mini(tokenize(m.mutated_text, Language.MINI))
@@ -235,7 +235,7 @@ def test_confirm_equivalence_reflexive(max_search_unit):
 
 
 def test_confirm_equivalence_false_for_killed_mutant(max_search_unit):
-    killed = next(m for m in mutate(ROR, max_search_unit)
+    killed = next(m for m in apply_all([ROR], max_search_unit)
                   if m.original == ">=" and m.replacement == "<")
     assert not confirm_equivalence(killed.mutated_text, max_search_unit,
                                    MAX_INPUTS, OptimizeConfig())
