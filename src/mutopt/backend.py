@@ -12,7 +12,9 @@ carries its unit and adds only within it.
 from __future__ import annotations
 
 import math
+import os
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -98,6 +100,25 @@ def normalize_output(raw: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _run_group(cmd: list[str], timeout: float,
+               stdin_data: bytes | None = None) -> subprocess.CompletedProcess:
+    """``subprocess.run`` with captured output, in a new session whose whole
+    process group is killed on timeout, so no descendant outlives it."""
+    stdin = None if stdin_data is None else subprocess.PIPE
+    with subprocess.Popen(cmd, stdin=stdin, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(stdin_data, timeout=timeout)
+        except BaseException:  # timeout or interrupt: no process may survive
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 # Timed measurements are serialized even if callers run backends from
 # several threads; step counts do not need this.
 _MEASUREMENT_LOCK = threading.Lock()
@@ -118,7 +139,9 @@ class MiniBackend:
     def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:
         try:
-            result = program.run(input_values, budget)
+            # arms non-termination proofs once a run passes its baseline cost
+            result = program.run(input_values, budget,
+                                 int(budget / self.config.timeout_factor))
         except BudgetExceeded:
             return RunResult(b"", None, VERDICT_TIMEOUT)
         except MiniRuntimeError:
@@ -160,7 +183,7 @@ class ExternalBackend:
         cmd = self._fill(self.config.compile_cmd,
                          {"src": str(src_path), "out": str(out_path)})
         try:
-            proc = subprocess.run(cmd, capture_output=True, timeout=120)
+            proc = _run_group(cmd, 120)
         except FileNotFoundError as exc:
             raise ToolchainError(f"compiler not found: {cmd[0]}") from exc
         except subprocess.TimeoutExpired as exc:
@@ -182,8 +205,7 @@ class ExternalBackend:
             for i in range(total):
                 t0 = time.perf_counter()
                 try:
-                    proc = subprocess.run(cmd, input=stdin_data,
-                                          capture_output=True, timeout=budget)
+                    proc = _run_group(cmd, budget, stdin_data)
                 except FileNotFoundError as exc:
                     raise ToolchainError(f"run command not found: {cmd[0]}") from exc
                 except subprocess.TimeoutExpired:

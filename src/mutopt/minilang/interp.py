@@ -18,6 +18,13 @@ Arithmetic follows two's-complement int64: ``/`` truncates toward zero,
 division or modulo by zero and out-of-range array reads raise
 MiniRuntimeError.  The step budget is checked at every loop-condition
 evaluation and once at program exit.
+
+A run can also stop early as over budget, with the same result: once its
+step count passes ``arm``, the head of each loop without ``break`` or
+nested ``while`` checks with Brent's cycle detection whether the values of
+the loop's slice (``loop_slice``) repeat within the current entry of the
+loop.  A repeat proves that the loop never exits, so the run would have
+exceeded any budget.
 """
 
 from __future__ import annotations
@@ -59,6 +66,26 @@ def _over():
     raise BudgetExceeded()
 
 
+def _cycle(state, key: tuple, steps: int, budget: int):
+    """One armed loop-head check.
+
+    Raises BudgetExceeded past the budget or when ``key`` equals the saved
+    slice state; otherwise returns the detector ``state``, ``[saved key,
+    power, lam]`` of Brent's cycle detection (Brent 1980), for the next
+    iteration.  ``state`` is None at the first check of a loop entry.
+    """
+    if steps > budget or (state is not None and key == state[0]):
+        raise BudgetExceeded()
+    if state is None:
+        return [key, 1, 0]
+    state[2] += 1
+    if state[2] == state[1]:
+        state[0] = key
+        state[1] *= 2
+        state[2] = 0
+    return state
+
+
 def _div0(line: int):
     raise MiniRuntimeError("division by zero", line)
 
@@ -78,6 +105,82 @@ def expr_cost(node: ast.Expr) -> int:
     if isinstance(node, ast.BinOp):
         return 1 + expr_cost(node.left) + expr_cost(node.right)
     raise TypeError(f"unknown expression node {node!r}")
+
+
+def _statements(stmts: Sequence[ast.Stmt]):
+    """Every statement of ``stmts``, including those in ``if`` branches at
+    any depth, in source order (a nested ``while`` is yielded, not entered)."""
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, ast.If):
+            yield from _statements(stmt.then_body)
+            yield from _statements(stmt.else_body)
+
+
+def _variables(node: ast.Expr, names: set[str]) -> set[str]:
+    """Add the variables ``node`` reads to ``names`` and return it."""
+    if isinstance(node, ast.Var):
+        names.add(node.name)
+    elif isinstance(node, ast.ArrayRead):
+        _variables(node.index, names)
+    elif isinstance(node, ast.UnaryOp):
+        _variables(node.operand, names)
+    elif isinstance(node, ast.BinOp):
+        _variables(node.left, names)
+        _variables(node.right, names)
+    return names
+
+
+def _can_crash(node: ast.Expr) -> bool:
+    if isinstance(node, ast.ArrayRead):
+        return True
+    if isinstance(node, ast.UnaryOp):
+        return _can_crash(node.operand)
+    if isinstance(node, ast.BinOp):
+        return node.op in ("/", "%") or _can_crash(node.left) or _can_crash(node.right)
+    return False
+
+
+def loop_slice(loop: ast.While) -> tuple[str, ...] | None:
+    """The variables that decide whether ``loop`` exits or crashes and that
+    its body assigns, sorted; None when the body holds a ``break`` or a
+    nested ``while`` at any depth.
+
+    The slice starts from the variables of the loop condition, of every
+    ``if`` condition in the body, and of every statement that can crash
+    (``/``, ``%``, ``in[...]``, ``/=``, ``%=``).  It is closed under the
+    body's assignments: a slice variable's assignment adds the variables of
+    its right-hand side, and its own for a shortcut assignment.  Variables
+    the body does not assign are constant during the loop and input is
+    read-only, so the state at the next loop head is a function of the
+    returned variables' values: if those repeat, the loop never exits.
+    """
+    body = list(_statements(loop.body))
+    if any(isinstance(stmt, (ast.Break, ast.While)) for stmt in body):
+        return None
+    names = _variables(loop.cond, set())
+    reads: dict[str, set[str]] = {}  # assigned variable -> what it depends on
+    for stmt in body:
+        if isinstance(stmt, ast.If):
+            _variables(stmt.cond, names)
+        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
+            used = _variables(stmt.value, set())
+            crash = _can_crash(stmt.value)
+            if isinstance(stmt, ast.AugAssign):
+                used.add(stmt.name)
+                crash = crash or stmt.op in ("/=", "%=")
+            if not isinstance(stmt, ast.Print):
+                reads.setdefault(stmt.name, set()).update(used)
+            if crash:
+                names |= used
+    grown = True
+    while grown:
+        grown = False
+        for name, used in reads.items():
+            if name in names and not used <= names:
+                names |= used
+                grown = True
+    return tuple(sorted(names & reads.keys()))
 
 
 class _CodeGen:
@@ -203,10 +306,20 @@ class _CodeGen:
                 self.indent -= 1
         elif isinstance(stmt, ast.While):
             self.flush()
+            key = loop_slice(stmt)
+            if key is None:
+                check = "if _s > _budget: _over()"
+            else:
+                # a fresh detector per loop entry: states of earlier entries
+                # prove nothing about this one
+                d = self.new_temp()
+                self.emit(f"{d} = None")
+                state = "".join(f"v_{name}, " for name in key)
+                check = f"if _s > _arm: {d} = _cycle({d}, ({state}), _s, _budget)"
             self.emit("while True:")
             self.indent += 1
             self.emit(f"_s += {1 + expr_cost(stmt.cond)}")
-            self.emit("if _s > _budget: _over()")
+            self.emit(check)
             atom = self.gen_expr(stmt.cond)
             self.emit(f"if not {atom}: break")
             self.gen_body(stmt.body)
@@ -218,7 +331,7 @@ class _CodeGen:
 def generate_source(program: MiniProgram) -> str:
     """Python source of the execution function, exposed for inspection."""
     gen = _CodeGen()
-    gen.lines.append("def _mini(_in, _budget):")
+    gen.lines.append("def _mini(_in, _budget, _arm):")
     gen.emit("_s = 0")
     gen.emit("_out = []")
     gen.emit("_out_append = _out.append")
@@ -236,15 +349,21 @@ class CompiledMini:
 
     def __init__(self, program: MiniProgram):
         self.source = generate_source(program)
-        namespace = {"_wrap": _wrap, "_over": _over, "_div0": _div0, "_oob": _oob}
+        namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
+                     "_div0": _div0, "_oob": _oob}
         exec(compile(self.source, "<mini>", "exec"), namespace)
         self._fn = namespace["_mini"]
 
-    def run(self, input_values: Sequence[int], step_budget: int) -> MiniRunResult:
+    def run(self, input_values: Sequence[int], step_budget: int,
+            arm: int | None = None) -> MiniRunResult:
+        """Raises BudgetExceeded past ``step_budget`` steps, or earlier when
+        a loop's slice state repeats after ``arm`` steps; the default arms
+        at the budget, which detects nothing."""
         if step_budget <= 0:
             raise ValueError("step_budget must be positive")
         values = tuple(int(v) for v in input_values)
-        out, steps = self._fn(values, step_budget)
+        out, steps = self._fn(values, step_budget,
+                              step_budget if arm is None else arm)
         output = "\n".join(map(str, out)).encode("ascii")
         return MiniRunResult(output=output, steps=steps)
 

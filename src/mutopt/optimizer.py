@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -278,6 +277,9 @@ def _evaluate_all(backend, config, mutants, inputs, budgets, expected):
     task = partial(_evaluate_one, backend, inputs, budgets, expected)
     names = [m.filename(config.source_name) for m in mutants]
     if isinstance(backend, MiniBackend) and config.jobs > 1 and len(mutants) > 1:
+        # imported here, so a serial run does not load its 26 modules (~1.8 MB)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             chunk = max(1, len(mutants) // (config.jobs * 4))
             return list(pool.map(task, mutants, names, chunksize=chunk))

@@ -1,6 +1,8 @@
 """Backend contract tests for both the mini and the external kind."""
 
+import shlex
 import shutil
+import time
 
 import pytest
 
@@ -78,6 +80,21 @@ def test_mini_run_verdicts():
     assert backend.run(crashing, [0], 1000).verdict == "crash"
     # timeout/crash results carry no cost and are unusable for equivalence
     assert backend.run(looping, [], 1000).cost is None
+
+
+def test_mini_run_arms_detection_at_baseline_cost(monkeypatch):
+    backend = mini_backend(timeout_factor=4.0)
+    looping = backend.compile(b"i = 1; while (i > 0) { i /= 1; } print(i);")
+    arms = []
+    real_run = CompiledMini.run
+
+    def spy(self, values, budget, arm=None):
+        arms.append(arm)
+        return real_run(self, values, budget, arm)
+
+    monkeypatch.setattr(CompiledMini, "run", spy)
+    assert backend.run(looping, [], 4_000_000).verdict == "timeout"
+    assert arms == [1_000_000]  # the budget over the timeout factor
 
 
 def test_mini_budget_derivation():
@@ -176,6 +193,19 @@ def test_external_crash_and_timeout_verdicts(tmp_path):
     assert backend.run(crasher, [], budget=10.0).verdict == "crash"
     sleeper = backend.compile(C_SLEEPY, name="sleeper.c")
     assert backend.run(sleeper, [], budget=0.2).verdict == "timeout"
+
+
+def test_external_timeout_kills_the_whole_process_group(tmp_path):
+    # needs no compiler: the run command leaves a grandchild behind
+    marker = tmp_path / "marker"
+    script = f"(sleep 1; touch {shlex.quote(str(marker))}) & sleep 5"
+    cfg = ext_config(compile_cmd="cp {src} {out}",
+                     run_cmd=f"sh -c {shlex.quote(script)}")
+    backend = make_backend(cfg, tmp_path / "scratch")
+    program = backend.compile(b"", name="script.sh")
+    assert backend.run(program, [], budget=0.3).verdict == "timeout"
+    time.sleep(1.5)
+    assert not marker.exists()
 
 
 def test_external_missing_compiler_is_toolchain_error(tmp_path):
