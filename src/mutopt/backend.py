@@ -16,7 +16,6 @@ import os
 import shlex
 import signal
 import subprocess
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +40,9 @@ BASELINE_TIME_LIMIT = 300.0  # seconds
 
 
 class ToolchainError(Exception):
-    """The toolchain itself is unusable (missing compiler, bad template);
-    aborts the whole run, unlike a mutant's compile failure."""
+    """The toolchain itself is unusable (missing or timed-out compiler, run
+    command not found); aborts the whole run, unlike a mutant's compile
+    failure."""
 
 
 class UnitMismatch(Exception):
@@ -71,6 +71,37 @@ class RunResult:
         return self.verdict == VERDICT_OK
 
 
+COMPILE_PLACEHOLDERS = ("src", "out")
+RUN_PLACEHOLDERS = ("bin", "input")
+
+
+def check_template(template: str, placeholders: Sequence[str]) -> list[str]:
+    """Split a command template into arguments as a POSIX shell would.
+
+    Raises ValueError for unbalanced quotes, a template with no argument, or
+    an argument that does not format with ``placeholders`` alone; a literal
+    brace is written ``{{`` or ``}}``.
+    """
+    try:
+        args = shlex.split(template)
+    except ValueError as exc:  # "No closing quotation"
+        raise ValueError(f"malformed template {template!r}: {exc}") from None
+    if not args:
+        raise ValueError(f"empty command template {template!r}")
+    probe = dict.fromkeys(placeholders, "")
+    allowed = ", ".join(f"{{{name}}}" for name in placeholders)
+    for arg in args:
+        try:
+            arg.format_map(probe)
+        except KeyError as exc:
+            raise ValueError(f"unknown placeholder {{{exc.args[0]}}} in "
+                             f"{template!r}; allowed: {allowed}") from None
+        except (LookupError, AttributeError, ValueError) as exc:
+            raise ValueError(f"malformed template {template!r}: {exc}; "
+                             "write a literal brace as {{ or }}") from None
+    return args
+
+
 @dataclass(frozen=True)
 class ExecBackendConfig:
     kind: str = "mini"  # "mini" | "external"
@@ -83,8 +114,11 @@ class ExecBackendConfig:
     def __post_init__(self):
         if self.kind not in ("mini", "external"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "external" and not (self.compile_cmd and self.run_cmd):
-            raise ValueError("external backend needs compile_cmd and run_cmd")
+        if self.kind == "external":
+            if not (self.compile_cmd and self.run_cmd):
+                raise ValueError("external backend needs compile_cmd and run_cmd")
+            check_template(self.compile_cmd, COMPILE_PLACEHOLDERS)
+            check_template(self.run_cmd, RUN_PLACEHOLDERS)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.warmups < 0:
@@ -117,11 +151,6 @@ def _run_group(cmd: list[str], timeout: float,
             proc.wait()
             raise
     return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
-
-
-# Timed measurements are serialized even if callers run backends from
-# several threads; step counts do not need this.
-_MEASUREMENT_LOCK = threading.Lock()
 
 
 class MiniBackend:
@@ -164,13 +193,8 @@ class ExternalBackend:
         self.scratch = Path(scratch_dir)
         self.scratch.mkdir(parents=True, exist_ok=True)
         self._counter = 0
-
-    def _fill(self, template: str, mapping: dict[str, str]) -> list[str]:
-        args = shlex.split(template)
-        filled = [arg.format_map(mapping) for arg in args]
-        if not filled:
-            raise ToolchainError(f"empty command template {template!r}")
-        return filled
+        self._compile_args = check_template(config.compile_cmd, COMPILE_PLACEHOLDERS)
+        self._run_args = check_template(config.run_cmd, RUN_PLACEHOLDERS)
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Path:
         # name keeps the real extension so compilers that sniff suffixes
@@ -180,8 +204,8 @@ class ExternalBackend:
         src_path = self.scratch / f"{self._counter:04d}.{name}"
         out_path = self.scratch / f"{self._counter:04d}.{name}.bin"
         src_path.write_bytes(data)
-        cmd = self._fill(self.config.compile_cmd,
-                         {"src": str(src_path), "out": str(out_path)})
+        mapping = {"src": str(src_path), "out": str(out_path)}
+        cmd = [arg.format_map(mapping) for arg in self._compile_args]
         try:
             proc = _run_group(cmd, 120)
         except FileNotFoundError as exc:
@@ -196,27 +220,26 @@ class ExternalBackend:
     def run(self, program: Path, input_values: Sequence[int],
             budget: float) -> RunResult:
         stdin_data = (" ".join(str(v) for v in input_values) + "\n").encode("ascii")
-        cmd = self._fill(self.config.run_cmd,
-                         {"bin": str(program), "input": "-"})
+        mapping = {"bin": str(program), "input": "-"}
+        cmd = [arg.format_map(mapping) for arg in self._run_args]
         times_ms: list[float] = []
         output: bytes | None = None
         total = self.config.warmups + self.config.repetitions
-        with _MEASUREMENT_LOCK:
-            for i in range(total):
-                t0 = time.perf_counter()
-                try:
-                    proc = _run_group(cmd, budget, stdin_data)
-                except FileNotFoundError as exc:
-                    raise ToolchainError(f"run command not found: {cmd[0]}") from exc
-                except subprocess.TimeoutExpired:
-                    return RunResult(b"", None, VERDICT_TIMEOUT)
-                elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                if proc.returncode != 0:
-                    return RunResult(b"", None, VERDICT_CRASH)
-                if i >= self.config.warmups:
-                    times_ms.append(elapsed_ms)
-                    if output is None:
-                        output = normalize_output(proc.stdout)
+        for i in range(total):
+            t0 = time.perf_counter()
+            try:
+                proc = _run_group(cmd, budget, stdin_data)
+            except FileNotFoundError as exc:
+                raise ToolchainError(f"run command not found: {cmd[0]}") from exc
+            except subprocess.TimeoutExpired:
+                return RunResult(b"", None, VERDICT_TIMEOUT)
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            if proc.returncode != 0:
+                return RunResult(b"", None, VERDICT_CRASH)
+            if i >= self.config.warmups:
+                times_ms.append(elapsed_ms)
+                if output is None:
+                    output = normalize_output(proc.stdout)
         return RunResult(output, Cost(median(times_ms), UNIT_MS), VERDICT_OK)
 
     def mutant_budget(self, baseline: Cost) -> float:

@@ -14,7 +14,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .backend import ExecBackendConfig, ToolchainError
+from .backend import (
+    COMPILE_PLACEHOLDERS,
+    RUN_PLACEHOLDERS,
+    ExecBackendConfig,
+    ToolchainError,
+    check_template,
+)
 from .mutation import OPERATOR_REGISTRY, apply_all
 from .optimizer import (
     InputEntry,
@@ -121,6 +127,18 @@ def _number(convert, ok, rule: str):
     return parse
 
 
+def _template(placeholders):
+    """An argparse ``type`` that rejects a malformed command template, so the
+    error names the flag: ``argument --run-cmd: malformed template ...``."""
+    def parse(raw: str) -> str:
+        try:
+            check_template(raw, placeholders)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return raw
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mutopt",
                      description="Search operator-replacement mutants for a "
@@ -130,10 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimize", help="run the full optimization loop")
     opt.add_argument("--source", required=True, help="source file to optimize")
     opt.add_argument("--backend", choices=("mini", "external"), default="mini")
-    opt.add_argument("--compile-cmd", default=None,
+    opt.add_argument("--compile-cmd", type=_template(COMPILE_PLACEHOLDERS),
+                     default=None,
                      help="external compile template with {src} and {out}")
-    opt.add_argument("--run-cmd", default=None,
-                     help="external run template with {bin}; input on stdin")
+    opt.add_argument("--run-cmd", type=_template(RUN_PLACEHOLDERS), default=None,
+                     help="external run template with {bin} and {input}; "
+                          "input on stdin")
     opt.add_argument("--inputs", required=True,
                      help="directory of *.in files or a manifest file")
     opt.add_argument("--operators", required=True,

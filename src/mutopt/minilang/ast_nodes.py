@@ -1,4 +1,9 @@
-"""AST node types for MiniImp."""
+"""AST node types for MiniImp.
+
+Only the nodes whose evaluation can raise MiniRuntimeError keep the line
+that codegen reports (``ArrayRead``, ``BinOp``, ``AugAssign``); compile
+errors take their positions from tokens.
+"""
 
 from __future__ import annotations
 
@@ -9,36 +14,28 @@ from typing import Union
 @dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
 class InLen:
-    line: int
-    col: int
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class ArrayRead:
     index: "Expr"
     line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
 class UnaryOp:
     op: str
     operand: "Expr"
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +44,6 @@ class BinOp:
     left: "Expr"
     right: "Expr"
     line: int
-    col: int
 
 
 Expr = Union[IntLit, Var, InLen, ArrayRead, UnaryOp, BinOp]
@@ -57,8 +53,6 @@ Expr = Union[IntLit, Var, InLen, ArrayRead, UnaryOp, BinOp]
 class Assign:
     name: str
     value: Expr
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,14 +61,11 @@ class AugAssign:
     op: str  # shortcut lexeme, e.g. "+="
     value: Expr
     line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
 class Print:
     value: Expr
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,28 +73,22 @@ class If:
     cond: Expr
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...]
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
 class While:
     cond: Expr
     body: tuple["Stmt", ...]
-    line: int
-    col: int
 
 
 @dataclass(frozen=True, slots=True)
 class Continue:
-    line: int
-    col: int
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Break:
-    line: int
-    col: int
+    pass
 
 
 Stmt = Union[Assign, AugAssign, Print, If, While, Continue, Break]

@@ -348,10 +348,9 @@ class CompiledMini:
     """A MiniImp program lowered to a Python function."""
 
     def __init__(self, program: MiniProgram):
-        self.source = generate_source(program)
         namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
                      "_div0": _div0, "_oob": _oob}
-        exec(compile(self.source, "<mini>", "exec"), namespace)
+        exec(compile(generate_source(program), "<mini>", "exec"), namespace)
         self._fn = namespace["_mini"]
 
     def run(self, input_values: Sequence[int], step_budget: int,

@@ -31,6 +31,11 @@ KEYWORDS = frozenset({"if", "else", "while", "print", "continue", "break",
 
 _INT_MAX = 2**63 - 1
 
+# binding level of each binary operator, loosest (0) to tightest (9)
+_LEVELS = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
+           "<": 6, "<=": 6, ">": 6, ">=": 6, "<<": 7, ">>": 7,
+           "+": 8, "-": 8, "*": 9, "/": 9, "%": 9}
+
 
 class CompileError(Exception):
     """Source that does not parse as MiniImp."""
@@ -102,8 +107,7 @@ class _Parser:
                 self.expect(";")
                 if self.loop_depth == 0:
                     raise CompileError(f"{tok.lexeme} outside loop", tok.line, tok.col)
-                node = ast.Continue if tok.lexeme == "continue" else ast.Break
-                return node(tok.line, tok.col)
+                return ast.Continue() if tok.lexeme == "continue" else ast.Break()
             if tok.lexeme in KEYWORDS:
                 raise CompileError(f"{tok.lexeme!r} cannot start a statement",
                                    tok.line, tok.col)
@@ -121,25 +125,24 @@ class _Parser:
             self.take()
             value = self.expression()
             self.expect(";")
-            return ast.Assign(name, value, name_tok.line, name_tok.col)
+            return ast.Assign(name, value)
         if op_tok.kind is TokenKind.SHORTCUT_ASSIGN:
             self.take()
             value = self.expression()
             self.expect(";")
-            return ast.AugAssign(name, op_tok.lexeme, value,
-                                 name_tok.line, name_tok.col)
+            return ast.AugAssign(name, op_tok.lexeme, value, name_tok.line)
         raise self.error("expected '=' or shortcut assignment")
 
     def print_stmt(self) -> ast.Print:
-        kw = self.take()
+        self.take()
         self.expect("(")
         value = self.expression()
         self.expect(")")
         self.expect(";")
-        return ast.Print(value, kw.line, kw.col)
+        return ast.Print(value)
 
     def if_stmt(self) -> ast.If:
-        kw = self.take()
+        self.take()
         self.expect("(")
         cond = self.expression()
         self.expect(")")
@@ -151,17 +154,17 @@ class _Parser:
                 else_body = (self.if_stmt(),)
             else:
                 else_body = self.block()
-        return ast.If(cond, then_body, else_body, kw.line, kw.col)
+        return ast.If(cond, then_body, else_body)
 
     def while_stmt(self) -> ast.While:
-        kw = self.take()
+        self.take()
         self.expect("(")
         cond = self.expression()
         self.expect(")")
         self.loop_depth += 1
         body = self.block()
         self.loop_depth -= 1
-        return ast.While(cond, body, kw.line, kw.col)
+        return ast.While(cond, body)
 
     def block(self) -> tuple[ast.Stmt, ...]:
         self.expect("{")
@@ -175,40 +178,23 @@ class _Parser:
 
     # ---- expressions ----
 
-    _LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def expression(self) -> ast.Expr:
-        return self.binary(0)
-
-    def binary(self, level: int) -> ast.Expr:
-        if level == len(self._LEVELS):
-            return self.unary()
-        ops = self._LEVELS[level]
-        node = self.binary(level + 1)
+    def expression(self, min_level: int = 0) -> ast.Expr:
+        """Precedence climbing: the operand and every following operator
+        that binds at ``min_level`` or tighter, grouped to the left."""
+        node = self.unary()
         while True:
             tok = self.peek()
-            if tok is None or tok.lexeme not in ops:
+            level = -1 if tok is None else _LEVELS.get(tok.lexeme, -1)
+            if level < min_level:
                 return node
             self.take()
-            right = self.binary(level + 1)
-            node = ast.BinOp(tok.lexeme, node, right, tok.line, tok.col)
+            node = ast.BinOp(tok.lexeme, node, self.expression(level + 1), tok.line)
 
     def unary(self) -> ast.Expr:
         tok = self.peek()
         if tok is not None and tok.lexeme == "-":
             self.take()
-            return ast.UnaryOp("-", self.unary(), tok.line, tok.col)
+            return ast.UnaryOp("-", self.unary())
         return self.primary()
 
     def primary(self) -> ast.Expr:
@@ -224,7 +210,7 @@ class _Parser:
             if value > _INT_MAX:
                 raise CompileError(f"integer literal {tok.lexeme} out of range",
                                    tok.line, tok.col)
-            return ast.IntLit(value, tok.line, tok.col)
+            return ast.IntLit(value)
         if tok.lexeme == "(":
             self.take()
             inner = self.expression()
@@ -235,16 +221,16 @@ class _Parser:
             self.expect("[")
             index = self.expression()
             self.expect("]")
-            return ast.ArrayRead(index, tok.line, tok.col)
+            return ast.ArrayRead(index, tok.line)
         if tok.lexeme == "in_len":
             self.take()
-            return ast.InLen(tok.line, tok.col)
+            return ast.InLen()
         if tok.kind is TokenKind.IDENTIFIER:
             if tok.lexeme in KEYWORDS:
                 raise CompileError(f"{tok.lexeme!r} is not a value", tok.line, tok.col)
             self.take()
             self.variables.add(tok.lexeme)  # reads default to 0, so declare it
-            return ast.Var(tok.lexeme, tok.line, tok.col)
+            return ast.Var(tok.lexeme)
         raise self.error("expected expression")
 
 

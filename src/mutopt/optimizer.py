@@ -99,7 +99,6 @@ class OptimizationReport:
     original_source: bytes
     verdicts: list[MutantVerdict]
     input_ids: tuple[str, ...]
-    backend_kind: str
     config_echo: dict
     host: dict = field(default_factory=dict)
 
@@ -111,7 +110,7 @@ class OptimizationReport:
 @dataclass(frozen=True)
 class OptimizeConfig:
     backend: ExecBackendConfig = ExecBackendConfig()
-    threshold: float = 0.05  # noise guard for wall-clock units; forced to 0 on steps
+    threshold: float = 0.05  # noise guard for wall-clock units; ignored on steps
     line_range: tuple[int, int] | None = None
     jobs: int = 1
     scratch_dir: Path | None = None
@@ -234,7 +233,6 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     # and the one final confirm_equivalence span.  So the baseline stays
     # above, and the evaluate phase must not go through make_backend,
     # apply_all or confirm_equivalence, the module globals the tracer wraps.
-    threshold = 0.0 if backend.unit == UNIT_STEPS else config.threshold
     verdicts = _evaluate_all(backend, config, mutants, inputs, budgets,
                              baseline_outputs)
     current_tau = original_tau
@@ -243,7 +241,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     for mutant, verdict in zip(mutants, verdicts):
         if verdict.status != STATUS_EQUIVALENT:
             continue
-        if improvement_test(current_tau, verdict.tau, threshold):
+        if improvement_test(current_tau, verdict.tau, config.threshold):
             verdict.status = STATUS_EQUIVALENT_FASTER
             current_tau = verdict.tau
             best, best_verdict = mutant, verdict
@@ -266,7 +264,6 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
         original_source=source.text,
         verdicts=verdicts,
         input_ids=tuple(e.id for e in inputs.entries),
-        backend_kind=config.backend.kind,
         config_echo=_config_echo(operators, inputs, config),
         host=_host_block(),
     )

@@ -60,7 +60,7 @@ def report_to_dict(report: OptimizationReport) -> dict:
         "verdict_counts": counts,
         "verdicts": verdicts,
         "inputs": list(report.input_ids),
-        "backend": report.backend_kind,
+        "backend": report.config_echo["backend"],
         "config": report.config_echo,
         "original_source": report.original_source.decode("utf-8"),
         "final_source": report.selected_source.decode("utf-8"),

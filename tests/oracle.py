@@ -11,11 +11,17 @@ best program, and it adopts an equivalent mutant as the new best under
 pass that decides binary position per arithmetic operator; ``tokenize`` does
 both in one regex scan.  Token streams and ``MalformedSource`` errors of the
 two must agree on every valid UTF-8 source.
+
+``reference_eval`` walks a MiniImp AST directly under the README's cost
+model and int64 semantics; ``eval_mini`` runs the Python function that
+codegen emits.  Outcome class, message, output and steps must agree.
 """
 
 from typing import Sequence
 
 from mutopt import CompileError, Cost, OptimizeConfig, apply_all, improvement_test, make_backend
+from mutopt.minilang import ast_nodes as ast
+from mutopt.minilang.interp import BudgetExceeded, MiniRunResult, MiniRuntimeError
 from mutopt.tokens import (
     _KIND_BY_LEXEME,
     _OPERATOR_TABLE,
@@ -243,3 +249,129 @@ def reference_tokenize(text: bytes | str, language: Language = Language.C_LIKE) 
                             tok.line, tok.col)
         tokens.append(tok)
     return SourceUnit(text=data, language=Language(language), tokens=tuple(tokens))
+
+
+def _int64(v: int) -> int:
+    v &= (1 << 64) - 1
+    return v - (1 << 64) if v >= 1 << 63 else v
+
+
+def _cost(node) -> int:
+    """Operator evaluations and array reads in one evaluation of ``node``."""
+    if isinstance(node, ast.BinOp):
+        return 1 + _cost(node.left) + _cost(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return 1 + _cost(node.operand)
+    if isinstance(node, ast.ArrayRead):
+        return 1 + _cost(node.index)
+    return 0
+
+
+def _quotient(a: int, b: int) -> int:
+    q = abs(a) // abs(b)  # on magnitudes, so it truncates toward zero
+    return _int64(q if (a < 0) == (b < 0) else -q)  # MIN / -1 wraps
+
+
+def _remainder(a: int, b: int) -> int:
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
+
+
+_BINARY = {
+    "+": lambda a, b: _int64(a + b), "-": lambda a, b: _int64(a - b),
+    "*": lambda a, b: _int64(a * b), "/": _quotient, "%": _remainder,
+    "<<": lambda a, b: _int64(a * 2 ** (b % 64)),
+    ">>": lambda a, b: a // 2 ** (b % 64),  # floor: an arithmetic shift
+    "&": lambda a, b: a & b, "|": lambda a, b: a | b, "^": lambda a, b: a ^ b,
+    "<": lambda a, b: int(a < b), "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b), ">=": lambda a, b: int(a >= b),
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "&&": lambda a, b: int(a != 0 and b != 0),
+    "||": lambda a, b: int(a != 0 or b != 0),
+}
+
+
+def _apply(op: str, a: int, b: int, line: int) -> int:
+    if b == 0 and op in ("/", "%"):
+        raise MiniRuntimeError("division by zero", line)
+    return _BINARY[op](a, b)
+
+
+class _Walker:
+    def __init__(self, input_values: Sequence[int], budget: int):
+        self.input = [int(v) for v in input_values]
+        self.budget = budget
+        self.env: dict[str, int] = {}
+        self.steps = 0
+        self.out: list[int] = []
+
+    def value(self, node) -> int:
+        if isinstance(node, ast.IntLit):
+            return node.value
+        if isinstance(node, ast.Var):
+            return self.env.get(node.name, 0)
+        if isinstance(node, ast.InLen):
+            return len(self.input)
+        if isinstance(node, ast.ArrayRead):
+            i = self.value(node.index)
+            if not 0 <= i < len(self.input):
+                raise MiniRuntimeError("array read out of bounds", node.line)
+            return self.input[i]
+        if isinstance(node, ast.UnaryOp):
+            return _int64(-self.value(node.operand))
+        a = self.value(node.left)  # both operands, left first: no short circuit
+        b = self.value(node.right)
+        return _apply(node.op, a, b, node.line)
+
+    def block(self, stmts) -> str | None:
+        """Run ``stmts``; return "break" or "continue" if one was executed."""
+        for stmt in stmts:
+            if isinstance(stmt, (ast.Break, ast.Continue)):
+                self.steps += 1
+                return "break" if isinstance(stmt, ast.Break) else "continue"
+            if isinstance(stmt, ast.While):
+                while True:
+                    self.steps += 1 + _cost(stmt.cond)
+                    if self.steps > self.budget:  # before the condition runs
+                        raise BudgetExceeded()
+                    if self.value(stmt.cond) == 0:
+                        break
+                    if self.block(stmt.body) == "break":
+                        break
+                continue
+            if isinstance(stmt, ast.If):
+                self.steps += 1 + _cost(stmt.cond)
+                taken = stmt.then_body if self.value(stmt.cond) else stmt.else_body
+                jump = self.block(taken)
+                if jump is not None:
+                    return jump
+                continue
+            self.steps += 1 + _cost(stmt.value)
+            v = self.value(stmt.value)
+            if isinstance(stmt, ast.Print):
+                self.out.append(v)
+            elif isinstance(stmt, ast.AugAssign):
+                self.steps += 1  # the combining operator
+                self.env[stmt.name] = _apply(stmt.op[:-1], self.env.get(stmt.name, 0),
+                                             v, stmt.line)
+            else:
+                self.env[stmt.name] = v
+        return None
+
+
+def reference_eval(program: ast.MiniProgram, input_values: Sequence[int],
+                   budget: int) -> MiniRunResult:
+    """Run ``program`` by walking its AST.
+
+    Costs 1 per executed statement (a ``while`` 1 per condition evaluation,
+    a shortcut assignment 1 more for its operator), 1 per operator
+    evaluation and 1 per array read.  The budget is checked at each loop
+    condition, after its cost is added and before it is evaluated, and once
+    at exit.  Raises BudgetExceeded and MiniRuntimeError like ``eval_mini``.
+    """
+    walker = _Walker(input_values, budget)
+    walker.block(program.body)
+    if walker.steps > budget:
+        raise BudgetExceeded()
+    return MiniRunResult(output="\n".join(map(str, walker.out)).encode("ascii"),
+                         steps=walker.steps)

@@ -35,6 +35,9 @@ def mini_backend(**kw):
 def test_external_config_requires_commands():
     with pytest.raises(ValueError):
         ExecBackendConfig(kind="external")
+    with pytest.raises(ValueError, match="unknown placeholder {bin}"):
+        ExecBackendConfig(kind="external", compile_cmd="cc {src} -o {out} {bin}",
+                          run_cmd="{bin}")
     with pytest.raises(ValueError):
         ExecBackendConfig(kind="bogus")
     with pytest.raises(ValueError):

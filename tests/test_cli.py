@@ -45,7 +45,6 @@ def report_from_dict(data: dict) -> OptimizationReport:
         original_source=data["original_source"].encode("utf-8"),
         verdicts=verdicts,
         input_ids=tuple(data["inputs"]),
-        backend_kind=data["backend"],
         config_echo=data["config"],
         host=data["host"],
     )
@@ -257,6 +256,30 @@ def test_out_of_range_number_is_usage_error(flag, value, tmp_path, monkeypatch,
               if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("mutopt: error:")
     assert f"argument {flag}: must be " in errors[0]
+    assert list(tmp_path.iterdir()) == []  # no scratch directory left behind
+
+
+@pytest.mark.parametrize("flag, template", [
+    ("--compile-cmd", "cc {src} -o {out} {bin}"),   # unknown placeholder
+    ("--compile-cmd", "cc {src} -o {out} -D'X={'"),  # lone brace
+    ("--run-cmd", "{bin} '"),                         # unbalanced quote
+    ("--run-cmd", "   "),                             # no argument at all
+])
+def test_malformed_template_is_usage_error(flag, template, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
+    templates = {"--compile-cmd": "cc {src} -o {out}", "--run-cmd": "{bin}",
+                 flag: template}
+    code = main(["optimize", "--source", str(FIXTURES / "b2tob10.c"),
+                 "--backend", "external", "--inputs", str(FIXTURES / "m_scaled"),
+                 "--operators", "ror",
+                 "--compile-cmd", templates["--compile-cmd"],
+                 "--run-cmd", templates["--run-cmd"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"mutopt: error: argument {flag}: ")
     assert list(tmp_path.iterdir()) == []  # no scratch directory left behind
 
 

@@ -18,7 +18,7 @@ from mutopt import (
     parse_mini,
     tokenize,
 )
-from mutopt.minilang.ast_nodes import If, While
+from mutopt.minilang.ast_nodes import BinOp, If, Var, While
 
 from conftest import RUN_SLOW, FULL_BITS_30, SCALED_BITS_20, encode_bits, load_unit
 
@@ -160,6 +160,24 @@ def test_precedence_matches_c():
     assert run_text("print(2 <= 1 << 3 - 1);").output == b"1"
     assert run_text("print(1 + 2 * 3);").output == b"7"
     assert run_text("print(7 & 3 == 3);").output == b"1"  # == before &
+
+
+# C's binary operators, loosest tier first
+_C_TIERS = (("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+            ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"), ("*", "/", "%"))
+
+
+@pytest.mark.parametrize("first", [op for tier in _C_TIERS for op in tier])
+def test_every_operator_pair_groups_like_c(first):
+    tier = {op: level for level, ops in enumerate(_C_TIERS) for op in ops}
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for second in tier:
+        expr = parse_text(f"x = a {first} b {second} c;").body[0].value
+        if tier[first] >= tier[second]:  # same tier groups to the left
+            expected = BinOp(second, BinOp(first, a, b, 1), c, 1)
+        else:
+            expected = BinOp(first, a, BinOp(second, b, c, 1), 1)
+        assert expr == expected, f"a {first} b {second} c"
 
 
 def test_logical_operators_are_eager():

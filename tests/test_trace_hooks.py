@@ -5,7 +5,13 @@ a traced benchmark run."""
 
 import importlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from mutopt.cli import main
 
@@ -46,3 +52,28 @@ def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
     assert metrics["mutation.mutants"][0] == len(verdicts)
     assert sum(metrics[f"optimizer.{c}.mutants"][0]
                for c in trace_run.CLASSES) == len(verdicts)
+
+
+@pytest.mark.parametrize("backend, source, inputs", [
+    ("mini", "powsum.mini", "m_powsum"),
+    pytest.param("external", "b2tob10.c", "m_scaled",
+                 marks=pytest.mark.skipif(shutil.which("cc") is None,
+                                          reason="no C compiler on PATH")),
+])
+def test_setup_probe_runs(backend, source, inputs, tmp_path, monkeypatch):
+    # the benchmark's setup_s probe builds its backend config directly, with
+    # no templates on mini, and compiles and runs the original
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    external = backend == "external"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "source": str(FIXTURES / source), "inputs": str(FIXTURES / inputs),
+        "backend": backend,
+        "compile_cmd": workloads.EXTERNAL_CC if external else None,
+        "run_cmd": "{bin}" if external else None,
+        "scratch": str(tmp_path / "scratch")}))
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "probe_setup.py"), str(spec)],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
