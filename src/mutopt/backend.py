@@ -29,7 +29,7 @@ from .tokens import Language, SourceUnit, tokenize
 VERDICT_OK = "ok"
 VERDICT_TIMEOUT = "timeout"
 VERDICT_CRASH = "crash"
-VERDICT_KILLED = "killed"  # only from overall_time: output differs from expected
+VERDICT_KILLED = "killed"  # only from overall_time: output differs from the reference
 
 UNIT_STEPS = "steps"
 UNIT_MS = "ms"
@@ -272,22 +272,24 @@ class OverallTime:
 
 def overall_time(backend: Backend, program: CompiledMini | Path,
                  inputs: Sequence[Sequence[int]],
-                 budgets: Sequence[Union[int, float]],
-                 expected: Sequence[bytes] | None = None) -> OverallTime:
-    """Sum of per-input costs; aborts at the first non-ok verdict and, when
-    ``expected`` outputs are given, with verdict ``killed`` at the first
-    output that differs.
+                 reference: OverallTime | None = None) -> OverallTime:
+    """Sum of per-input costs; aborts at the first non-ok verdict.  Without a
+    ``reference`` each input runs under the baseline budget; with one (the
+    original's run on the same inputs), input i runs under ``mutant_budget``
+    of the reference's cost and is ``killed`` if its output differs.
 
     Empty input list yields a zero cost in the backend's unit.
     """
     total = Cost(0, backend.unit)
     results: list[RunResult] = []
-    for i, (values, budget) in enumerate(zip(inputs, budgets)):
-        result = backend.run(program, values, budget)
+    for i, values in enumerate(inputs):
+        ref = None if reference is None else reference.results[i]
+        result = backend.run(program, values, backend.baseline_budget() if ref is None
+                             else backend.mutant_budget(ref.cost))
         results.append(result)
         if not result.ok:
             return OverallTime(None, result.verdict, i, tuple(results))
-        if expected is not None and result.output != expected[i]:
+        if ref is not None and result.output != ref.output:
             return OverallTime(None, VERDICT_KILLED, i, tuple(results))
         total = total + result.cost
     return OverallTime(total, VERDICT_OK, None, tuple(results))

@@ -51,6 +51,9 @@ class InputSetError(Exception):
     pass
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 def load_inputs(path: Path) -> InputSet:
     """Build the input set from a directory of ``*.in`` files or a manifest
     listing input files one per line.  Entries are ordered lexicographically
@@ -84,6 +87,8 @@ def load_inputs(path: Path) -> InputSet:
             raise InputSetError(f"cannot read input file {f}: {exc.strerror}") from exc
         except ValueError as exc:
             raise InputSetError(f"bad integer in input file {f}: {exc}") from exc
+        if not all(INT64_MIN <= v <= INT64_MAX for v in values):
+            raise InputSetError(f"integer out of 64-bit range in input file {f}")
         entries.append(InputEntry(id=f.stem, values=values))
     try:
         return InputSet(entries=tuple(entries), origin=str(path))
@@ -238,8 +243,13 @@ def _cmd_optimize(args, parser) -> int:
                          "vacuously equivalent and none can improve\n")
 
     scratch_root = os.environ.get("MUTOPT_SCRATCH") or tempfile.gettempdir()
-    Path(scratch_root).mkdir(parents=True, exist_ok=True)
-    scratch = Path(tempfile.mkdtemp(prefix="mutopt-", dir=scratch_root))
+    try:
+        Path(scratch_root).mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix="mutopt-", dir=scratch_root))
+    except OSError as exc:
+        sys.stderr.write(f"mutopt: cannot create scratch directory under "
+                         f"{scratch_root}: {exc.strerror}\n")
+        return EXIT_ERROR
     # argparse has checked every number's range, so these cannot raise
     config = OptimizeConfig(
         backend=ExecBackendConfig(

@@ -18,6 +18,12 @@ Grammar (loosest to tightest binding, all left-associative):
 Integers are 64-bit signed with wrapping arithmetic.  Variables need no
 declaration and read as 0 before first assignment.  `in` is the read-only
 input array, `in_len` its length.
+
+Nesting is at most ``MAX_DEPTH`` levels deep, counted along any path from
+the top level down to a leaf of an expression: one level per enclosing
+block (an `else if` is one too), parenthesis, `in[...]`, unary minus and
+binary operator.  A deeper program is a CompileError, so no later stage
+(parser, code generator, cost model) recurses past it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ KEYWORDS = frozenset({"if", "else", "while", "print", "continue", "break",
                       "in", "in_len"})
 
 _INT_MAX = 2**63 - 1
+
+MAX_DEPTH = 48  # an `else if` is two indentation levels of the generated code,
+               # and CPython accepts fewer than 100
 
 # binding level of each binary operator, loosest (0) to tightest (9)
 _LEVELS = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
@@ -52,6 +61,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.loop_depth = 0
+        self.depth = 0  # levels open above the current token
         self.variables: set[str] = set()
 
     def error(self, message: str) -> CompileError:
@@ -81,6 +91,25 @@ class _Parser:
         if not self.at(lexeme):
             raise self.error(f"expected {lexeme!r}")
         return self.take()
+
+    def check_depth(self, height: int = 0):
+        """Reject a subtree ``height`` levels tall under the open levels.
+
+        The parser opens a level as it recurses, and each open level lies on
+        a path of the finished tree, so checking the open levels alone never
+        rejects a program within the limit.  Left-deep chains are built by a
+        loop, not recursion; ``climb`` checks their height.
+        """
+        if self.depth + height > MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels")
+
+    def nested(self, parse, *args):
+        """``parse(*args)`` one level down."""
+        self.depth += 1
+        self.check_depth()
+        result = parse(*args)
+        self.depth -= 1
+        return result
 
     # ---- statements ----
 
@@ -146,14 +175,14 @@ class _Parser:
         self.expect("(")
         cond = self.expression()
         self.expect(")")
-        then_body = self.block()
+        then_body = self.nested(self.block)
         else_body: tuple[ast.Stmt, ...] = ()
         if self.at("else"):
             self.take()
             if self.at("if"):
-                else_body = (self.if_stmt(),)
+                else_body = (self.nested(self.if_stmt),)
             else:
-                else_body = self.block()
+                else_body = self.nested(self.block)
         return ast.If(cond, then_body, else_body)
 
     def while_stmt(self) -> ast.While:
@@ -162,7 +191,7 @@ class _Parser:
         cond = self.expression()
         self.expect(")")
         self.loop_depth += 1
-        body = self.block()
+        body = self.nested(self.block)
         self.loop_depth -= 1
         return ast.While(cond, body)
 
@@ -178,26 +207,34 @@ class _Parser:
 
     # ---- expressions ----
 
-    def expression(self, min_level: int = 0) -> ast.Expr:
+    def expression(self) -> ast.Expr:
+        return self.climb(0)[0]
+
+    def climb(self, min_level: int) -> tuple[ast.Expr, int]:
         """Precedence climbing: the operand and every following operator
-        that binds at ``min_level`` or tighter, grouped to the left."""
-        node = self.unary()
+        that binds at ``min_level`` or tighter, grouped to the left, with
+        the height of the tree in nesting levels."""
+        node, height = self.unary()
         while True:
             tok = self.peek()
             level = -1 if tok is None else _LEVELS.get(tok.lexeme, -1)
             if level < min_level:
-                return node
+                return node, height
             self.take()
-            node = ast.BinOp(tok.lexeme, node, self.expression(level + 1), tok.line)
+            right, right_height = self.nested(self.climb, level + 1)
+            node = ast.BinOp(tok.lexeme, node, right, tok.line)
+            height = 1 + max(height, right_height)
+            self.check_depth(height)
 
-    def unary(self) -> ast.Expr:
+    def unary(self) -> tuple[ast.Expr, int]:
         tok = self.peek()
         if tok is not None and tok.lexeme == "-":
             self.take()
-            return ast.UnaryOp("-", self.unary())
+            operand, height = self.nested(self.unary)
+            return ast.UnaryOp("-", operand), height + 1
         return self.primary()
 
-    def primary(self) -> ast.Expr:
+    def primary(self) -> tuple[ast.Expr, int]:
         tok = self.peek()
         if tok is None:
             raise self.error("expected expression")
@@ -210,27 +247,27 @@ class _Parser:
             if value > _INT_MAX:
                 raise CompileError(f"integer literal {tok.lexeme} out of range",
                                    tok.line, tok.col)
-            return ast.IntLit(value)
+            return ast.IntLit(value), 0
         if tok.lexeme == "(":
             self.take()
-            inner = self.expression()
+            inner, height = self.nested(self.climb, 0)
             self.expect(")")
-            return inner
+            return inner, height + 1
         if tok.lexeme == "in":
             self.take()
             self.expect("[")
-            index = self.expression()
+            index, height = self.nested(self.climb, 0)
             self.expect("]")
-            return ast.ArrayRead(index, tok.line)
+            return ast.ArrayRead(index, tok.line), height + 1
         if tok.lexeme == "in_len":
             self.take()
-            return ast.InLen()
+            return ast.InLen(), 0
         if tok.kind is TokenKind.IDENTIFIER:
             if tok.lexeme in KEYWORDS:
                 raise CompileError(f"{tok.lexeme!r} is not a value", tok.line, tok.col)
             self.take()
             self.variables.add(tok.lexeme)  # reads default to 0, so declare it
-            return ast.Var(tok.lexeme)
+            return ast.Var(tok.lexeme), 0
         raise self.error("expected expression")
 
 

@@ -1,15 +1,12 @@
 """The optimization loop: evaluate every first-order mutant against the
 input set, keep the equivalent ones, and select the fastest.
 
-The baseline program's outputs are computed once per input up front and
-reused for every comparison; when an improving mutant replaces the current
-best, its outputs are equal to the baseline's by construction, so the memo
-stays valid.
-
-Each mutant runs the inputs in the set's order and aborts at the first
-output mismatch or non-ok verdict.  Per-input budgets are derived from the
-baseline cost on that input, scaled by the backend's budget factor; mutants
-that exceed them are classified ``timeout`` and discarded.
+The original runs once on every input (``_baseline``), and that
+``OverallTime`` is the reference every mutant runs against: on input i a
+mutant gets the backend's ``mutant_budget`` of the original's cost and must
+print the original's output (``backend.overall_time``), or it is discarded
+at the first input where it fails.  The final confirmation runs the original
+again and checks the selected source the same way.
 
 ``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
 in-process or in a pool worker; the selection loop in ``optimize`` only
@@ -32,6 +29,7 @@ from .backend import (
     Cost,
     ExecBackendConfig,
     MiniBackend,
+    OverallTime,
     ToolchainError,
     UNIT_STEPS,
     UnitMismatch,
@@ -136,11 +134,28 @@ def improvement_test(tau_o: Cost, tau_p: Cost, threshold: float) -> bool:
     return tau_p.value < (1.0 - threshold) * tau_o.value
 
 
-def _evaluate_one(backend: Backend, inputs: InputSet,
-                  budgets: Sequence[int | float], expected: Sequence[bytes],
-                  mutant: Mutant, name: str) -> MutantVerdict:
-    """Compile one mutant and run it on the inputs, stopping at the first
-    non-ok verdict or differing output.
+def _baseline(backend: Backend, source: SourceUnit | bytes, inputs: InputSet,
+              name: str) -> OverallTime:
+    """Compile the original and run it on every input with no reference.
+
+    Raises InvalidBaseline when it does not compile or does not run cleanly
+    on every input.
+    """
+    try:
+        program = backend.compile(source, name=name)
+    except CompileError as exc:
+        raise InvalidBaseline(f"original program does not compile: {exc}") from exc
+    baseline = overall_time(backend, program, [e.values for e in inputs.entries])
+    if baseline.verdict != VERDICT_OK:
+        raise InvalidBaseline(
+            f"original program verdict {baseline.verdict!r} on input "
+            f"{inputs.entries[baseline.failing_index].id!r}")
+    return baseline
+
+
+def _evaluate_one(backend: Backend, inputs: InputSet, baseline: OverallTime,
+                  source_name: str, mutant: Mutant) -> MutantVerdict:
+    """Compile one mutant and run it on the inputs against the baseline.
 
     The status is compile_error, the backend's verdict (killed, crash or
     timeout, with ``input_id`` naming the input) or ``equivalent`` (with
@@ -152,6 +167,7 @@ def _evaluate_one(backend: Backend, inputs: InputSet,
         original=mutant.original, replacement=mutant.replacement,
         status=STATUS_COMPILE_ERROR,
     )
+    name = mutant.filename(source_name)
     try:
         program = backend.compile(mutant.mutated_text, name=name)
     except CompileError:
@@ -159,7 +175,7 @@ def _evaluate_one(backend: Backend, inputs: InputSet,
     except ToolchainError as exc:
         raise ToolchainError(f"while compiling mutant {name}: {exc}") from exc
     run = overall_time(backend, program, [e.values for e in inputs.entries],
-                       budgets, expected)
+                       baseline)
     verdict.runs = len(run.results)
     if run.verdict == VERDICT_OK:
         verdict.status, verdict.tau = STATUS_EQUIVALENT, run.cost
@@ -186,19 +202,12 @@ def confirm_equivalence(candidate: SourceUnit | bytes,
     crash yields False."""
     backend = make_backend(config.backend, config.scratch_dir)
     try:
-        orig_prog = backend.compile(original, name=config.source_name)
-        cand_prog = backend.compile(candidate, name=config.source_name)
-    except CompileError:
+        baseline = _baseline(backend, original, inputs, config.source_name)
+        program = backend.compile(candidate, name=config.source_name)
+    except (InvalidBaseline, CompileError):
         return False
-    values = [entry.values for entry in inputs.entries]
-    base = overall_time(backend, orig_prog, values,
-                        [backend.baseline_budget()] * len(values))
-    if base.verdict != VERDICT_OK:
-        return False
-    cand = overall_time(backend, cand_prog, values,
-                        [backend.mutant_budget(r.cost) for r in base.results],
-                        [r.output for r in base.results])
-    return cand.verdict == VERDICT_OK
+    run = overall_time(backend, program, [e.values for e in inputs.entries], baseline)
+    return run.verdict == VERDICT_OK
 
 
 def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
@@ -209,23 +218,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     does not run cleanly on every input; propagates ToolchainError.
     """
     backend = make_backend(config.backend, config.scratch_dir)
-
-    try:
-        baseline_prog = backend.compile(source, name=config.source_name)
-    except CompileError as exc:
-        raise InvalidBaseline(f"original program does not compile: {exc}") from exc
-
-    values = [entry.values for entry in inputs.entries]
-    baseline = overall_time(backend, baseline_prog, values,
-                            [backend.baseline_budget()] * len(values))
-    if baseline.verdict != VERDICT_OK:
-        raise InvalidBaseline(
-            f"original program verdict {baseline.verdict!r} on input "
-            f"{inputs.entries[baseline.failing_index].id!r}")
-    baseline_outputs = [r.output for r in baseline.results]
-    budgets = [backend.mutant_budget(r.cost) for r in baseline.results]
-    original_tau = baseline.cost
-
+    baseline = _baseline(backend, source, inputs, config.source_name)
     mutants = apply_all(operators, source, config.line_range)
 
     # perfbench/trace_run.py attributes a compile or run span to a mutant
@@ -233,9 +226,8 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     # and the one final confirm_equivalence span.  So the baseline stays
     # above, and the evaluate phase must not go through make_backend,
     # apply_all or confirm_equivalence, the module globals the tracer wraps.
-    verdicts = _evaluate_all(backend, config, mutants, inputs, budgets,
-                             baseline_outputs)
-    current_tau = original_tau
+    verdicts = _evaluate_all(backend, config, mutants, inputs, baseline)
+    current_tau = baseline.cost
     best: Mutant | None = None
     best_verdict: MutantVerdict | None = None
     for mutant, verdict in zip(mutants, verdicts):
@@ -257,7 +249,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
 
     return OptimizationReport(
         unit=backend.unit,
-        original_tau=original_tau,
+        original_tau=baseline.cost,
         final_tau=current_tau,
         selected=best,
         selected_source=selected_source,
@@ -269,18 +261,17 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     )
 
 
-def _evaluate_all(backend, config, mutants, inputs, budgets, expected):
+def _evaluate_all(backend, config, mutants, inputs, baseline):
     # the same call either way; only the mapper differs
-    task = partial(_evaluate_one, backend, inputs, budgets, expected)
-    names = [m.filename(config.source_name) for m in mutants]
+    task = partial(_evaluate_one, backend, inputs, baseline, config.source_name)
     if isinstance(backend, MiniBackend) and config.jobs > 1 and len(mutants) > 1:
         # imported here, so a serial run does not load its 26 modules (~1.8 MB)
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             chunk = max(1, len(mutants) // (config.jobs * 4))
-            return list(pool.map(task, mutants, names, chunksize=chunk))
-    return list(map(task, mutants, names))
+            return list(pool.map(task, mutants, chunksize=chunk))
+    return list(map(task, mutants))
 
 
 def _config_echo(operators, inputs, config: OptimizeConfig) -> dict:

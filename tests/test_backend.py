@@ -109,7 +109,7 @@ def test_mini_budget_derivation():
 def test_overall_time_empty_inputs_is_zero():
     backend = mini_backend()
     program = backend.compile(load_unit("census.mini"))
-    result = overall_time(backend, program, [], [])
+    result = overall_time(backend, program, [])
     assert result.verdict == "ok" and result.cost == Cost(0, "steps")
 
 
@@ -118,19 +118,23 @@ def test_overall_time_sums_per_input_costs():
     program = backend.compile(load_unit("max_search.mini"))
     inputs = [[3, 7, 7, 2], [5], [1, 2, 3, 4, 4]]
     singles = [backend.run(program, v, 10**6).cost.value for v in inputs]
-    total = overall_time(backend, program, inputs, [10**6] * 3)
+    total = overall_time(backend, program, inputs)
     assert total.cost.value == sum(singles)
 
 
-@pytest.mark.parametrize("expected, verdict, index", [
+@pytest.mark.parametrize("reference, verdict, index", [
     (None, "crash", 2),
-    ([b"3", b"5", b"0"], "killed", 1),  # stops before the crashing input
+    # prints 3, 5 and 0; stops before the crashing input
+    (b"print(in[0] / 2 + in[0] / 8);", "killed", 1),
 ], ids=["crash", "killed"])
-def test_overall_time_aborts_on_bad_verdict(expected, verdict, index):
+def test_overall_time_aborts_on_bad_verdict(reference, verdict, index):
     backend = mini_backend()
     program = backend.compile(b"print(in[0] / in[1]);")
-    result = overall_time(backend, program, [[6, 2], [8, 2], [1, 0]], [100] * 3,
-                          expected)
+    inputs = [[6, 2], [8, 2], [1, 0]]
+    if reference is not None:
+        reference = overall_time(backend, backend.compile(reference), inputs)
+        assert [r.output for r in reference.results] == [b"3", b"5", b"0"]
+    result = overall_time(backend, program, inputs, reference)
     assert result.cost is None
     assert result.verdict == verdict
     assert result.failing_index == index
@@ -141,9 +145,20 @@ def test_mini_overall_time_is_bit_identical_across_invocations():
     backend = mini_backend()
     program = backend.compile(load_unit("b2tob10.mini"))
     inputs = [encode_bits("101101"), encode_bits("0")]
-    a = overall_time(backend, program, inputs, [10**9, 10**9])
-    b = overall_time(backend, program, inputs, [10**9, 10**9])
+    a = overall_time(backend, program, inputs)
+    b = overall_time(backend, program, inputs)
     assert a == b
+
+
+def test_overall_time_budget_comes_from_the_reference():
+    backend = mini_backend(timeout_factor=10.0)
+    reference = overall_time(backend, backend.compile(b"i = 1 + 2; print(i);"), [[]])
+    assert reference.cost == Cost(3, "steps")  # so each input's budget is 30
+    fits = backend.compile(b"i = 0; while (i < 3) { i += 1; } print(i);")
+    over = backend.compile(b"i = 0; while (i < 100) { i += 1; } print(i - 97);")
+    assert overall_time(backend, fits, [[]], reference).verdict == "ok"
+    assert overall_time(backend, over, [[]]).verdict == "ok"
+    assert overall_time(backend, over, [[]], reference).verdict == "timeout"
 
 
 # ---- external backend ----
@@ -251,9 +266,8 @@ def test_overall_time_speedup_of_walk_doubling_rewrite():
     tail = max(star, key=lambda m: m.line)
     mutant = backend.compile(tail.mutated_text)
     inputs = [encode_bits("11111111111111110110"), encode_bits("0"), encode_bits("1")]
-    budgets = [10**9] * 3
-    tau_original = overall_time(backend, original, inputs, budgets)
-    tau_mutant = overall_time(backend, mutant, inputs, budgets)
+    tau_original = overall_time(backend, original, inputs)
+    tau_mutant = overall_time(backend, mutant, inputs)
     assert tau_original.cost.value == 19_923_110
     assert tau_mutant.cost.value == 539
     assert tau_mutant.cost.value <= tau_original.cost.value / 100

@@ -1,7 +1,11 @@
 """Command-line behavior: exit codes, input loading, report files."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,37 @@ def test_invalid_baseline_exits_2(tmp_path, capsys):
     assert "invalid baseline" in err and "zero" in err
 
 
+def test_deeply_nested_source_is_invalid_baseline(tmp_path):
+    # a fresh process, so the check does not depend on how much stack the
+    # caller has left
+    src = tmp_path / "deep.mini"
+    src.write_text("x = " + "(" * 400 + "1" + ")" * 400 + "; print(x);\n")
+    env = dict(os.environ, MUTOPT_SCRATCH=str(tmp_path / "scratch"),
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mutopt.cli", "optimize", "--source", str(src),
+         "--inputs", str(FIXTURES / "m_powsum"), "--operators", "aor"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    baseline = [line for line in proc.stderr.splitlines()
+                if line.startswith("mutopt: invalid baseline: ")]
+    assert len(baseline) == 1 and "nesting deeper than" in baseline[0]
+
+
+def test_unusable_scratch_root_exits_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(blocker / "scratch"))
+    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
+                 "--inputs", str(FIXTURES / "m_powsum"), "--operators", "asr"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mutopt: cannot create scratch directory under {blocker}")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_lines_flag_validation(tmp_path, capsys):
     code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
                  "--inputs", str(FIXTURES / "m_powsum"),
@@ -362,6 +397,21 @@ def test_load_inputs_rejects_bad_integers(tmp_path):
     (d / "a.in").write_text("1 two 3\n")
     with pytest.raises(InputSetError):
         load_inputs(d)
+
+
+@pytest.mark.parametrize("value, ok", [
+    ("9223372036854775807", True), ("-9223372036854775808", True),
+    ("9223372036854775808", False), ("-9223372036854775809", False),
+])
+def test_load_inputs_accepts_only_64_bit_integers(value, ok, tmp_path):
+    d = tmp_path / "m"
+    d.mkdir()
+    (d / "a.in").write_text(f"1 {value}\n")
+    if ok:
+        assert load_inputs(d).entries[0].values == (1, int(value))
+    else:
+        with pytest.raises(InputSetError, match="integer out of 64-bit range"):
+            load_inputs(d)
 
 
 # ---- report round-trip ----

@@ -18,7 +18,9 @@ from mutopt import (
     parse_mini,
     tokenize,
 )
+from mutopt.backend import ExecBackendConfig, MiniBackend
 from mutopt.minilang.ast_nodes import BinOp, If, Var, While
+from mutopt.minilang.parser import MAX_DEPTH
 
 from conftest import RUN_SLOW, FULL_BITS_30, SCALED_BITS_20, encode_bits, load_unit
 
@@ -91,6 +93,78 @@ def test_else_if_chain():
         else { print(2); }
     """)
     assert len(prog.body) == 2
+
+
+# ---- nesting depth ----
+
+def parens(n):
+    return "x = " + "(" * n + "1" + ")" * n + "; print(x);"
+
+
+def chain(n):  # left-deep: n operators, one level each
+    return "x = 1" + " + 1" * n + "; print(x);"
+
+
+def unary(n):
+    return "x = " + "- " * n + "1; print(x);"
+
+
+def reads(n):
+    return "x = " + "in[" * n + "0" + "]" * n + "; print(x);"
+
+
+def ifs(n):
+    return "if (1) { " * n + "print(1);" + " }" * n
+
+
+def else_ifs(n):  # the innermost block is n + 1 levels down
+    return ("x = in[0]; if (x == 0) { print(0); }"
+            + "".join(f" else if (x == {k}) {{ print({k}); }}" for k in range(1, n + 1)))
+
+
+def whiles(n):
+    return ("".join(f"i{k} = 0; while (i{k} < 1) {{ i{k} += 1; " for k in range(n))
+            + "print(1);" + " }" * n)
+
+
+@pytest.mark.parametrize("text", [
+    parens(400), chain(2000), ifs(400), ifs(99),
+    # parses, but CPython allows only 20 statically nested loops
+    whiles(21),
+], ids=["parens-400", "chain-2000", "ifs-400", "ifs-99", "whiles-21"])
+def test_deep_nesting_is_compile_error(text):
+    with pytest.raises(CompileError):
+        MiniBackend(ExecBackendConfig()).compile(text.encode())
+
+
+@pytest.mark.parametrize("program, expected", [
+    (parens, b"1"), (chain, f"{MAX_DEPTH + 1}".encode()), (unary, b"1"),
+    (reads, b"0"), (ifs, b"1"), (lambda n: else_ifs(n - 1), b"0"),
+], ids=["parens", "chain", "unary", "reads", "ifs", "else-ifs"])
+def test_nesting_limit_is_exact(program, expected):
+    backend = MiniBackend(ExecBackendConfig())
+    compiled = backend.compile(program(MAX_DEPTH).encode())
+    assert backend.run(compiled, [0], 10**6).output == expected
+    with pytest.raises(CompileError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        backend.compile(program(MAX_DEPTH + 1).encode())
+
+
+def test_nesting_counts_left_chains_inside_groups():
+    # each group adds a parenthesis and two operators above the one inside,
+    # so the tree is 3 levels taller per group though no run of open
+    # parentheses or operators is long
+    def groups(n):
+        expr = "x"
+        for _ in range(n):
+            expr = f"({expr} + 1 + 1)"
+        return f"x = {expr}; print(x);"
+    parse_text(groups(MAX_DEPTH // 3))
+    with pytest.raises(CompileError):
+        parse_text(groups(MAX_DEPTH // 3 + 1))
+
+
+def test_twenty_nested_loops_still_run():
+    assert run_text(whiles(20)).output == b"1"
 
 
 # ---- evaluation: outputs ----

@@ -246,6 +246,12 @@ def test_confirm_equivalence_false_for_non_compiling_candidate(max_search_unit):
                                    OptimizeConfig())
 
 
+def test_confirm_equivalence_false_when_original_crashes(max_search_unit):
+    crashing = input_set(("empty", []))  # max_search reads in[0]
+    assert not confirm_equivalence(b"print(0);", max_search_unit, crashing,
+                                   OptimizeConfig())
+
+
 # ---- memoization and parallelism are invisible ----
 
 def strip_host(report):
