@@ -1,11 +1,10 @@
-"""Non-termination proofs at the loop head: slices, traps and the cycle
-detector.  That detection never changes a run's outcome is checked by the
-differential sweep in ``test_reference_eval.py``, which runs every fixture
-and generated program and mutant both unarmed and always armed."""
+"""Non-termination proofs at the loop head: slices, traps, and a
+differential check that detection never changes a run's outcome."""
 
 import pytest
 
-from mutopt import ASR, Language, apply_all, parse_mini, tokenize
+from mutopt import AOR, ASR, ROR, CompileError, Language, apply_all, parse_mini, tokenize
+from mutopt.cli import load_inputs
 from mutopt.minilang.ast_nodes import While
 from mutopt.minilang.interp import (
     BudgetExceeded,
@@ -16,6 +15,7 @@ from mutopt.minilang.interp import (
     loop_slice,
 )
 
+import minigen
 from conftest import FIXTURES
 
 
@@ -109,3 +109,40 @@ def test_hostile_divide_by_one_is_proved_non_terminating():
     # without the proof this run would take hours
     with pytest.raises(BudgetExceeded):
         program.run([5], 10**12, 0)
+
+
+def _mismatches(text: bytes, inputs) -> list[str]:
+    unit = tokenize(text, Language.MINI)
+    original = compile_program(parse_mini(unit))
+    budgets = [10 * original.run(values, 10**9).steps for values in inputs]
+    found = []
+    for m in apply_all([ROR, ASR, AOR], unit):
+        try:
+            program = compile_program(parse_mini(tokenize(m.mutated_text, Language.MINI)))
+        except CompileError:
+            continue
+        for values, budget in zip(inputs, budgets):
+            armed = outcome(program, values, budget, 0)
+            if armed != outcome(program, values, budget, None):
+                found.append(f"{m.id} on {values}: armed gave {armed}")
+    return found
+
+
+@pytest.mark.parametrize("name, inputs", [
+    ("hostile.mini", "m_hostile"),
+    ("max_search.mini", "m_max"),
+    ("powsum.mini", "m_powsum"),
+    ("census.mini", [[-3], [0], [1], [7]]),
+])
+def test_detection_never_changes_a_fixture_outcome(name, inputs):
+    if isinstance(inputs, str):
+        inputs = [e.values for e in load_inputs(FIXTURES / inputs).entries]
+    assert _mismatches((FIXTURES / name).read_bytes(), inputs) == []
+
+
+def test_detection_never_changes_a_generated_outcome():
+    found = []
+    for seed in range(50):
+        inputs = [e.values for e in minigen.generate_inputs(seed).entries]
+        found += _mismatches(minigen.generate_program(seed).encode(), inputs)
+    assert found == []

@@ -1,8 +1,6 @@
 """Differential test of the code generator against ``oracle.reference_eval``,
 an AST walker that shares no code with it: outcome class, message, output
-and steps must agree for every program and mutant on every input, both in
-a plain run and in one whose non-termination proofs are armed from the
-first step."""
+and steps must agree for every program and mutant on every input."""
 
 import pytest
 
@@ -27,8 +25,7 @@ def outcome(run):
 
 def _mismatches(text: bytes, inputs) -> list[str]:
     """Runs of the program and of each of its mutants, at budgets 10x the
-    original's steps, on which the generated code, unarmed or always armed,
-    disagrees with the reference evaluator."""
+    original's steps, on which the two evaluators disagree."""
     unit = tokenize(text, Language.MINI)
     original = parse_mini(unit)
     budgets = [10 * compile_program(original).run(values, 10**9).steps
@@ -40,12 +37,10 @@ def _mismatches(text: bytes, inputs) -> list[str]:
     for name, program in programs:
         compiled = compile_program(program)
         for values, budget in zip(inputs, budgets):
+            got = outcome(lambda: compiled.run(values, budget))
             want = outcome(lambda: reference_eval(program, values, budget))
-            for arm in (None, 0):
-                got = outcome(lambda: compiled.run(values, budget, arm))
-                if got != want:
-                    found.append(f"{name} on {values}, arm {arm}: "
-                                 f"codegen {got}, reference {want}")
+            if got != want:
+                found.append(f"{name} on {values}: codegen {got}, reference {want}")
     return found
 
 
