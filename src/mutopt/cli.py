@@ -263,13 +263,21 @@ def _cmd_optimize(args, parser) -> int:
     try:
         code = _run_optimize(args, operators, config, unit, input_set)
     except Exception:
-        sys.stderr.write(f"mutopt: scratch kept for post-mortem: {scratch}\n")
+        _keep_unless_empty(scratch, "scratch kept for post-mortem")
         raise
     if code in (EXIT_IMPROVED, EXIT_NO_IMPROVEMENT) and not args.keep_scratch:
         shutil.rmtree(scratch, ignore_errors=True)
     else:
-        sys.stderr.write(f"mutopt: scratch directory: {scratch}\n")
+        _keep_unless_empty(scratch, "scratch directory")
     return code
+
+
+def _keep_unless_empty(scratch: Path, label: str):
+    """Remove ``scratch`` if it is empty; otherwise name it under ``label``."""
+    try:
+        scratch.rmdir()
+    except OSError:
+        sys.stderr.write(f"mutopt: {label}: {scratch}\n")
 
 
 def _run_optimize(args, operators, config: OptimizeConfig, unit: SourceUnit,

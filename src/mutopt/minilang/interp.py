@@ -19,6 +19,21 @@ division or modulo by zero and out-of-range array reads raise
 MiniRuntimeError.  The step budget is checked at every loop-condition
 evaluation and once at program exit.
 
+The generated function keeps the step count in ``_s``, which is exact at
+every loop head and at exit, the only places it is read; a crash reports
+no steps.  Costs are added in batches: the simple statements that end a
+loop body are paid at the loop's next head, so the first head's share is
+taken back before the loop and a ``continue`` pays less.  Per MiniImp
+step the code pays only for what the cost model needs:
+
+  * a ``while`` or ``if`` condition is tested in place (``a < b``, or
+    ``a != 0 and b != 0`` for ``&&``), with no 0/1 value;
+  * a literal is in 0..MAX, so ``x + c``, ``c + x`` check only the upper
+    int64 bound and ``x - c`` only the lower one;
+  * an assignment of a binary operator other than ``/`` and ``%``, and a
+    shortcut assignment other than ``/=`` and ``%=``, stores the result in
+    its variable and wraps it there.
+
 A run can also stop early as over budget, with the same result: once its
 step count passes ``arm``, the head of each loop without ``break`` or
 nested ``while`` checks with Brent's cycle detection whether the values of
@@ -184,12 +199,42 @@ def loop_slice(loop: ast.While) -> tuple[str, ...] | None:
     return tuple(sorted(names & reads.keys()))
 
 
+_SIMPLE = (ast.Assign, ast.AugAssign, ast.Print)
+_TESTS = ("<", "<=", ">", ">=", "==", "!=", "&&", "||")
+
+
+def _stmt_cost(stmt: ast.Stmt) -> int:
+    """Steps of one execution of a simple statement: 1, its value's
+    operators and reads, and a shortcut assignment's combining operator."""
+    return (2 if isinstance(stmt, ast.AugAssign) else 1) + expr_cost(stmt.value)
+
+
+def _tail_cost(body: Sequence[ast.Stmt]) -> int:
+    """Summed cost of the simple statements that end ``body``."""
+    tail = 0
+    for stmt in reversed(body):
+        if not isinstance(stmt, _SIMPLE):
+            break
+        tail += _stmt_cost(stmt)
+    return tail
+
+
+def _test(op: str, a: str, b: str) -> str:
+    """The Python boolean expression of a relational or logical operator."""
+    if op == "&&":
+        return f"{a} != 0 and {b} != 0"
+    if op == "||":
+        return f"{a} != 0 or {b} != 0"
+    return f"{a} {op} {b}"
+
+
 class _CodeGen:
     def __init__(self):
         self.lines: list[str] = []
         self.indent = 1
         self.temp = 0
         self.pending = 0  # batched step cost awaiting a flush
+        self.tail = 0  # the innermost loop's tail cost, paid at its next head
 
     def emit(self, line: str):
         self.lines.append("    " * self.indent + line)
@@ -199,9 +244,11 @@ class _CodeGen:
         return f"_t{self.temp}"
 
     def flush(self):
-        if self.pending:
+        if self.pending > 0:
             self.emit(f"_s += {self.pending}")
-            self.pending = 0
+        elif self.pending < 0:
+            self.emit(f"_s -= {-self.pending}")
+        self.pending = 0
 
     # ---- expressions: return a side-effect-free Python atom ----
 
@@ -229,11 +276,31 @@ class _CodeGen:
             return self.gen_binop(node.op, a, b, node.line)
         raise TypeError(f"unknown expression node {node!r}")
 
-    def gen_binop(self, op: str, a: str, b: str, line: int) -> str:
-        t = self.new_temp()
+    def gen_cond(self, node: ast.Expr) -> str:
+        """A Python boolean expression for a ``while`` or ``if`` condition,
+        with its operands generated first as atoms, left then right."""
+        if isinstance(node, ast.BinOp) and node.op in _TESTS:
+            a = self.gen_expr(node.left)
+            b = self.gen_expr(node.right)
+            return _test(node.op, a, b)
+        return self.gen_expr(node)
+
+    def gen_binop(self, op: str, a: str, b: str, line: int,
+                  target: str | None = None) -> str:
+        """Emit ``a op b`` into ``target``, or into a new temporary, and
+        return it.  Only an operator whose fix-ups read nothing but the
+        result takes a ``target``: not ``/`` or ``%``."""
+        t = target or self.new_temp()
         if op in ("+", "-", "*"):
             self.emit(f"{t} = {a} {op} {b}")
-            self.emit(f"if {t} > {_INT_MAX} or {t} < {_INT_MIN}: {t} = _wrap({t})")
+            # a literal atom is in 0..MAX and the other operand in int64, so
+            # adding it cannot go below MIN nor subtracting it above MAX
+            if op == "+" and (a.isdigit() or b.isdigit()):
+                self.emit(f"if {t} > {_INT_MAX}: {t} = _wrap({t})")
+            elif op == "-" and b.isdigit():
+                self.emit(f"if {t} < {_INT_MIN}: {t} = _wrap({t})")
+            else:
+                self.emit(f"if {t} > {_INT_MAX} or {t} < {_INT_MIN}: {t} = _wrap({t})")
         elif op == "/":
             self.emit(f"if {b} == 0: _div0({line})")
             self.emit(f"{t} = {a} // {b}")
@@ -250,12 +317,8 @@ class _CodeGen:
             self.emit(f"{t} = {a} >> ({b} & 63)")
         elif op in ("&", "|", "^"):
             self.emit(f"{t} = {a} {op} {b}")
-        elif op in ("<", "<=", ">", ">=", "==", "!="):
-            self.emit(f"{t} = 1 if {a} {op} {b} else 0")
-        elif op == "&&":
-            self.emit(f"{t} = 1 if ({a} != 0 and {b} != 0) else 0")
-        elif op == "||":
-            self.emit(f"{t} = 1 if ({a} != 0 or {b} != 0) else 0")
+        elif op in _TESTS:
+            self.emit(f"{t} = 1 if {_test(op, a, b)} else 0")
         else:
             raise ValueError(f"unknown operator {op!r}")
         return t
@@ -272,20 +335,27 @@ class _CodeGen:
 
     def gen_stmt(self, stmt: ast.Stmt):
         if isinstance(stmt, ast.Assign):
-            self.pending += 1 + expr_cost(stmt.value)
-            atom = self.gen_expr(stmt.value)
-            self.emit(f"v_{stmt.name} = {atom}")
+            self.pending += _stmt_cost(stmt)
+            value = stmt.value
+            if isinstance(value, ast.BinOp) and value.op not in ("/", "%"):
+                a = self.gen_expr(value.left)
+                b = self.gen_expr(value.right)
+                self.gen_binop(value.op, a, b, value.line, f"v_{stmt.name}")
+            else:
+                self.emit(f"v_{stmt.name} = {self.gen_expr(value)}")
         elif isinstance(stmt, ast.AugAssign):
-            self.pending += 2 + expr_cost(stmt.value)  # statement + combining op
+            self.pending += _stmt_cost(stmt)
             atom = self.gen_expr(stmt.value)
-            result = self.gen_binop(stmt.op[0], f"v_{stmt.name}", atom, stmt.line)
-            self.emit(f"v_{stmt.name} = {result}")
+            op, var = stmt.op[0], f"v_{stmt.name}"
+            if op in ("/", "%"):
+                self.emit(f"{var} = {self.gen_binop(op, var, atom, stmt.line)}")
+            else:
+                self.gen_binop(op, var, atom, stmt.line, var)
         elif isinstance(stmt, ast.Print):
-            self.pending += 1 + expr_cost(stmt.value)
-            atom = self.gen_expr(stmt.value)
-            self.emit(f"_out_append({atom})")
+            self.pending += _stmt_cost(stmt)
+            self.emit(f"_out_append({self.gen_expr(stmt.value)})")
         elif isinstance(stmt, ast.Continue):
-            self.pending += 1
+            self.pending += 1 - self.tail  # the next head pays the tail
             self.flush()
             self.emit("continue")
         elif isinstance(stmt, ast.Break):
@@ -293,10 +363,9 @@ class _CodeGen:
             self.flush()
             self.emit("break")
         elif isinstance(stmt, ast.If):
+            self.pending += 1 + expr_cost(stmt.cond)
             self.flush()
-            self.emit(f"_s += {1 + expr_cost(stmt.cond)}")
-            atom = self.gen_expr(stmt.cond)
-            self.emit(f"if {atom}:")
+            self.emit(f"if {self.gen_cond(stmt.cond)}:")
             self.indent += 1
             self.gen_body(stmt.then_body)
             self.indent -= 1
@@ -306,6 +375,12 @@ class _CodeGen:
                 self.gen_body(stmt.else_body)
                 self.indent -= 1
         elif isinstance(stmt, ast.While):
+            # Each head pays the tail of the iteration before it, so the
+            # first head's share is taken back here, the body ends without
+            # a flush and a ``continue`` flushes less the tail: ``_s`` is
+            # exact at every head and after the loop.
+            tail = _tail_cost(stmt.body)
+            self.pending -= tail
             self.flush()
             key = loop_slice(stmt)
             if key is None:
@@ -319,11 +394,14 @@ class _CodeGen:
                 check = f"if _s > _arm: {d} = _cycle({d}, ({state}), _s, _budget)"
             self.emit("while True:")
             self.indent += 1
-            self.emit(f"_s += {1 + expr_cost(stmt.cond)}")
+            self.emit(f"_s += {1 + expr_cost(stmt.cond) + tail}")
             self.emit(check)
-            atom = self.gen_expr(stmt.cond)
-            self.emit(f"if not {atom}: break")
-            self.gen_body(stmt.body)
+            self.emit(f"if not ({self.gen_cond(stmt.cond)}): break")
+            outer, self.tail = self.tail, tail
+            for inner in stmt.body:
+                self.gen_stmt(inner)
+            self.pending = 0  # the tail, paid at the next head
+            self.tail = outer
             self.indent -= 1
         else:
             raise TypeError(f"unknown statement node {stmt!r}")

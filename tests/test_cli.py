@@ -204,6 +204,21 @@ def test_invalid_baseline_exits_2(tmp_path, capsys):
     assert "invalid baseline" in err and "zero" in err
 
 
+def test_invalid_baseline_leaves_no_scratch_directory(tmp_path, monkeypatch, capsys):
+    # the mini backend writes nothing to scratch, so nothing is kept or named
+    src = tmp_path / "crash.mini"
+    src.write_text("x = 1 / 0; print(x);\n")
+    scratch = tmp_path / "scratch"
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(scratch))
+    code = main(["optimize", "--source", str(src),
+                 "--inputs", str(FIXTURES / "m_powsum"), "--operators", "aor"])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("mutopt:")]
+    assert len(errors) == 1 and errors[0].startswith("mutopt: invalid baseline: ")
+    assert list(scratch.iterdir()) == []
+
+
 def test_deeply_nested_source_is_invalid_baseline(tmp_path):
     # a fresh process, so the check does not depend on how much stack the
     # caller has left

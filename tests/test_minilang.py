@@ -20,6 +20,7 @@ from mutopt import (
 )
 from mutopt.backend import ExecBackendConfig, MiniBackend
 from mutopt.minilang.ast_nodes import BinOp, If, Var, While
+from mutopt.minilang.interp import generate_source
 from mutopt.minilang.parser import MAX_DEPTH
 
 from conftest import RUN_SLOW, FULL_BITS_30, SCALED_BITS_20, encode_bits, load_unit
@@ -315,6 +316,24 @@ def test_b2tob10_step_oracle_scaled_20bit():
     result = eval_mini(prog, encode_bits(SCALED_BITS_20), 10**12)
     assert result.steps == _b2tob10_expected_steps(SCALED_BITS_20) == 19923080
     assert result.output == b"1048566"
+
+
+def test_b2tob10_hot_loop_is_lean():
+    # the innermost loop runs ~20 M steps on i20: its condition is tested in
+    # place, its tail is paid at the head, and `count += 1` checks one bound
+    source = generate_source(parse_mini(load_unit("b2tob10.mini")))
+    lines = source.splitlines()
+    head = max(i for i, line in enumerate(lines) if line.strip() == "while True:")
+    depth = len(lines[head]) - len(lines[head].lstrip())
+    block = []
+    for line in lines[head + 1:]:
+        if len(line) - len(line.lstrip()) <= depth:
+            break
+        block.append(line.strip())
+    assert sum(line.startswith("_s +=") for line in block) == 1
+    assert not any("= 1 if" in line for line in block)
+    assert [line for line in block if line.startswith("if v_count ")] == [
+        "if v_count > 9223372036854775807: v_count = _wrap(v_count)"]
 
 
 # ---- fixture behavior pinned by the experiment record ----

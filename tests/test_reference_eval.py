@@ -81,6 +81,19 @@ def test_codegen_matches_reference_on_generated_programs():
      ("MiniRuntimeError", "division by zero at line 1")),
     ("print(in[in_len]);", [4], ("MiniRuntimeError", "array read out of bounds at line 1")),
     ("i = 0; while (i < 3) { i += 1; }", [], ("ok", b"", 15)),
+    # one-sided checks for a literal operand, results stored in place
+    ("x = 9223372036854775807; x += 1; print(x);", [],
+     ("ok", b"-9223372036854775808", 4)),
+    ("x = 9223372036854775807; print(1 + x);", [], ("ok", b"-9223372036854775808", 3)),
+    ("x = -9223372036854775807 - 1; x -= 1; print(x);", [],
+     ("ok", b"9223372036854775807", 6)),
+    ("x = 9223372036854775807; y = -9223372036854775807 - 1; print(x - 0);"
+     " print(x + 0); print(0 + x); print(y - 0); print(y + 0); print(0 + y); print(0 - y);",
+     [], ("ok", b"9223372036854775807\n" * 3 + b"-9223372036854775808\n" * 3
+          + b"-9223372036854775808", 18)),
+    ("x = 9223372036854775807; y = x * 2; print(y);", [], ("ok", b"-2", 4)),
+    ("x = 9223372036854775807; x = x - -1; print(x);", [],
+     ("ok", b"-9223372036854775808", 5)),
 ])
 def test_reference_semantics(text, inputs, expected):
     program = parse_mini(tokenize(text.encode(), Language.MINI))
@@ -100,3 +113,79 @@ def test_budget_is_checked_at_the_loop_head(text, budget, expected):
     program = parse_mini(tokenize(text.encode(), Language.MINI))
     assert outcome(lambda: reference_eval(program, [], budget))[0] == expected
     assert outcome(lambda: compile_program(program).run([], budget))[0] == expected
+
+
+# A loop's tail is paid at its next head, so the step count lags between
+# heads.  Each program puts a kind of loop exit next to a tail; its second
+# input makes it crash, so the budget decides between BudgetExceeded and
+# the crash at the heads before it.
+_BOUNDARY_PROGRAMS = [
+    ("loop-first", "while (i < 3) { i += 1; print(in[i]); }", [[5, 6, 7, 8], [5, 6]]),
+    ("empty-body", "x = in[0]; while (x < 0) { } print(x);", [[1], []]),
+    ("continue-under-if",
+     "i = 0; s = 0; while (i < 6) { i += 1; if (i % 2 == 0) { s -= 1; continue; }"
+     " s += in[i]; print(s); }", [[0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3]]),
+    ("break-before-tail",
+     "i = 0; while (1) { i += 1; if (i > 4) { break; } print(12 / (in[0] - i)); i *= 1; }",
+     [[9], [3]]),
+    ("nested-loop-then-tail",
+     "i = 0; t = 0; while (i < 4) { j = 0; while (j < i) { j += 1; t += in[j]; }"
+     " i += 1; print(t); }", [[1, 2, 3, 4], [1, 2, 3]]),
+    ("body-ends-in-if",
+     "i = 0; while (i < 5) { i += 1;"
+     " if (i > 2) { print(i / (in[0] - i)); } else { print(-i); } }", [[9], [4]]),
+    ("census.mini", None, [[-3], [0], [1], [7]]),
+    ("max_search.mini", None, "m_max"),
+    ("powsum.mini", None, "m_powsum"),
+]
+
+
+def _boundary_mismatches(program, values) -> list[str]:
+    """Budgets 1 to T + 1 on which the reference and the generated code,
+    unarmed or armed from the first step, disagree.
+
+    T is the least budget under which the reference runs to its end: its
+    step count S when it finishes.  The reference's step count only grows
+    and each check raises on ``steps > budget``, so below T it raises
+    BudgetExceeded and from T on it ends as under any larger budget; T is
+    found by bisection.
+    """
+    def reference(budget):
+        return outcome(lambda: reference_eval(program, values, budget))
+
+    final = reference(10**9)
+    lo, hi = 1, 10**9
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reference(mid) == final else (mid + 1, hi)
+    over = reference(lo - 1) if lo > 1 else None
+    compiled = compile_program(program)
+    found = []
+    for budget in range(1, lo + 2):
+        want = over if budget < lo else final
+        for arm in (None, 0):
+            got = outcome(lambda: compiled.run(values, budget, arm))
+            if got != want:
+                found.append(f"{values} at budget {budget}, arm {arm}: "
+                             f"codegen {got}, reference {want}")
+    return found
+
+
+@pytest.mark.parametrize("name, text, inputs", _BOUNDARY_PROGRAMS,
+                         ids=[p[0] for p in _BOUNDARY_PROGRAMS])
+def test_every_budget_up_to_the_steps_matches_reference(name, text, inputs):
+    source = (FIXTURES / name).read_bytes() if text is None else text.encode()
+    if isinstance(inputs, str):
+        inputs = [e.values for e in load_inputs(FIXTURES / inputs).entries]
+    program = parse_mini(tokenize(source, Language.MINI))
+    assert [m for values in inputs for m in _boundary_mismatches(program, values)] == []
+
+
+def test_every_budget_up_to_the_steps_matches_reference_on_generated_programs():
+    found = []
+    for seed in range(50):
+        program = parse_mini(tokenize(minigen.generate_program(seed).encode(),
+                                      Language.MINI))
+        for entry in minigen.generate_inputs(seed).entries:
+            found += [f"seed {seed}: {m}" for m in _boundary_mismatches(program, entry.values)]
+    assert found == []
