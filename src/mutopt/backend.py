@@ -17,14 +17,19 @@ import shlex
 import signal
 import subprocess
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from statistics import median
 from typing import Sequence, Union
 
 from .minilang import CompileError, MiniRuntimeError, BudgetExceeded, parse_mini
+from .minilang.ast_nodes import MiniProgram
 from .minilang.interp import CompiledMini, compile_program
-from .tokens import Language, SourceUnit, tokenize
+from .minilang.parser import parse_statement
+from .tokens import Language, SourceUnit, relex, tokenize
 
 VERDICT_OK = "ok"
 VERDICT_TIMEOUT = "timeout"
@@ -153,17 +158,88 @@ def _run_group(cmd: list[str], timeout: float,
     return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
 
 
+class _Base:
+    """The first program a MiniBackend compiles, kept so that a text that
+    differs from it inside one top-level statement compiles at the cost of
+    that statement."""
+
+    def __init__(self, unit: SourceUnit, tree: MiniProgram, program: CompiledMini):
+        self.unit = unit
+        self.program = program
+        self.spans = tree.spans
+        starts = [t.start for t in unit.tokens]
+        # each statement's tokens, comments inside it included
+        self.ranges = [(bisect_left(starts, a), bisect_left(starts, b))
+                       for a, b in tree.spans]
+
+    def derive(self, text: bytes) -> CompiledMini | None:
+        """``text`` compiled by re-lexing the one token it changes, re-parsing
+        the top-level statement that holds it and compiling that statement
+        alone; None when that is not certain to equal the full compile, or
+        when the statement is a compile error, whose position the full path
+        reports."""
+        if text == self.unit.text:
+            return self.program
+        found = relex(self.unit, text)
+        if found is None:
+            return None
+        index, token = found
+        old = self.unit.tokens[index]
+        k = bisect_right(self.spans, old.start, key=itemgetter(0)) - 1
+        if k < 0 or old.end > self.spans[k][1]:
+            return None  # a comment between statements
+        lo, hi = self.ranges[k]
+        tokens = list(self.unit.tokens[lo:hi])
+        tokens[index - lo] = token
+        try:
+            return self.program.with_statement(k, parse_statement(tokens))
+        except CompileError:
+            return None
+
+
+@lru_cache(maxsize=1)
+def _unpickled_base(text: bytes) -> _Base:
+    """The base of an unpickled MiniBackend.  A pool unpickles its task once
+    per batch, with the same base bytes every time; the base is a function
+    of them alone, so one process may share it between backends."""
+    unit = tokenize(text, Language.MINI)
+    tree = parse_mini(unit)
+    return _Base(unit, tree, compile_program(tree))
+
+
 class MiniBackend:
+    """Compiles MiniImp to Python.  The first program compiled is the base:
+    a later text that differs from it inside one top-level statement
+    re-lexes, re-parses and compiles only that statement and shares the
+    base's other compiled statements.  Any other text is compiled in full.
+    Pickled, the backend is its config and the base's bytes."""
+
     unit = UNIT_STEPS
 
     def __init__(self, config: ExecBackendConfig):
         self.config = config
+        self._base: _Base | None = None
+
+    def __getstate__(self):
+        return self.config, None if self._base is None else self._base.unit.text
+
+    def __setstate__(self, state):
+        self.config, text = state
+        self._base = None if text is None else _unpickled_base(text)
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
         # name only matters to external toolchains; accepted for one signature
-        if isinstance(source, (bytes, bytearray)):
+        if self._base is not None and not isinstance(source, SourceUnit):
+            program = self._base.derive(bytes(source))
+            if program is not None:
+                return program
+        if not isinstance(source, SourceUnit):
             source = tokenize(source, Language.MINI)
-        return compile_program(parse_mini(source))  # parse raises CompileError
+        tree = parse_mini(source)  # raises CompileError
+        program = compile_program(tree)
+        if self._base is None:
+            self._base = _Base(source, tree, program)
+        return program
 
     def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:

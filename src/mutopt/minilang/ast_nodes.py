@@ -96,7 +96,9 @@ Stmt = Union[Assign, AugAssign, Print, If, While, Continue, Break]
 
 @dataclass(eq=False)
 class MiniProgram:
-    """A parsed program plus the set of variables it assigns."""
+    """A parsed program, the variables it names, and the byte span in the
+    source of each top-level statement, from its first token to its last."""
 
     body: tuple[Stmt, ...]
     variables: tuple[str, ...]
+    spans: tuple[tuple[int, int], ...]

@@ -1,8 +1,14 @@
 """Execution engine for MiniImp with an exact, deterministic step count.
 
-The AST is translated once into a plain Python function and executed with
-native integers; 64-bit wrapping is enforced by range checks that only pay
-for themselves when a value actually leaves the representable range.
+The AST is translated into plain Python functions and executed with native
+integers; 64-bit wrapping is enforced by range checks that only pay for
+themselves when a value actually leaves the representable range.  Each
+top-level statement becomes one function, which takes the step count and
+the variables the statement names as parameters, so they are fast locals,
+and returns them; a driver calls the statement functions in order.  A
+mutant changes one statement, so ``CompiledMini.with_statement`` compiles
+only that statement's function and shares the others and the driver's code
+with the program it derives from.
 
 Cost model, counted in ``steps``:
 
@@ -19,11 +25,11 @@ division or modulo by zero and out-of-range array reads raise
 MiniRuntimeError.  The step budget is checked at every loop-condition
 evaluation and once at program exit.
 
-The generated function keeps the step count in ``_s``, which is exact at
-every loop head and at exit, the only places it is read; a crash reports
-no steps.  Costs are added in batches: the simple statements that end a
-loop body are paid at the loop's next head, so the first head's share is
-taken back before the loop and a ``continue`` pays less.  Per MiniImp
+The generated code keeps the step count in ``_s``, which is exact at every
+loop head, at the end of each top-level statement and at exit; a crash
+reports no steps.  Costs are added in batches: the simple statements that
+end a loop body are paid at the loop's next head, so the first head's share
+is taken back before the loop and a ``continue`` pays less.  Per MiniImp
 step the code pays only for what the cost model needs:
 
   * a ``while`` or ``if`` condition is tested in place (``a < b``, or
@@ -45,6 +51,7 @@ exceeded any budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Sequence
 
 from . import ast_nodes as ast
@@ -407,35 +414,104 @@ class _CodeGen:
             raise TypeError(f"unknown statement node {stmt!r}")
 
 
-def generate_source(program: MiniProgram) -> str:
-    """Python source of the execution function, exposed for inspection."""
+def _names(stmts: Sequence[ast.Stmt], names: set[str]) -> set[str]:
+    """Add the variables ``stmts`` assign or read, at any depth, to
+    ``names`` and return it."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
+            names.add(stmt.name)
+        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
+            _variables(stmt.value, names)
+        elif isinstance(stmt, ast.If):
+            _variables(stmt.cond, names)
+            _names(stmt.then_body, names)
+            _names(stmt.else_body, names)
+        elif isinstance(stmt, ast.While):
+            _variables(stmt.cond, names)
+            _names(stmt.body, names)
+    return names
+
+
+def _signature(stmt: ast.Stmt) -> tuple[str, ...]:
+    return tuple(sorted(_names((stmt,), set())))
+
+
+_CONTEXT = "_in, _in_len, _out_append, _budget, _arm"
+
+
+def _state(names: Sequence[str]) -> str:
+    return "_s" + "".join(f", v_{name}" for name in names)
+
+
+def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str]) -> str:
+    """The function of top-level statement ``index``: it takes the run's
+    context, the step count and the variables ``names``, and returns the
+    last two."""
     gen = _CodeGen()
-    gen.lines.append("def _mini(_in, _budget, _arm):")
-    gen.emit("_s = 0")
-    gen.emit("_out = []")
-    gen.emit("_out_append = _out.append")
-    gen.emit("_in_len = len(_in)")
-    for name in program.variables:
-        gen.emit(f"v_{name} = 0")
-    gen.gen_body(program.body)
-    gen.emit("if _s > _budget: _over()")
-    gen.emit("return _out, _s")
+    gen.lines.append(f"def _st{index}({_CONTEXT}, {_state(names)}):")
+    gen.gen_stmt(stmt)
+    gen.flush()
+    gen.emit(f"return {_state(names)}")
     return "\n".join(gen.lines) + "\n"
 
 
+def generate_source(program: MiniProgram) -> str:
+    """Python source of the execution function, exposed for inspection.
+
+    Each top-level statement becomes a function that takes and returns the
+    step count and the variables the statement names, so they stay fast
+    locals; the driver ``_mini`` calls them in order.
+    """
+    signatures = [_signature(stmt) for stmt in program.body]
+    parts = [_statement_source(stmt, k, names)
+             for k, (stmt, names) in enumerate(zip(program.body, signatures))]
+    lines = ["def _mini(_in, _budget, _arm):",
+             "    _s = 0",
+             "    _out = []",
+             "    _out_append = _out.append",
+             "    _in_len = len(_in)"]
+    lines += [f"    v_{name} = 0" for name in program.variables]
+    lines += [f"    {_state(names)} = _st{k}({_CONTEXT}, {_state(names)})"
+              for k, names in enumerate(signatures)]
+    lines += ["    if _s > _budget: _over()",
+              "    return _out, _s"]
+    parts.append("\n".join(lines) + "\n")
+    return "".join(parts)
+
+
+def _exec(source: str, namespace: dict):
+    try:
+        code = compile(source, "<mini>", "exec")
+    except SyntaxError as exc:  # past CPython's static limits: 21 nested loops
+        raise CompileError(f"generated code exceeds CPython's limits: {exc.msg}",
+                           0, 0) from exc
+    exec(code, namespace)
+
+
 class CompiledMini:
-    """A MiniImp program lowered to a Python function."""
+    """A MiniImp program lowered to Python functions."""
 
     def __init__(self, program: MiniProgram):
-        namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
-                     "_div0": _div0, "_oob": _oob}
-        try:
-            code = compile(generate_source(program), "<mini>", "exec")
-        except SyntaxError as exc:  # past CPython's static limits: 21 nested loops
-            raise CompileError(f"generated code exceeds CPython's limits: {exc.msg}",
-                               0, 0) from exc
-        exec(code, namespace)
-        self._fn = namespace["_mini"]
+        self._signatures = [_signature(stmt) for stmt in program.body]
+        self._namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
+                           "_div0": _div0, "_oob": _oob}
+        _exec(generate_source(program), self._namespace)
+        self._fn = self._namespace["_mini"]
+
+    def with_statement(self, index: int, stmt: ast.Stmt) -> "CompiledMini | None":
+        """This program with top-level statement ``index`` replaced by
+        ``stmt``, generating and compiling only the new statement's function
+        and sharing the others and the driver's code; None when ``stmt``
+        names a variable that the old statement does not."""
+        names = self._signatures[index]
+        if not _names((stmt,), set()) <= set(names):
+            return None
+        clone = object.__new__(CompiledMini)
+        clone._signatures = self._signatures
+        clone._namespace = dict(self._namespace)
+        _exec(_statement_source(stmt, index, names), clone._namespace)
+        clone._fn = FunctionType(self._fn.__code__, clone._namespace)
+        return clone
 
     def run(self, input_values: Sequence[int], step_budget: int,
             arm: int | None = None) -> MiniRunResult:

@@ -28,6 +28,8 @@ binary operator.  A deeper program is a CompileError, so no later stage
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..tokens import Language, SourceUnit, Token, TokenKind
 from . import ast_nodes as ast
 
@@ -114,11 +116,14 @@ class _Parser:
     # ---- statements ----
 
     def parse_program(self) -> ast.MiniProgram:
-        body = []
+        body, spans = [], []
         while self.peek() is not None:
+            start = self.peek().start
             body.append(self.statement())
+            spans.append((start, self.tokens[self.pos - 1].end))
         return ast.MiniProgram(body=tuple(body),
-                               variables=tuple(sorted(self.variables)))
+                               variables=tuple(sorted(self.variables)),
+                               spans=tuple(spans))
 
     def statement(self) -> ast.Stmt:
         tok = self.peek()
@@ -281,3 +286,18 @@ def parse_mini(source: SourceUnit) -> ast.MiniProgram:
         raise ValueError(f"expected a mini unit, got {source.language.value}")
     tokens = [t for t in source.tokens if t.kind is not TokenKind.COMMENT]
     return _Parser(tokens).parse_program()
+
+
+def parse_statement(tokens: Sequence[Token]) -> ast.Stmt:
+    """Parse ``tokens`` as exactly one top-level statement.
+
+    A statement that ends before the last token is a CompileError too.
+    The parser looks past a statement's last token only for an ``else``,
+    so where a top-level statement of a program starts, the full parser
+    takes the same statement from these tokens unless ``else`` follows.
+    """
+    parser = _Parser([t for t in tokens if t.kind is not TokenKind.COMMENT])
+    stmt = parser.statement()
+    if parser.peek() is not None:
+        raise parser.error("expected the end of the statement")
+    return stmt

@@ -18,7 +18,8 @@ from mutopt import (
     tokenize,
 )
 from mutopt.backend import normalize_output
-from mutopt.minilang.interp import CompiledMini
+from mutopt.minilang import BudgetExceeded, MiniRuntimeError, parse_mini
+from mutopt.minilang.interp import CompiledMini, compile_program
 
 from conftest import encode_bits, load_unit
 
@@ -289,3 +290,112 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
             continue
         assert isinstance(program, CompiledMini)
         assert isinstance(backend.compile(m.mutated_text, name=name), CompiledMini)
+
+
+# ---- statement-level compile against the base ----
+
+def outcomes(program, inputs):
+    if program is None:
+        return "compile error"
+    found = []
+    for values in inputs:
+        try:
+            result = program.run(values, 10**6)
+        except (BudgetExceeded, MiniRuntimeError) as exc:
+            found.append((type(exc).__name__, str(exc)))
+        else:
+            found.append(("ok", result.output, result.steps))
+    return found
+
+
+def compiled_or_none(backend, text):
+    try:
+        return backend.compile(text)
+    except CompileError:
+        return None
+
+
+def full_compile(text):
+    try:
+        return compile_program(parse_mini(tokenize(text, Language.MINI)))
+    except CompileError:
+        return None
+
+
+def count_full_parses(monkeypatch) -> list:
+    import mutopt.backend
+
+    parses = []
+    real_parse = mutopt.backend.parse_mini
+    monkeypatch.setattr(mutopt.backend, "parse_mini",
+                        lambda source: parses.append(1) or real_parse(source))
+    return parses
+
+
+@pytest.mark.parametrize("statement, site, merging", [
+    (b"x = a+-b;", "+", "-"),              # "--" is one token
+    (b"x = a*/*c*/b;", "*", "/"),          # "//" opens a line comment
+    (b"x = a -/*c*/ 1; y = 2;", "-", "/"),  # which swallows y = 2
+    # ... and here leaves a program that parses: x = a + 3;
+    (b"x = a -/*c*/ 1; y = 2; x = x\n+ 3;", "-", "/"),
+])
+def test_relex_fallback_matches_full_compile(statement, site, merging, monkeypatch):
+    from mutopt import AOR, apply_all
+
+    text = b"a = in[0];\nb = in[1];\n" + statement + b"\nprint(x + y);\n"
+    unit = tokenize(text, Language.MINI)
+    inputs = [[5, 3], [-7, 2], [0, 0]]
+    parses = count_full_parses(monkeypatch)
+    backend = mini_backend()
+    backend.compile(unit)
+    mutants = [m for m in apply_all([AOR], unit) if m.line == 3 and m.original == site]
+    assert len(mutants) == 4
+    for m in mutants:
+        assert (outcomes(compiled_or_none(backend, m.mutated_text), inputs)
+                == outcomes(full_compile(m.mutated_text), inputs)), m.id
+    # the base and the one mutant whose replacement merges tokens
+    assert len(parses) == 2
+    merged = next(m for m in mutants if m.replacement == merging)
+    assert (full_compile(merged.mutated_text) is None) == (b"+ 3" not in statement)
+
+
+def test_change_between_statements_compiles_in_full(monkeypatch):
+    parses = count_full_parses(monkeypatch)
+    backend = mini_backend()
+    backend.compile(tokenize(b"x = in[0]; /* a */ print(x);", Language.MINI))
+    program = backend.compile(b"x = in[0]; /* b */ print(x);")
+    assert len(parses) == 2
+    assert outcomes(program, [[4]]) == [("ok", b"4", 3)]
+
+
+def test_base_is_the_first_program_compiled(monkeypatch):
+    from mutopt import ASR, apply_all
+
+    parses = count_full_parses(monkeypatch)
+    backend = mini_backend()
+    unit = load_unit("powsum.mini")
+    backend.compile(unit)
+    backend.compile(b"print(1);")  # compiled in full; the base stays
+    mutant = apply_all([ASR], unit)[0]
+    program = backend.compile(mutant.mutated_text)
+    assert len(parses) == 2
+    assert outcomes(program, [[64]]) == outcomes(full_compile(mutant.mutated_text), [[64]])
+    backend.compile(unit)  # a SourceUnit is always compiled in full
+    assert len(parses) == 3
+
+
+def test_pickled_backend_compiles_mutants_like_the_parent():
+    import pickle
+
+    from mutopt import AOR, ASR, ROR, apply_all
+
+    backend = mini_backend()
+    unit = load_unit("b2tob10.mini")
+    backend.compile(unit)
+    # plain data: the config and the base's bytes, no code objects
+    assert backend.__getstate__() == (backend.config, unit.text)
+    clone = pickle.loads(pickle.dumps(backend))
+    inputs = [encode_bits(b) for b in ("0", "1", "110", "1011011010")]
+    for m in apply_all([ROR, ASR, AOR], unit):
+        assert (outcomes(compiled_or_none(clone, m.mutated_text), inputs)
+                == outcomes(compiled_or_none(backend, m.mutated_text), inputs)), m.id

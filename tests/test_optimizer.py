@@ -274,11 +274,22 @@ def test_memoized_verdicts_match_literal_oracle(fixture, inputs):
     assert got == literal_verdicts([ROR, ASR, AOR], unit, inputs)
 
 
-def test_parallel_evaluation_yields_identical_report():
+def test_parallel_evaluation_yields_identical_report(monkeypatch):
     unit = load_unit("powsum.mini")
     inputs = input_set(("n", [64]))
     a = run_optimize(unit, inputs, jobs=1)
     b = run_optimize(unit, inputs, jobs=2)
+    assert strip_host(a) == strip_host(b)
+    # pool workers rebuild the backend's base from its pickled bytes and
+    # compile each of the 705 mutants against it
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    import widegen
+
+    unit = tokenize(widegen.generate_program(1).encode(), Language.MINI)
+    inputs = input_set(*((f"r{k}", v) for k, v in enumerate(widegen.generate_inputs(1))))
+    a = run_optimize(unit, inputs, jobs=1)
+    b = run_optimize(unit, inputs, jobs=2)
+    assert len(a.verdicts) == sum(widegen.expected_mutants().values())
     assert strip_host(a) == strip_host(b)
 
 

@@ -6,7 +6,8 @@ import importlib.util
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mutopt import Language, MalformedSource, TokenKind, tokenize
+from mutopt import AOR, ASR, ROR, Language, MalformedSource, TokenKind, apply_all, tokenize
+from mutopt.tokens import Token, relex
 
 from conftest import FIXTURES, load_unit
 from oracle import reference_tokenize
@@ -248,3 +249,66 @@ _LEXER_ALPHABET = st.sampled_from([
 ))
 def test_matches_reference_tokenizer(data):
     assert_matches_reference(data)
+
+
+# ---- relex: one changed token lexed again ----
+
+def relexed_tokens(unit, text):
+    """``unit``'s tokens as ``relex`` says ``text`` has them, or None."""
+    found = relex(unit, text)
+    if found is None:
+        return None
+    i, new = found
+    delta = new.end - unit.tokens[i].end
+    return (list(unit.tokens[:i]) + [new]
+            + [Token(t.kind, t.lexeme, t.start + delta, t.end + delta, t.line,
+                     t.col + delta if t.line == new.line else t.col)
+               for t in unit.tokens[i + 1:]])
+
+
+@pytest.mark.parametrize("name, language", [
+    ("b2tob10.mini", Language.MINI), ("census.mini", Language.MINI),
+    ("hostile.mini", Language.MINI), ("max_search.mini", Language.MINI),
+    ("powsum.mini", Language.MINI), ("b2tob10.c", Language.C_LIKE),
+    ("snippets/max_snippet.c", Language.C_LIKE),
+    ("snippets/pow3_snippet.c", Language.C_LIKE),
+])
+def test_relex_matches_tokenize_on_every_mutant(name, language):
+    unit = load_unit(name, language)
+    for m in apply_all([ROR, ASR, AOR], unit):
+        # operator swaps keep their neighbours' boundaries here
+        assert relexed_tokens(unit, m.mutated_text) == list(
+            tokenize(m.mutated_text, language).tokens), m.id
+
+
+@pytest.mark.parametrize("before, after", [
+    (b"x = a+-b;", b"x = a--b;"),          # two tokens merge
+    (b"x = a*/*c*/b;", b"x = a//*c*/b;"),  # a line comment opens
+    (b"x = a < b;", b"x = a<= b;"),        # the change spans a space
+    (b"x = a + b;", b"x = a + c + d;"),    # and several tokens
+    (b"x = a + b;", b"y = a + b;"),        # the first token
+    (b"x = a + b;", b"x = a + b,"),        # the last token
+    (b"x = (a) - b;", b"x = (a+ - b;"),    # the next - turns unary
+    (b"x = a /*c*/ + b;", b"x = a /*\n*/ + b;"),  # a newline appears
+    (b"x = a + b;", b"x = a \xff b;"),     # invalid UTF-8
+    (b'x = a + b;', b'x = a " b;'),        # an unterminated string
+    (b"x = a + b;", b"x = a + b;"),        # nothing changed
+])
+def test_relex_declines_what_it_cannot_vouch_for(before, after):
+    assert relex(tokenize(before, Language.MINI), after) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=" \nab1+-*/=<>()\"", max_size=24), st.data())
+def test_relex_agrees_with_tokenize(base, data):
+    try:
+        unit = tokenize(base)
+    except MalformedSource:
+        return
+    start = data.draw(st.integers(0, len(base)))
+    end = data.draw(st.integers(start, min(len(base), start + 3)))
+    new = data.draw(st.text(alphabet=" \nab1+-*/=<>()\"", max_size=3))
+    text = (base[:start] + new + base[end:]).encode()
+    tokens = relexed_tokens(unit, text)
+    if tokens is not None:
+        assert tokens == list(tokenize(text).tokens)

@@ -44,10 +44,16 @@ def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
     # source in confirm_equivalence
     compiles = metrics["backend.compile_calls"][0]
     assert compiles == 1 + len(verdicts) + 2
-    # each compile parses, and each that parses generates code
-    assert metrics["parser.parse_calls"][0] == compiles
-    assert (metrics["interp.codegen_calls"][0]
-            == compiles - metrics["backend.compile_errors"][0])
+    # Only the two originals, the baseline's and confirm_equivalence's, are
+    # parsed and generated in full.  Every mutant of powsum, and so the
+    # selected source, changes one operator inside a top-level statement
+    # and parses, so each re-parses and compiles that statement alone:
+    # none falls back to the full path, which alone tokenizes (the CLI's
+    # one call) and parses.
+    assert metrics["backend.compile_errors"][0] == 0
+    assert metrics["tokens.tokenize_calls"][0] == 1
+    assert metrics["parser.parse_calls"][0] == 2
+    assert metrics["interp.codegen_calls"][0] == 2
     assert metrics["interp.runs"][0] == metrics["backend.run_calls"][0] > 0
     assert metrics["mutation.mutants"][0] == len(verdicts)
     assert sum(metrics[f"optimizer.{c}.mutants"][0]
