@@ -1,12 +1,22 @@
 import os
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from mutopt import Language, SourceUnit, tokenize
+import mutopt.backend
+from mutopt import AOR, ASR, ROR, CompileError, Language, SourceUnit, apply_all, tokenize
+from mutopt.cli import load_inputs
+from mutopt.minilang import BudgetExceeded, MiniProgram, MiniRuntimeError, parse_mini
+from mutopt.minilang.interp import compile_program
+from mutopt.tokens import MalformedSource
+
+import minigen
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 RUN_SLOW = bool(os.environ.get("MUTOPT_RUN_SLOW"))
 
@@ -37,3 +47,164 @@ def b2tob10_unit() -> SourceUnit:
 @pytest.fixture
 def max_search_unit() -> SourceUnit:
     return load_unit("max_search.mini")
+
+
+# ---- differential helpers ----
+
+def outcome(run, *args) -> tuple:
+    """The outcome of ``run(*args)``: ("ok", output, steps), or the name and
+    message of the BudgetExceeded or MiniRuntimeError it raised."""
+    try:
+        result = run(*args)
+    except (BudgetExceeded, MiniRuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", result.output, result.steps
+
+
+def outcomes(program, inputs, budgets, arm=None):
+    """The outcome of ``program`` on each input under its budget; or
+    ``program`` itself where it is the name of a compile error (see
+    ``attempt``)."""
+    if isinstance(program, str):
+        return program
+    return [outcome(program.run, values, budget, arm)
+            for values, budget in zip(inputs, budgets)]
+
+
+def full_compile(text: bytes):
+    """A fresh full compile: tokenize, parse and generate, with no base."""
+    return compile_program(parse_mini(tokenize(text, Language.MINI)))
+
+
+def attempt(compile, text: bytes):
+    """The compiled program, or the name of the error compiling raised."""
+    try:
+        return compile(text)
+    except (CompileError, MalformedSource) as exc:
+        return type(exc).__name__
+
+
+def count_full_parses(monkeypatch) -> list:
+    """A list that gains an entry at each full parse the backend makes."""
+    parses = []
+    real_parse = mutopt.backend.parse_mini
+    monkeypatch.setattr(mutopt.backend, "parse_mini",
+                        lambda source: parses.append(1) or real_parse(source))
+    return parses
+
+
+# ---- the differential corpus ----
+
+# The fixture programs the sweeps run, and their inputs: literal values or
+# the name of an input-set directory.  The sweeps parametrize on the items,
+# which names each case after its program and inputs.
+FIXTURE_INPUTS = {
+    "b2tob10.mini": [encode_bits(b) for b in ("0", "1", "110", "1011011010")],
+    "census.mini": [[-3], [0], [1], [7]],
+    "hostile.mini": "m_hostile",
+    "max_search.mini": "m_max",
+    "powsum.mini": "m_powsum",
+}
+
+
+@dataclass(frozen=True)
+class Fresh:
+    """A fresh full compile of one program text and its runs.
+
+    ``error`` names the error compiling raised.  Otherwise ``program`` is the
+    AST, and ``unarmed`` and ``armed`` hold the outcome on each of the
+    subject's inputs under its budget, unarmed and armed at 0.
+    """
+    id: str
+    text: bytes
+    error: str | None = None
+    program: MiniProgram | None = None
+    unarmed: tuple | None = None
+    armed: tuple | None = None
+
+
+@dataclass(frozen=True)
+class Subject:
+    """A program, its inputs, budgets 10x the original's steps on them, and
+    fresh full compiles of the original and of every ROR, ASR and AOR
+    mutant."""
+    name: str
+    unit: SourceUnit
+    inputs: list
+    budgets: list
+    original: Fresh
+    mutants: list[Fresh]
+
+
+def build_subject(name: str, text: bytes, inputs: list) -> Subject:
+    unit = tokenize(text, Language.MINI)
+    original = parse_mini(unit)
+    compiled = compile_program(original)
+    budgets = [10 * compiled.run(values, 10**9).steps for values in inputs]
+    # A mutant's AST holds the original's objects wherever its top-level
+    # statements, variables and spans equal them, so the corpus keeps each
+    # mutant's changed statement alone; equal outcome tuples share one
+    # object.  Both are immutable and compare by value, so this changes
+    # nothing but memory.
+    statements = {s: s for s in original.body}
+    spans = {s: s for s in original.spans}
+    runs = {}
+
+    def fresh(id, text, program, compiled):
+        if program is not original:
+            program = MiniProgram(
+                body=tuple(statements.get(s, s) for s in program.body),
+                variables=(original.variables if program.variables == original.variables
+                           else program.variables),
+                spans=tuple(spans.get(s, s) for s in program.spans))
+        unarmed, armed = (tuple(outcomes(compiled, inputs, budgets, arm)) for arm in (None, 0))
+        return Fresh(id, text, None, program,
+                     runs.setdefault(unarmed, unarmed), runs.setdefault(armed, armed))
+
+    mutants = []
+    for m in apply_all([ROR, ASR, AOR], unit):
+        try:
+            program = parse_mini(tokenize(m.mutated_text, Language.MINI))
+            compiled_mutant = compile_program(program)
+        except (CompileError, MalformedSource) as exc:
+            mutants.append(Fresh(m.id, m.mutated_text, type(exc).__name__))
+            continue
+        mutants.append(fresh(m.id, m.mutated_text, program, compiled_mutant))
+    return Subject(name, unit, inputs, budgets,
+                   fresh("original", text, original, compiled), mutants)
+
+
+class Corpus:
+    """Every program the differential sweeps compare, each built on first
+    use and kept for the session: the fixtures, ``minigen`` seeds 0-49 and
+    the benchmark's ``wide`` program, seed 1."""
+
+    def __init__(self):
+        self._fixtures = {}
+
+    def fixture(self, name: str) -> Subject:
+        if name not in self._fixtures:
+            inputs = FIXTURE_INPUTS[name]
+            if isinstance(inputs, str):
+                inputs = [e.values for e in load_inputs(FIXTURES / inputs).entries]
+            self._fixtures[name] = build_subject(name, (FIXTURES / name).read_bytes(), inputs)
+        return self._fixtures[name]
+
+    @cached_property
+    def generated(self) -> list[Subject]:
+        return [build_subject(f"seed {seed}", minigen.generate_program(seed).encode(),
+                              [e.values for e in minigen.generate_inputs(seed).entries])
+                for seed in range(50)]
+
+    @cached_property
+    def wide(self) -> Subject:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(PERFBENCH))
+            import widegen
+        return build_subject("wide", widegen.generate_program(1).encode(),
+                             widegen.generate_inputs(1))
+
+
+@pytest.fixture(scope="session")
+def corpus() -> Corpus:
+    return Corpus()

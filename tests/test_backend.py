@@ -18,10 +18,9 @@ from mutopt import (
     tokenize,
 )
 from mutopt.backend import normalize_output
-from mutopt.minilang import BudgetExceeded, MiniRuntimeError, parse_mini
-from mutopt.minilang.interp import CompiledMini, compile_program
+from mutopt.minilang.interp import CompiledMini
 
-from conftest import encode_bits, load_unit
+from conftest import attempt, count_full_parses, encode_bits, full_compile, load_unit, outcomes
 
 HAVE_CC = shutil.which("cc") is not None
 external = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -294,44 +293,6 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
 
 # ---- statement-level compile against the base ----
 
-def outcomes(program, inputs):
-    if program is None:
-        return "compile error"
-    found = []
-    for values in inputs:
-        try:
-            result = program.run(values, 10**6)
-        except (BudgetExceeded, MiniRuntimeError) as exc:
-            found.append((type(exc).__name__, str(exc)))
-        else:
-            found.append(("ok", result.output, result.steps))
-    return found
-
-
-def compiled_or_none(backend, text):
-    try:
-        return backend.compile(text)
-    except CompileError:
-        return None
-
-
-def full_compile(text):
-    try:
-        return compile_program(parse_mini(tokenize(text, Language.MINI)))
-    except CompileError:
-        return None
-
-
-def count_full_parses(monkeypatch) -> list:
-    import mutopt.backend
-
-    parses = []
-    real_parse = mutopt.backend.parse_mini
-    monkeypatch.setattr(mutopt.backend, "parse_mini",
-                        lambda source: parses.append(1) or real_parse(source))
-    return parses
-
-
 @pytest.mark.parametrize("statement, site, merging", [
     (b"x = a+-b;", "+", "-"),              # "--" is one token
     (b"x = a*/*c*/b;", "*", "/"),          # "//" opens a line comment
@@ -345,18 +306,20 @@ def test_relex_fallback_matches_full_compile(statement, site, merging, monkeypat
     text = b"a = in[0];\nb = in[1];\n" + statement + b"\nprint(x + y);\n"
     unit = tokenize(text, Language.MINI)
     inputs = [[5, 3], [-7, 2], [0, 0]]
+    budgets = [10**6] * len(inputs)
     parses = count_full_parses(monkeypatch)
     backend = mini_backend()
     backend.compile(unit)
     mutants = [m for m in apply_all([AOR], unit) if m.line == 3 and m.original == site]
     assert len(mutants) == 4
     for m in mutants:
-        assert (outcomes(compiled_or_none(backend, m.mutated_text), inputs)
-                == outcomes(full_compile(m.mutated_text), inputs)), m.id
+        assert (outcomes(attempt(backend.compile, m.mutated_text), inputs, budgets)
+                == outcomes(attempt(full_compile, m.mutated_text), inputs, budgets)), m.id
     # the base and the one mutant whose replacement merges tokens
     assert len(parses) == 2
     merged = next(m for m in mutants if m.replacement == merging)
-    assert (full_compile(merged.mutated_text) is None) == (b"+ 3" not in statement)
+    assert ((attempt(full_compile, merged.mutated_text) == "CompileError")
+            == (b"+ 3" not in statement))
 
 
 def test_change_between_statements_compiles_in_full(monkeypatch):
@@ -365,7 +328,7 @@ def test_change_between_statements_compiles_in_full(monkeypatch):
     backend.compile(tokenize(b"x = in[0]; /* a */ print(x);", Language.MINI))
     program = backend.compile(b"x = in[0]; /* b */ print(x);")
     assert len(parses) == 2
-    assert outcomes(program, [[4]]) == [("ok", b"4", 3)]
+    assert outcomes(program, [[4]], [10**6]) == [("ok", b"4", 3)]
 
 
 def test_base_is_the_first_program_compiled(monkeypatch):
@@ -379,7 +342,8 @@ def test_base_is_the_first_program_compiled(monkeypatch):
     mutant = apply_all([ASR], unit)[0]
     program = backend.compile(mutant.mutated_text)
     assert len(parses) == 2
-    assert outcomes(program, [[64]]) == outcomes(full_compile(mutant.mutated_text), [[64]])
+    assert (outcomes(program, [[64]], [10**6])
+            == outcomes(full_compile(mutant.mutated_text), [[64]], [10**6]))
     backend.compile(unit)  # a SourceUnit is always compiled in full
     assert len(parses) == 3
 
@@ -396,6 +360,7 @@ def test_pickled_backend_compiles_mutants_like_the_parent():
     assert backend.__getstate__() == (backend.config, unit.text)
     clone = pickle.loads(pickle.dumps(backend))
     inputs = [encode_bits(b) for b in ("0", "1", "110", "1011011010")]
+    budgets = [10**6] * len(inputs)
     for m in apply_all([ROR, ASR, AOR], unit):
-        assert (outcomes(compiled_or_none(clone, m.mutated_text), inputs)
-                == outcomes(compiled_or_none(backend, m.mutated_text), inputs)), m.id
+        assert (outcomes(attempt(clone.compile, m.mutated_text), inputs, budgets)
+                == outcomes(attempt(backend.compile, m.mutated_text), inputs, budgets)), m.id

@@ -3,20 +3,17 @@ differential check that detection never changes a run's outcome."""
 
 import pytest
 
-from mutopt import AOR, ASR, ROR, CompileError, Language, apply_all, parse_mini, tokenize
-from mutopt.cli import load_inputs
+from mutopt import ASR, Language, apply_all, parse_mini, tokenize
 from mutopt.minilang.ast_nodes import While
 from mutopt.minilang.interp import (
     BudgetExceeded,
-    MiniRuntimeError,
     _cycle,
     compile_program,
     generate_source,
     loop_slice,
 )
 
-import minigen
-from conftest import FIXTURES
+from conftest import FIXTURE_INPUTS, FIXTURES, outcome
 
 
 def parse(text: str):
@@ -25,14 +22,6 @@ def parse(text: str):
 
 def first_loop(text: str):
     return next(s for s in parse(text).body if isinstance(s, While))
-
-
-def outcome(program, values, budget, arm):
-    try:
-        result = program.run(values, budget, arm)
-    except (BudgetExceeded, MiniRuntimeError) as exc:
-        return type(exc).__name__, str(exc)
-    return "ok", result.output, result.steps
 
 
 CONTROL_TRAP = "j = 3; i = 0; while (i < 1) { if (j == 0) { i = 1; } j -= 1; } print(i);"
@@ -65,8 +54,8 @@ def test_loop_slice(text, expected):
 ], ids=["control-dependence", "crash", "closure", "re-entry"])
 def test_traps_keep_their_outcome_when_always_armed(text, expected):
     program = compile_program(parse(text))
-    assert outcome(program, [], 10**6, 0) == expected
-    assert outcome(program, [], 10**6, None) == expected
+    assert outcome(program.run, [], 10**6, 0) == expected
+    assert outcome(program.run, [], 10**6, None) == expected
 
 
 @pytest.mark.parametrize("text, checks", [
@@ -111,38 +100,24 @@ def test_hostile_divide_by_one_is_proved_non_terminating():
         program.run([5], 10**12, 0)
 
 
-def _mismatches(text: bytes, inputs) -> list[str]:
-    unit = tokenize(text, Language.MINI)
-    original = compile_program(parse_mini(unit))
-    budgets = [10 * original.run(values, 10**9).steps for values in inputs]
-    found = []
-    for m in apply_all([ROR, ASR, AOR], unit):
-        try:
-            program = compile_program(parse_mini(tokenize(m.mutated_text, Language.MINI)))
-        except CompileError:
-            continue
-        for values, budget in zip(inputs, budgets):
-            armed = outcome(program, values, budget, 0)
-            if armed != outcome(program, values, budget, None):
-                found.append(f"{m.id} on {values}: armed gave {armed}")
-    return found
+def _armed_differences(subject) -> list[str]:
+    """Runs of the subject's mutants, at its budgets, whose outcome armed at
+    0 differs from the unarmed one."""
+    return [f"{subject.name} {fresh.id} on {values}: armed gave {armed}"
+            for fresh in subject.mutants if fresh.error is None
+            for values, armed, unarmed in zip(subject.inputs, fresh.armed, fresh.unarmed)
+            if armed != unarmed]
 
 
+# b2tob10 comes last, after the four fixtures this sweep first ran on
 @pytest.mark.parametrize("name, inputs", [
-    ("hostile.mini", "m_hostile"),
-    ("max_search.mini", "m_max"),
-    ("powsum.mini", "m_powsum"),
-    ("census.mini", [[-3], [0], [1], [7]]),
-])
-def test_detection_never_changes_a_fixture_outcome(name, inputs):
-    if isinstance(inputs, str):
-        inputs = [e.values for e in load_inputs(FIXTURES / inputs).entries]
-    assert _mismatches((FIXTURES / name).read_bytes(), inputs) == []
+    (name, FIXTURE_INPUTS[name])
+    for name in ("hostile.mini", "max_search.mini", "powsum.mini", "census.mini",
+                 "b2tob10.mini")])
+def test_detection_never_changes_a_fixture_outcome(name, inputs, corpus):
+    assert _armed_differences(corpus.fixture(name)) == []
 
 
-def test_detection_never_changes_a_generated_outcome():
-    found = []
-    for seed in range(50):
-        inputs = [e.values for e in minigen.generate_inputs(seed).entries]
-        found += _mismatches(minigen.generate_program(seed).encode(), inputs)
-    assert found == []
+def test_detection_never_changes_a_generated_outcome(corpus):
+    assert [line for subject in corpus.generated
+            for line in _armed_differences(subject)] == []

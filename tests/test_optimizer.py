@@ -27,7 +27,7 @@ from mutopt import (
 from mutopt.cli import load_inputs
 from mutopt.report import report_to_dict
 
-from conftest import FIXTURES, load_unit
+from conftest import FIXTURES, PERFBENCH, load_unit
 from oracle import literal_verdicts
 
 HAVE_CC = shutil.which("cc") is not None
@@ -282,7 +282,7 @@ def test_parallel_evaluation_yields_identical_report(monkeypatch):
     assert strip_host(a) == strip_host(b)
     # pool workers rebuild the backend's base from its pickled bytes and
     # compile each of the 705 mutants against it
-    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     import widegen
 
     unit = tokenize(widegen.generate_program(1).encode(), Language.MINI)

@@ -6,63 +6,36 @@ import pytest
 
 from mutopt import Language, tokenize
 from mutopt.cli import load_inputs
-from mutopt.minilang import BudgetExceeded, MiniRuntimeError, parse_mini
+from mutopt.minilang import parse_mini
 from mutopt.minilang.interp import compile_program
-from mutopt.mutation import AOR, ASR, ROR, apply_all
 
-import minigen
-from conftest import FIXTURES, encode_bits
+from conftest import FIXTURE_INPUTS, FIXTURES, outcome
 from oracle import reference_eval
 
 
-def outcome(run):
-    try:
-        result = run()
-    except (BudgetExceeded, MiniRuntimeError) as exc:
-        return type(exc).__name__, str(exc)
-    return "ok", result.output, result.steps
-
-
-def _mismatches(text: bytes, inputs) -> list[str]:
-    """Runs of the program and of each of its mutants, at budgets 10x the
-    original's steps, on which the two evaluators disagree."""
-    unit = tokenize(text, Language.MINI)
-    original = parse_mini(unit)
-    budgets = [10 * compile_program(original).run(values, 10**9).steps
-               for values in inputs]
-    programs = [("original", original)]
-    programs += [(m.id, parse_mini(tokenize(m.mutated_text, Language.MINI)))
-                 for m in apply_all([ROR, ASR, AOR], unit)]
+def _disagreements(subject) -> list[str]:
+    """Runs of the subject's program and of each of its mutants, at its
+    budgets, on which the reference and the fresh full compile disagree."""
     found = []
-    for name, program in programs:
-        compiled = compile_program(program)
-        for values, budget in zip(inputs, budgets):
-            got = outcome(lambda: compiled.run(values, budget))
-            want = outcome(lambda: reference_eval(program, values, budget))
+    for fresh in (subject.original, *subject.mutants):
+        if fresh.error:
+            found.append(f"{fresh.id}: {fresh.error}")
+            continue
+        for values, budget, got in zip(subject.inputs, subject.budgets, fresh.unarmed):
+            want = outcome(reference_eval, fresh.program, values, budget)
             if got != want:
-                found.append(f"{name} on {values}: codegen {got}, reference {want}")
+                found.append(f"{subject.name} {fresh.id} on {values}: "
+                             f"codegen {got}, reference {want}")
     return found
 
 
-@pytest.mark.parametrize("name, inputs", [
-    ("b2tob10.mini", [encode_bits(b) for b in ("0", "1", "110", "1011011010")]),
-    ("census.mini", [[-3], [0], [1], [7]]),
-    ("hostile.mini", "m_hostile"),
-    ("max_search.mini", "m_max"),
-    ("powsum.mini", "m_powsum"),
-])
-def test_codegen_matches_reference_on_fixture(name, inputs):
-    if isinstance(inputs, str):
-        inputs = [e.values for e in load_inputs(FIXTURES / inputs).entries]
-    assert _mismatches((FIXTURES / name).read_bytes(), inputs) == []
+@pytest.mark.parametrize("name, inputs", FIXTURE_INPUTS.items())
+def test_codegen_matches_reference_on_fixture(name, inputs, corpus):
+    assert _disagreements(corpus.fixture(name)) == []
 
 
-def test_codegen_matches_reference_on_generated_programs():
-    found = []
-    for seed in range(50):
-        inputs = [e.values for e in minigen.generate_inputs(seed).entries]
-        found += _mismatches(minigen.generate_program(seed).encode(), inputs)
-    assert found == []
+def test_codegen_matches_reference_on_generated_programs(corpus):
+    assert [line for subject in corpus.generated for line in _disagreements(subject)] == []
 
 
 @pytest.mark.parametrize("text, inputs, expected", [
@@ -97,8 +70,8 @@ def test_codegen_matches_reference_on_generated_programs():
 ])
 def test_reference_semantics(text, inputs, expected):
     program = parse_mini(tokenize(text.encode(), Language.MINI))
-    assert outcome(lambda: reference_eval(program, inputs, 10**6)) == expected
-    assert outcome(lambda: compile_program(program).run(inputs, 10**6)) == expected
+    assert outcome(reference_eval, program, inputs, 10**6) == expected
+    assert outcome(compile_program(program).run, inputs, 10**6) == expected
 
 
 @pytest.mark.parametrize("text, budget, expected", [
@@ -111,8 +84,8 @@ def test_reference_semantics(text, inputs, expected):
 ])
 def test_budget_is_checked_at_the_loop_head(text, budget, expected):
     program = parse_mini(tokenize(text.encode(), Language.MINI))
-    assert outcome(lambda: reference_eval(program, [], budget))[0] == expected
-    assert outcome(lambda: compile_program(program).run([], budget))[0] == expected
+    assert outcome(reference_eval, program, [], budget)[0] == expected
+    assert outcome(compile_program(program).run, [], budget)[0] == expected
 
 
 # A loop's tail is paid at its next head, so the step count lags between
@@ -151,7 +124,7 @@ def _boundary_mismatches(program, values) -> list[str]:
     found by bisection.
     """
     def reference(budget):
-        return outcome(lambda: reference_eval(program, values, budget))
+        return outcome(reference_eval, program, values, budget)
 
     final = reference(10**9)
     lo, hi = 1, 10**9
@@ -164,7 +137,7 @@ def _boundary_mismatches(program, values) -> list[str]:
     for budget in range(1, lo + 2):
         want = over if budget < lo else final
         for arm in (None, 0):
-            got = outcome(lambda: compiled.run(values, budget, arm))
+            got = outcome(compiled.run, values, budget, arm)
             if got != want:
                 found.append(f"{values} at budget {budget}, arm {arm}: "
                              f"codegen {got}, reference {want}")
@@ -181,11 +154,10 @@ def test_every_budget_up_to_the_steps_matches_reference(name, text, inputs):
     assert [m for values in inputs for m in _boundary_mismatches(program, values)] == []
 
 
-def test_every_budget_up_to_the_steps_matches_reference_on_generated_programs():
+def test_every_budget_up_to_the_steps_matches_reference_on_generated_programs(corpus):
     found = []
-    for seed in range(50):
-        program = parse_mini(tokenize(minigen.generate_program(seed).encode(),
-                                      Language.MINI))
-        for entry in minigen.generate_inputs(seed).entries:
-            found += [f"seed {seed}: {m}" for m in _boundary_mismatches(program, entry.values)]
+    for subject in corpus.generated:
+        for values in subject.inputs:
+            found += [f"{subject.name}: {m}"
+                      for m in _boundary_mismatches(subject.original.program, values)]
     assert found == []

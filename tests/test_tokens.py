@@ -1,15 +1,13 @@
 """Tokenizer tests: maximal munch, operator classification, round-trips,
 and agreement with the reference lexer in ``oracle.py``."""
 
-import importlib.util
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mutopt import AOR, ASR, ROR, Language, MalformedSource, TokenKind, apply_all, tokenize
 from mutopt.tokens import Token, relex
 
-from conftest import FIXTURES, load_unit
+from conftest import FIXTURES, PERFBENCH, load_unit
 from oracle import reference_tokenize
 
 _ARITHMETIC = ("+", "-", "*", "/", "%")
@@ -223,12 +221,11 @@ def test_fixture_matches_reference_tokenizer(name):
     assert_matches_reference((FIXTURES / name).read_bytes())
 
 
-def test_wide_program_matches_reference_tokenizer():
+def test_wide_program_matches_reference_tokenizer(monkeypatch):
     # the benchmark's generated program, seed 1
-    path = FIXTURES.parent / "perfbench" / "widegen.py"
-    spec = importlib.util.spec_from_file_location("widegen", path)
-    widegen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(widegen)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import widegen
+
     assert_matches_reference(widegen.generate_program(1).encode("utf-8"))
 
 

@@ -9,15 +9,12 @@ import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from mutopt.cli import main
 
-from conftest import FIXTURES
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import FIXTURES, PERFBENCH
 
 
 def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
