@@ -7,6 +7,14 @@ backend's ``compile`` returns the artifact that its ``run`` takes: a
 ``CompiledMini`` for the interpreter, the binary's ``Path`` for the external
 toolchain.  Costs from different backends are never comparable; ``Cost``
 carries its unit and adds only within it.
+
+The interpreter backend can also decide runs without executing them:
+``MiniBackend.decide`` runs an instrumented form of the original once per
+input (``minilang.instrument``), which gives the outcome of every mutant
+that is never infected on that input or that changes only data no
+condition reads.  Every mutant still compiles and calls ``run`` once per
+run it reports; ``run`` answers a decided one with the decided result,
+marked in ``RunResult.decided``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import shlex
 import signal
 import subprocess
 import time
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,9 +35,12 @@ from statistics import median
 from typing import Sequence, Union
 
 from .minilang import CompileError, MiniRuntimeError, BudgetExceeded, parse_mini
+from .minilang import ast_nodes as ast
 from .minilang.ast_nodes import MiniProgram
-from .minilang.interp import CompiledMini, compile_program
-from .minilang.parser import parse_statement
+from .minilang.instrument import (Instrumented, Site, node_at, operator_paths, swappable,
+                                  with_op)
+from .minilang.interp import CompiledMini, MiniRunResult, compile_program
+from .minilang.parser import LEVELS, parse_statement
 from .tokens import Language, SourceUnit, relex, tokenize
 
 VERDICT_OK = "ok"
@@ -38,6 +50,10 @@ VERDICT_KILLED = "killed"  # only from overall_time: output differs from the ref
 
 UNIT_STEPS = "steps"
 UNIT_MS = "ms"
+
+# how MiniBackend.decide decided a mutant's run without running it
+DECIDED_INHERITED = "inherited"  # never infected: the original's run
+DECIDED_SHADOWED = "shadowed"  # data-only: the original's path, shadowed values
 
 # Caps for the baseline itself, which has no reference cost to scale from.
 BASELINE_STEP_LIMIT = 2_000_000_000
@@ -70,6 +86,7 @@ class RunResult:
     output: bytes  # normalized: per-line trailing whitespace and final newline stripped
     cost: Cost | None
     verdict: str
+    decided: str | None = None  # DECIDED_* when answered without executing
 
     @property
     def ok(self) -> bool:
@@ -161,40 +178,82 @@ def _run_group(cmd: list[str], timeout: float,
 class _Base:
     """The first program a MiniBackend compiles, kept so that a text that
     differs from it inside one top-level statement compiles at the cost of
-    that statement."""
+    that statement.  A text that replaces one operator of it by another and
+    leaves the statement's tree otherwise unchanged has an edit:
+    (statement index, token index, new lexeme)."""
 
     def __init__(self, unit: SourceUnit, tree: MiniProgram, program: CompiledMini):
         self.unit = unit
+        self.tree = tree
         self.program = program
         self.spans = tree.spans
-        starts = [t.start for t in unit.tokens]
+        self.starts = [t.start for t in unit.tokens]
         # each statement's tokens, comments inside it included
-        self.ranges = [(bisect_left(starts, a), bisect_left(starts, b))
+        self.ranges = [(bisect_left(self.starts, a), bisect_left(self.starts, b))
                        for a, b in tree.spans]
+        self._paths: dict[int, dict[int, tuple]] = {}
 
-    def derive(self, text: bytes) -> CompiledMini | None:
+    def statement_of(self, index: int) -> int | None:
+        """The top-level statement that holds token ``index``, if one does."""
+        token = self.unit.tokens[index]
+        k = bisect_right(self.spans, token.start, key=itemgetter(0)) - 1
+        if k < 0 or token.end > self.spans[k][1]:
+            return None  # a comment between statements
+        return k
+
+    def site(self, k: int, index: int, new: str) -> Site | None:
+        """The ``Site`` where token ``index``, in statement ``k``, becomes
+        ``new``, when the token is an operator that ``new`` may replace
+        (``instrument.swappable``)."""
+        node = self.tree.operators.get(self.unit.tokens[index].start)
+        if node is None or not swappable(node.op, new):
+            return None
+        if k not in self._paths:
+            self._paths[k] = operator_paths(self.tree.body[k])
+        return Site(k, self._paths[k][id(node)], new)
+
+    def derive(self, text: bytes) -> tuple[CompiledMini, tuple | None] | None:
         """``text`` compiled by re-lexing the one token it changes, re-parsing
         the top-level statement that holds it and compiling that statement
-        alone; None when that is not certain to equal the full compile, or
-        when the statement is a compile error, whose position the full path
-        reports."""
+        alone, and its edit or None; None when that is not certain to equal
+        the full compile, or when the statement is a compile error, whose
+        position the full path reports."""
         if text == self.unit.text:
-            return self.program
+            return self.program, None
         found = relex(self.unit, text)
         if found is None:
             return None
         index, token = found
-        old = self.unit.tokens[index]
-        k = bisect_right(self.spans, old.start, key=itemgetter(0)) - 1
-        if k < 0 or old.end > self.spans[k][1]:
-            return None  # a comment between statements
+        k = self.statement_of(index)
+        if k is None:
+            return None
         lo, hi = self.ranges[k]
         tokens = list(self.unit.tokens[lo:hi])
         tokens[index - lo] = token
         try:
-            return self.program.with_statement(k, parse_statement(tokens))
+            stmt = parse_statement(tokens)
+            program = self.program.with_statement(k, stmt)
         except CompileError:
             return None
+        if program is None:
+            return None
+        site = self.site(k, index, token.lexeme)
+        if site is None:
+            return program, None
+        old = node_at(self.tree.body[k], site.path)
+        if (isinstance(old, ast.BinOp) and LEVELS[old.op] != LEVELS[site.op]
+                and stmt != with_op(self.tree.body[k], site.path, site.op)):
+            return program, None  # another binding level regrouped the operands
+        return program, (k, index, token.lexeme)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """A mutant's outcome on one input, decided without running it, and how
+    (``DECIDED_INHERITED`` or ``DECIDED_SHADOWED``): its result, or the
+    message of the ``MiniRuntimeError`` it raises."""
+    kind: str
+    outcome: MiniRunResult | str
 
 
 @lru_cache(maxsize=1)
@@ -212,26 +271,41 @@ class MiniBackend:
     a later text that differs from it inside one top-level statement
     re-lexes, re-parses and compiles only that statement and shares the
     base's other compiled statements.  Any other text is compiled in full.
-    Pickled, the backend is its config and the base's bytes."""
+
+    ``decide`` settles some runs of the base's one-operator mutants from
+    one instrumented run of the base per input (``minilang.instrument``).
+    ``compile`` attaches a mutant's decisions, found by its edit, to its
+    program, and ``run`` answers them without executing, within the budget.
+    Pickled, the backend is its config, the base's bytes and the decisions.
+    """
 
     unit = UNIT_STEPS
 
     def __init__(self, config: ExecBackendConfig):
         self.config = config
         self._base: _Base | None = None
+        self._decided: dict[tuple, tuple[Decision | None, ...]] = {}  # by edit
+        self._inputs: dict[tuple[int, ...], int] = {}  # input values -> index
+        self._steps: tuple[int, ...] = ()  # the base's steps on each input
+        self._answers = weakref.WeakKeyDictionary()  # compiled mutant -> decisions
 
     def __getstate__(self):
-        return self.config, None if self._base is None else self._base.unit.text
+        return (self.config, None if self._base is None else self._base.unit.text,
+                self._decided, self._inputs, self._steps)
 
     def __setstate__(self, state):
-        self.config, text = state
+        self.config, text, self._decided, self._inputs, self._steps = state
         self._base = None if text is None else _unpickled_base(text)
+        self._answers = weakref.WeakKeyDictionary()
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
         # name only matters to external toolchains; accepted for one signature
         if self._base is not None and not isinstance(source, SourceUnit):
-            program = self._base.derive(bytes(source))
-            if program is not None:
+            found = self._base.derive(bytes(source))
+            if found is not None:
+                program, edit = found
+                if edit in self._decided:
+                    self._answers[program] = self._decided[edit]
                 return program
         if not isinstance(source, SourceUnit):
             source = tokenize(source, Language.MINI)
@@ -241,8 +315,54 @@ class MiniBackend:
             self._base = _Base(source, tree, program)
         return program
 
+    def decide(self, edits: Sequence[tuple[int, str]], inputs: Sequence[Sequence[int]],
+               reference: "OverallTime"):
+        """Decide what runs it can of the base's mutants ``edits``, each the
+        start of the token it replaces and the new lexeme, on ``inputs``, from
+        one instrumented run of the base per input.  ``reference`` is the
+        base's plain run on them; the base must be compiled.  Replaces earlier
+        decisions."""
+        keys, sites = [], []
+        for start, new in edits:
+            index = bisect_left(self._base.starts, start)
+            if index == len(self._base.starts) or self._base.starts[index] != start:
+                continue
+            k = self._base.statement_of(index)
+            site = None if k is None else self._base.site(k, index, new)
+            if site is not None:
+                keys.append((k, index, new))
+                sites.append(site)
+        self._decided = {}
+        if not sites:
+            return
+        probe = Instrumented(self._base.tree, sites)
+        columns = [probe.run(values, MiniRunResult(result.output, result.cost.value))
+                   for values, result in zip(inputs, reference.results)]
+        self._inputs = {tuple(values): i for i, values in enumerate(inputs)}
+        self._steps = tuple(result.cost.value for result in reference.results)
+        for j, (key, shadowed) in enumerate(zip(keys, probe.shadowed)):
+            kind = DECIDED_SHADOWED if shadowed else DECIDED_INHERITED
+            row = tuple(None if column[j] is None else Decision(kind, column[j])
+                        for column in columns)
+            if any(row):
+                self._decided[key] = row
+
+    def decisions(self, program: CompiledMini) -> tuple[Decision | None, ...] | None:
+        """The decisions ``run`` answers for ``program``, by input."""
+        return self._answers.get(program)
+
     def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:
+        decisions = self.decisions(program)
+        if decisions is not None:
+            i = self._inputs.get(tuple(input_values))
+            decision = None if i is None or self._steps[i] > budget else decisions[i]
+            if decision is not None:
+                if isinstance(decision.outcome, str):
+                    return RunResult(b"", None, VERDICT_CRASH, decision.kind)
+                return RunResult(decision.outcome.output,
+                                 Cost(decision.outcome.steps, UNIT_STEPS), VERDICT_OK,
+                                 decision.kind)
         try:
             # arms non-termination proofs once a run passes its baseline cost
             result = program.run(input_values, budget,

@@ -7,7 +7,7 @@ errors take their positions from tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 
@@ -92,13 +92,17 @@ class Break:
 
 
 Stmt = Union[Assign, AugAssign, Print, If, While, Continue, Break]
+Node = Union[Expr, Stmt]
 
 
 @dataclass(eq=False)
 class MiniProgram:
-    """A parsed program, the variables it names, and the byte span in the
-    source of each top-level statement, from its first token to its last."""
+    """A parsed program, the variables it names, the byte span in the source
+    of each top-level statement, from its first token to its last, and the
+    node each binary or shortcut-assignment operator token built, by the
+    token's start."""
 
     body: tuple[Stmt, ...]
     variables: tuple[str, ...]
     spans: tuple[tuple[int, int], ...]
+    operators: dict[int, Node] = field(default_factory=dict)

@@ -46,6 +46,11 @@ nested ``while`` checks with Brent's cycle detection whether the values of
 the loop's slice (``loop_slice``) repeat within the current entry of the
 loop.  A repeat proves that the loop never exits, so the run would have
 exceeded any budget.
+
+The generator takes optional hooks that add code where an operator's
+operands are ready and before each assignment or print, without changing
+the step count or the output; ``minilang.instrument`` uses them to run the
+original once and decide mutants from that run.
 """
 
 from __future__ import annotations
@@ -155,6 +160,15 @@ def _variables(node: ast.Expr, names: set[str]) -> set[str]:
     return names
 
 
+def _reads(stmt: ast.Stmt) -> set[str]:
+    """The variables an assignment or print reads: a shortcut assignment
+    its target too."""
+    names = _variables(stmt.value, set())
+    if isinstance(stmt, ast.AugAssign):
+        names.add(stmt.name)
+    return names
+
+
 def _can_crash(node: ast.Expr) -> bool:
     if isinstance(node, ast.ArrayRead):
         return True
@@ -188,11 +202,9 @@ def loop_slice(loop: ast.While) -> tuple[str, ...] | None:
         if isinstance(stmt, ast.If):
             _variables(stmt.cond, names)
         elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
-            used = _variables(stmt.value, set())
-            crash = _can_crash(stmt.value)
-            if isinstance(stmt, ast.AugAssign):
-                used.add(stmt.name)
-                crash = crash or stmt.op in ("/=", "%=")
+            used = _reads(stmt)
+            crash = _can_crash(stmt.value) or (isinstance(stmt, ast.AugAssign)
+                                               and stmt.op in ("/=", "%="))
             if not isinstance(stmt, ast.Print):
                 reads.setdefault(stmt.name, set()).update(used)
             if crash:
@@ -237,12 +249,20 @@ def _test(op: str, a: str, b: str) -> str:
 
 
 class _CodeGen:
-    def __init__(self):
+    """``hooks``, when set, adds code for instrumentation: its ``site(gen,
+    node, a, b)`` emits lines where a binary or shortcut-assignment operator
+    ``node`` has its operands in atoms ``a`` and ``b`` and is not yet
+    evaluated, and its ``statement(gen, stmt)`` before each assignment or
+    print.  A variable in ``shadowed`` reads from the dict ``_w``."""
+
+    def __init__(self, hooks=None, shadowed=frozenset()):
         self.lines: list[str] = []
         self.indent = 1
         self.temp = 0
         self.pending = 0  # batched step cost awaiting a flush
         self.tail = 0  # the innermost loop's tail cost, paid at its next head
+        self.hooks = hooks
+        self.shadowed = shadowed
 
     def emit(self, line: str):
         self.lines.append("    " * self.indent + line)
@@ -264,6 +284,8 @@ class _CodeGen:
         if isinstance(node, ast.IntLit):
             return repr(node.value)
         if isinstance(node, ast.Var):
+            if node.name in self.shadowed:
+                return f"_w[{node.name!r}]"
             return f"v_{node.name}"
         if isinstance(node, ast.InLen):
             return "_in_len"
@@ -281,6 +303,7 @@ class _CodeGen:
         if isinstance(node, ast.BinOp):
             a = self.gen_expr(node.left)
             b = self.gen_expr(node.right)
+            self.probe(node, a, b)
             return self.gen_binop(node.op, a, b, node.line)
         raise TypeError(f"unknown expression node {node!r}")
 
@@ -290,8 +313,13 @@ class _CodeGen:
         if isinstance(node, ast.BinOp) and node.op in _TESTS:
             a = self.gen_expr(node.left)
             b = self.gen_expr(node.right)
+            self.probe(node, a, b)
             return _test(node.op, a, b)
         return self.gen_expr(node)
+
+    def probe(self, node: ast.Node, a: str, b: str):
+        if self.hooks is not None:
+            self.hooks.site(self, node, a, b)
 
     def gen_binop(self, op: str, a: str, b: str, line: int,
                   target: str | None = None) -> str:
@@ -342,12 +370,15 @@ class _CodeGen:
         self.flush()
 
     def gen_stmt(self, stmt: ast.Stmt):
+        if self.hooks is not None and isinstance(stmt, _SIMPLE):
+            self.hooks.statement(self, stmt)
         if isinstance(stmt, ast.Assign):
             self.pending += _stmt_cost(stmt)
             value = stmt.value
             if isinstance(value, ast.BinOp) and value.op not in ("/", "%"):
                 a = self.gen_expr(value.left)
                 b = self.gen_expr(value.right)
+                self.probe(value, a, b)
                 self.gen_binop(value.op, a, b, value.line, f"v_{stmt.name}")
             else:
                 self.emit(f"v_{stmt.name} = {self.gen_expr(value)}")
@@ -355,6 +386,7 @@ class _CodeGen:
             self.pending += _stmt_cost(stmt)
             atom = self.gen_expr(stmt.value)
             op, var = stmt.op[0], f"v_{stmt.name}"
+            self.probe(stmt, var, atom)
             if op in ("/", "%"):
                 self.emit(f"{var} = {self.gen_binop(op, var, atom, stmt.line)}")
             else:
@@ -437,18 +469,19 @@ def _signature(stmt: ast.Stmt) -> tuple[str, ...]:
     return tuple(sorted(_names((stmt,), set())))
 
 
-_CONTEXT = "_in, _in_len, _out_append, _budget, _arm"
+_CONTEXT = "_in, _in_len, _out, _out_append, _budget, _arm"
 
 
 def _state(names: Sequence[str]) -> str:
     return "_s" + "".join(f", v_{name}" for name in names)
 
 
-def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str]) -> str:
+def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
+                      hooks=None) -> str:
     """The function of top-level statement ``index``: it takes the run's
     context, the step count and the variables ``names``, and returns the
     last two."""
-    gen = _CodeGen()
+    gen = _CodeGen(hooks)
     gen.lines.append(f"def _st{index}({_CONTEXT}, {_state(names)}):")
     gen.gen_stmt(stmt)
     gen.flush()
@@ -456,15 +489,16 @@ def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str]) -> str:
     return "\n".join(gen.lines) + "\n"
 
 
-def generate_source(program: MiniProgram) -> str:
+def generate_source(program: MiniProgram, hooks=None) -> str:
     """Python source of the execution function, exposed for inspection.
 
     Each top-level statement becomes a function that takes and returns the
     step count and the variables the statement names, so they stay fast
-    locals; the driver ``_mini`` calls them in order.
+    locals; the driver ``_mini`` calls them in order.  ``hooks`` instruments
+    the code (see ``_CodeGen``).
     """
     signatures = [_signature(stmt) for stmt in program.body]
-    parts = [_statement_source(stmt, k, names)
+    parts = [_statement_source(stmt, k, names, hooks)
              for k, (stmt, names) in enumerate(zip(program.body, signatures))]
     lines = ["def _mini(_in, _budget, _arm):",
              "    _s = 0",
@@ -493,16 +527,20 @@ def _exec(source: str, namespace: dict):
 
 
 class CompiledMini:
-    """A MiniImp program lowered to Python functions."""
+    """A MiniImp program lowered to Python functions; ``hooks`` instruments
+    it (see ``_CodeGen``) and adds its ``namespace`` to the functions'
+    globals."""
 
-    def __init__(self, program: MiniProgram):
+    def __init__(self, program: MiniProgram, hooks=None):
         self._signatures = [_signature(stmt) for stmt in program.body]
         self._namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
                            "_div0": _div0, "_oob": _oob}
+        if hooks is not None:
+            self._namespace.update(hooks.namespace)
         # one function at a time: at its peak, compiling the whole text at
         # once takes several times the memory (3.6 MB for the 53 functions
         # of the benchmark's wide program, against 0.6 MB for its driver)
-        for function in _FUNCTION.split(generate_source(program))[1:]:
+        for function in _FUNCTION.split(generate_source(program, hooks))[1:]:
             _exec(function, self._namespace)
         self._fn = self._namespace["_mini"]
 

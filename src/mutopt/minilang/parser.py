@@ -43,9 +43,9 @@ MAX_DEPTH = 48  # an `else if` is two indentation levels of the generated code,
                # and CPython accepts fewer than 100
 
 # binding level of each binary operator, loosest (0) to tightest (9)
-_LEVELS = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
-           "<": 6, "<=": 6, ">": 6, ">=": 6, "<<": 7, ">>": 7,
-           "+": 8, "-": 8, "*": 9, "/": 9, "%": 9}
+LEVELS = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
+          "<": 6, "<=": 6, ">": 6, ">=": 6, "<<": 7, ">>": 7,
+          "+": 8, "-": 8, "*": 9, "/": 9, "%": 9}
 
 
 class CompileError(Exception):
@@ -65,6 +65,7 @@ class _Parser:
         self.loop_depth = 0
         self.depth = 0  # levels open above the current token
         self.variables: set[str] = set()
+        self.operators: dict[int, ast.Node] = {}  # operator token start -> its node
 
     def error(self, message: str) -> CompileError:
         if self.pos < len(self.tokens):
@@ -123,7 +124,7 @@ class _Parser:
             spans.append((start, self.tokens[self.pos - 1].end))
         return ast.MiniProgram(body=tuple(body),
                                variables=tuple(sorted(self.variables)),
-                               spans=tuple(spans))
+                               spans=tuple(spans), operators=self.operators)
 
     def statement(self) -> ast.Stmt:
         tok = self.peek()
@@ -164,7 +165,9 @@ class _Parser:
             self.take()
             value = self.expression()
             self.expect(";")
-            return ast.AugAssign(name, op_tok.lexeme, value, name_tok.line)
+            node = ast.AugAssign(name, op_tok.lexeme, value, name_tok.line)
+            self.operators[op_tok.start] = node
+            return node
         raise self.error("expected '=' or shortcut assignment")
 
     def print_stmt(self) -> ast.Print:
@@ -222,12 +225,13 @@ class _Parser:
         node, height = self.unary()
         while True:
             tok = self.peek()
-            level = -1 if tok is None else _LEVELS.get(tok.lexeme, -1)
+            level = -1 if tok is None else LEVELS.get(tok.lexeme, -1)
             if level < min_level:
                 return node, height
             self.take()
             right, right_height = self.nested(self.climb, level + 1)
             node = ast.BinOp(tok.lexeme, node, right, tok.line)
+            self.operators[tok.start] = node
             height = 1 + max(height, right_height)
             self.check_depth(height)
 

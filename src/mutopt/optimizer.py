@@ -12,6 +12,12 @@ again and checks the selected source the same way.
 in-process or in a pool worker; the selection loop in ``optimize`` only
 refines its ``equivalent`` status into ``equivalent_faster``,
 ``equivalent_not_faster`` or ``selected``.
+
+On the mini backend, ``MiniBackend.decide`` first settles the runs it can
+from one instrumented run of the original per input; each mutant still
+compiles and calls ``run`` once per input it reports, and the backend
+answers the decided calls.  ``host.decided`` totals the reported runs by
+how they were decided: executed, inherited or shadowed.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .backend import (
+    DECIDED_INHERITED,
+    DECIDED_SHADOWED,
     Backend,
     Cost,
     ExecBackendConfig,
@@ -84,7 +92,11 @@ class MutantVerdict:
     status: str
     input_id: str | None = None  # set for killed/crash/timeout
     tau: Cost | None = None      # set for equivalent_* and selected
-    runs: int = 0                # executions performed before the verdict
+    runs: int = 0                # runs made before the verdict, executed or decided
+    # per run: how MiniBackend.decide decided it, None if executed; like
+    # ``jobs``, how a verdict was reached, so only its totals are reported,
+    # under ``host``
+    decided: tuple[str | None, ...] = field(default=(), compare=False)
 
 
 @dataclass
@@ -177,6 +189,7 @@ def _evaluate_one(backend: Backend, inputs: InputSet, baseline: OverallTime,
     run = overall_time(backend, program, [e.values for e in inputs.entries],
                        baseline)
     verdict.runs = len(run.results)
+    verdict.decided = tuple(result.decided for result in run.results)
     if run.verdict == VERDICT_OK:
         verdict.status, verdict.tau = STATUS_EQUIVALENT, run.cost
     else:
@@ -226,6 +239,11 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     # and the one final confirm_equivalence span.  So the baseline stays
     # above, and the evaluate phase must not go through make_backend,
     # apply_all or confirm_equivalence, the module globals the tracer wraps.
+    # ``decide`` runs the original through ``CompiledMini.run``, not the
+    # backend's compile or run, so no mutant is charged with it.
+    if isinstance(backend, MiniBackend) and mutants:
+        backend.decide([(m.start, m.replacement) for m in mutants],
+                       [e.values for e in inputs.entries], baseline)
     verdicts = _evaluate_all(backend, config, mutants, inputs, baseline)
     current_tau = baseline.cost
     best: Mutant | None = None
@@ -257,8 +275,17 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
         verdicts=verdicts,
         input_ids=tuple(e.id for e in inputs.entries),
         config_echo=_config_echo(operators, inputs, config),
-        host=_host_block(),
+        host={**_host_block(), "decided": _decided(verdicts)},
     )
+
+
+def _decided(verdicts: list[MutantVerdict]) -> dict:
+    """The reported runs by how they were decided."""
+    totals = {"executed": 0, DECIDED_INHERITED: 0, DECIDED_SHADOWED: 0}
+    for verdict in verdicts:
+        for kind in verdict.decided:
+            totals[kind or "executed"] += 1
+    return totals
 
 
 def _evaluate_all(backend, config, mutants, inputs, baseline):

@@ -104,6 +104,7 @@ FIXTURE_INPUTS = {
     "hostile.mini": "m_hostile",
     "max_search.mini": "m_max",
     "powsum.mini": "m_powsum",
+    "slices.mini": [[4, 1, 2], [0, 3, 5, 1], [2, -1, 3], [9, 2, 0, -4, 7]],
 }
 
 

@@ -109,11 +109,11 @@ def _armed_differences(subject) -> list[str]:
             if armed != unarmed]
 
 
-# b2tob10 comes last, after the four fixtures this sweep first ran on
+# b2tob10 and slices come last, after the four fixtures this sweep first ran on
 @pytest.mark.parametrize("name, inputs", [
     (name, FIXTURE_INPUTS[name])
     for name in ("hostile.mini", "max_search.mini", "powsum.mini", "census.mini",
-                 "b2tob10.mini")])
+                 "b2tob10.mini", "slices.mini")])
 def test_detection_never_changes_a_fixture_outcome(name, inputs, corpus):
     assert _armed_differences(corpus.fixture(name)) == []
 

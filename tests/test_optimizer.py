@@ -27,7 +27,7 @@ from mutopt import (
 from mutopt.cli import load_inputs
 from mutopt.report import report_to_dict
 
-from conftest import FIXTURES, PERFBENCH, load_unit
+from conftest import FIXTURE_INPUTS, FIXTURES, PERFBENCH, load_unit
 from oracle import literal_verdicts
 
 HAVE_CC = shutil.which("cc") is not None
@@ -293,6 +293,20 @@ def test_parallel_evaluation_yields_identical_report(monkeypatch):
     assert strip_host(a) == strip_host(b)
 
 
+def test_host_counts_how_each_run_was_decided():
+    # b2tob10 on the corpus's small inputs: each reported run executed, or
+    # was inherited from the original's or shadowed; the totals do not
+    # depend on --jobs, because the parent decides before the pool starts
+    unit = load_unit("b2tob10.mini")
+    inputs = input_set(*((f"b{k}", v) for k, v in enumerate(FIXTURE_INPUTS["b2tob10.mini"])))
+    a = run_optimize(unit, inputs, jobs=1)
+    b = run_optimize(unit, inputs, jobs=2)
+    decided = a.host["decided"]
+    assert sum(decided.values()) == sum(v.runs for v in a.verdicts)
+    assert min(decided.values()) > 0
+    assert b.host["decided"] == decided
+
+
 # ---- line-range restriction ----
 
 def test_line_range_restricts_mutation_sites():
@@ -336,3 +350,6 @@ int main(void) {
     assert got["<"] == "killed"     # picks the wrong side on (3, 9)
     assert got[">"] in ("equivalent_not_faster", "equivalent_faster", "selected")
     assert confirm_equivalence(report.selected_source, unit, inputs, config)
+    # only the mini backend decides runs without executing them
+    assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts),
+                                      "inherited": 0, "shadowed": 0}

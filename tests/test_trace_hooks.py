@@ -14,10 +14,12 @@ import pytest
 
 from mutopt.cli import main
 
-from conftest import FIXTURES, PERFBENCH
+from conftest import FIXTURE_INPUTS, FIXTURES, PERFBENCH
 
 
-def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
+def _traced_optimize(source, inputs, tmp_path, monkeypatch) -> tuple[dict, dict, list]:
+    """The report, the per-layer metrics and the problems of a traced
+    ``optimize`` run at ``--jobs 1``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # trace_run imports workloads
     trace_run = importlib.import_module("trace_run")
     monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
@@ -26,35 +28,66 @@ def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
     trace_run.install(tracer)
     root = tracer.open("cli:main")
     try:
-        code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
-                     "--inputs", str(FIXTURES / "m_powsum"),
+        code = main(["optimize", "--source", str(source), "--inputs", str(inputs),
                      "--operators", "ror,asr,aor", "--jobs", "1",
                      "--report", str(report)])
     finally:
         tracer.close(root)
         tracer.uninstall()
     assert code == 0
-    verdicts = json.loads(report.read_text())["verdicts"]
-    metrics, problems = trace_run.layer_metrics(tracer.spans, verdicts)
-    assert problems == []
+    data = json.loads(report.read_text())
+    metrics, problems = trace_run.layer_metrics(tracer.spans, data["verdicts"])
+    assert metrics["mutation.mutants"][0] == len(data["verdicts"])
+    assert sum(metrics[f"optimizer.{c}.mutants"][0]
+               for c in trace_run.CLASSES) == len(data["verdicts"])
+    return data, {name: value for name, (value, _) in metrics.items()}, problems
+
+
+def _assert_exact_counts(data: dict, metrics: dict):
+    """Every mutant compiles once and calls ``run`` once per run it reports,
+    and only the runs not decided without running execute."""
+    verdicts, n = data["verdicts"], len(data["inputs"])
     # the baseline, one per mutant, and the original and the selected
     # source in confirm_equivalence
-    compiles = metrics["backend.compile_calls"][0]
-    assert compiles == 1 + len(verdicts) + 2
+    assert metrics["backend.compile_calls"] == 1 + len(verdicts) + 2
+    runs = sum(v["runs"] for v in verdicts)
+    assert sum(data["host"]["decided"].values()) == runs
+    # the baseline's runs, the mutants' and the two sources' in confirm
+    assert metrics["backend.run_calls"] == n + runs + 2 * n
+    # the same, less the decided runs, plus the instrumented run per input
+    assert metrics["interp.runs"] == n + n + data["host"]["decided"]["executed"] + 2 * n
+
+
+def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
+    data, metrics, problems = _traced_optimize(
+        FIXTURES / "powsum.mini", FIXTURES / "m_powsum", tmp_path, monkeypatch)
+    assert problems == []
+    _assert_exact_counts(data, metrics)
     # Only the two originals, the baseline's and confirm_equivalence's, are
     # parsed and generated in full.  Every mutant of powsum, and so the
     # selected source, changes one operator inside a top-level statement
     # and parses, so each re-parses and compiles that statement alone:
     # none falls back to the full path, which alone tokenizes (the CLI's
     # one call) and parses.
-    assert metrics["backend.compile_errors"][0] == 0
-    assert metrics["tokens.tokenize_calls"][0] == 1
-    assert metrics["parser.parse_calls"][0] == 2
-    assert metrics["interp.codegen_calls"][0] == 2
-    assert metrics["interp.runs"][0] == metrics["backend.run_calls"][0] > 0
-    assert metrics["mutation.mutants"][0] == len(verdicts)
-    assert sum(metrics[f"optimizer.{c}.mutants"][0]
-               for c in trace_run.CLASSES) == len(verdicts)
+    assert metrics["backend.compile_errors"] == 0
+    assert metrics["tokens.tokenize_calls"] == 1
+    assert metrics["parser.parse_calls"] == 2
+    assert metrics["interp.codegen_calls"] == 2
+
+
+def test_traced_optimize_counts_decided_runs_exactly(tmp_path, monkeypatch):
+    # b2tob10 on the corpus's small inputs: some runs of its mutants are
+    # inherited, some shadowed, and the rest execute
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for k, values in enumerate(FIXTURE_INPUTS["b2tob10.mini"]):
+        (inputs / f"b{k}.in").write_text(" ".join(map(str, values)) + "\n")
+    data, metrics, problems = _traced_optimize(
+        FIXTURES / "b2tob10.mini", inputs, tmp_path, monkeypatch)
+    assert problems == []
+    _assert_exact_counts(data, metrics)
+    decided = data["host"]["decided"]
+    assert decided["inherited"] > 0 and decided["shadowed"] > 0 and decided["executed"] > 0
 
 
 @pytest.mark.parametrize("backend, source, inputs", [
