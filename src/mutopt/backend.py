@@ -39,7 +39,7 @@ from .minilang import ast_nodes as ast
 from .minilang.ast_nodes import MiniProgram
 from .minilang.instrument import (Instrumented, Site, node_at, operator_paths, swappable,
                                   with_op)
-from .minilang.interp import CompiledMini, MiniRunResult, compile_program
+from .minilang.interp import CYCLE_STRIDE, CompiledMini, MiniRunResult, compile_program
 from .minilang.parser import LEVELS, parse_statement
 from .tokens import Language, SourceUnit, relex, tokenize
 
@@ -364,9 +364,9 @@ class MiniBackend:
                                  Cost(decision.outcome.steps, UNIT_STEPS), VERDICT_OK,
                                  decision.kind)
         try:
-            # arms non-termination proofs once a run passes its baseline cost
-            result = program.run(input_values, budget,
-                                 int(budget / self.config.timeout_factor))
+            # one cycle check per CYCLE_STRIDE steps of a loop entry: a mutant
+            # stuck in a short cycle stops a few strides after entering it
+            result = program.run(input_values, budget, CYCLE_STRIDE)
         except BudgetExceeded:
             return RunResult(b"", None, VERDICT_TIMEOUT)
         except MiniRuntimeError:

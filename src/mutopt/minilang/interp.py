@@ -40,12 +40,19 @@ step the code pays only for what the cost model needs:
     shortcut assignment other than ``/=`` and ``%=``, stores the result in
     its variable and wraps it there.
 
-A run can also stop early as over budget, with the same result: once its
-step count passes ``arm``, the head of each loop without ``break`` or
-nested ``while`` checks with Brent's cycle detection whether the values of
-the loop's slice (``loop_slice``) repeat within the current entry of the
-loop.  A repeat proves that the loop never exits, so the run would have
-exceeded any budget.
+A run can also stop early as over budget, with the same result.  The head
+of each loop without ``break`` or nested ``while`` checks with Brent's
+cycle detection whether the values of the loop's slice (``loop_slice``)
+repeat within the current entry of the loop; a repeat proves that the loop
+never exits, so the run would have exceeded any budget.  ``arm`` is the
+stride of these checks: each entry of such a loop sets its check point
+``arm`` steps ahead (never past the budget), and the first head past it
+checks and moves it ``arm`` steps on.  So an entry makes at most one check
+per ``arm`` steps, and one shorter than ``arm`` steps makes none.  Checking
+only some heads keeps the proof: any two heads of one entry with equal
+slice values prove it, and since the next check depends only on the state
+at the last one, the checked heads of a looping entry repeat too, which the
+detector finds.  ``CYCLE_STRIDE`` is the stride the mini backend uses.
 
 The generator takes optional hooks that add code where an operator's
 operands are ready and before each assignment or print, without changing
@@ -67,6 +74,11 @@ from .parser import CompileError
 _INT_MAX = 2**63 - 1
 _INT_MIN = -(2**63)
 
+# The mini backend's ``arm``: steps between two cycle checks within one
+# loop entry.  An entry shorter than this makes no check, and one that never
+# ends stops within a few strides.
+CYCLE_STRIDE = 512
+
 
 class MiniRuntimeError(Exception):
     """Division/modulo by zero or an out-of-bounds array read."""
@@ -78,7 +90,13 @@ class MiniRuntimeError(Exception):
 
 
 class BudgetExceeded(Exception):
-    """The run consumed more steps than its budget."""
+    """The run consumed more steps than its budget, or was proved never to
+    end; ``steps`` is the step count where it stopped, None when unknown.
+    The message is empty either way, so the two stops compare equal."""
+
+    def __init__(self, steps: int | None = None):
+        super().__init__()
+        self.steps = steps
 
 
 @dataclass(frozen=True)
@@ -91,28 +109,31 @@ def _wrap(v: int) -> int:
     return ((v + 9223372036854775808) & 18446744073709551615) - 9223372036854775808
 
 
-def _over():
-    raise BudgetExceeded()
+def _over(steps: int):
+    raise BudgetExceeded(steps)
 
 
-def _cycle(state, key: tuple, steps: int, budget: int):
-    """One armed loop-head check.
+def _cycle(state, key: tuple, steps: int, budget: int, arm: int):
+    """One loop-head check, made at the first head past the entry's check
+    point.
 
     Raises BudgetExceeded past the budget or when ``key`` equals the saved
-    slice state; otherwise returns the detector ``state``, ``[saved key,
-    power, lam]`` of Brent's cycle detection (Brent 1980), for the next
-    iteration.  ``state`` is None at the first check of a loop entry.
+    slice state.  Otherwise returns the detector ``state``, ``[saved key,
+    power, lam]`` of Brent's cycle detection (Brent 1980), and the next check
+    point, ``arm`` steps on but not past the budget.  ``state`` is None at
+    the first check of a loop entry.
     """
     if steps > budget or (state is not None and key == state[0]):
-        raise BudgetExceeded()
+        raise BudgetExceeded(steps)
+    point = min(steps + arm, budget)
     if state is None:
-        return [key, 1, 0]
+        return [key, 1, 0], point
     state[2] += 1
     if state[2] == state[1]:
         state[0] = key
         state[1] *= 2
         state[2] = 0
-    return state
+    return state, point
 
 
 def _div0(line: int):
@@ -424,14 +445,17 @@ class _CodeGen:
             self.flush()
             key = loop_slice(stmt)
             if key is None:
-                check = "if _s > _budget: _over()"
+                check = "if _s > _budget: _over(_s)"
             else:
-                # a fresh detector per loop entry: states of earlier entries
-                # prove nothing about this one
-                d = self.new_temp()
+                # a fresh detector and check point per loop entry: states of
+                # earlier entries prove nothing about this one, and a short
+                # entry makes no check at all
+                d, p = self.new_temp(), self.new_temp()
                 self.emit(f"{d} = None")
+                self.emit(f"{p} = _s + _arm")
+                self.emit(f"if {p} > _budget: {p} = _budget")
                 state = "".join(f"v_{name}, " for name in key)
-                check = f"if _s > _arm: {d} = _cycle({d}, ({state}), _s, _budget)"
+                check = f"if _s > {p}: {d}, {p} = _cycle({d}, ({state}), _s, _budget, _arm)"
             self.emit("while True:")
             self.indent += 1
             self.emit(f"_s += {1 + expr_cost(stmt.cond) + tail}")
@@ -508,7 +532,7 @@ def generate_source(program: MiniProgram, hooks=None) -> str:
     lines += [f"    v_{name} = 0" for name in program.variables]
     lines += [f"    {_state(names)} = _st{k}({_CONTEXT}, {_state(names)})"
               for k, names in enumerate(signatures)]
-    lines += ["    if _s > _budget: _over()",
+    lines += ["    if _s > _budget: _over(_s)",
               "    return _out, _s"]
     parts.append("\n".join(lines) + "\n")
     return "".join(parts)
@@ -562,8 +586,9 @@ class CompiledMini:
     def run(self, input_values: Sequence[int], step_budget: int,
             arm: int | None = None) -> MiniRunResult:
         """Raises BudgetExceeded past ``step_budget`` steps, or earlier when
-        a loop's slice state repeats after ``arm`` steps; the default arms
-        at the budget, which detects nothing."""
+        a loop's slice state repeats within one entry of the loop, checked
+        once per ``arm`` steps of the entry (0 checks every head).  The
+        default stride is the budget, which detects nothing."""
         if step_budget <= 0:
             raise ValueError("step_budget must be positive")
         values = tuple(int(v) for v in input_values)

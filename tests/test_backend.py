@@ -18,7 +18,7 @@ from mutopt import (
     tokenize,
 )
 from mutopt.backend import normalize_output
-from mutopt.minilang.interp import CompiledMini
+from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini
 
 from conftest import attempt, count_full_parses, encode_bits, full_compile, load_unit, outcomes
 
@@ -85,7 +85,7 @@ def test_mini_run_verdicts():
     assert backend.run(looping, [], 1000).cost is None
 
 
-def test_mini_run_arms_detection_at_baseline_cost(monkeypatch):
+def test_mini_run_checks_for_cycles_at_a_fixed_stride(monkeypatch):
     backend = mini_backend(timeout_factor=4.0)
     looping = backend.compile(b"i = 1; while (i > 0) { i /= 1; } print(i);")
     arms = []
@@ -97,7 +97,9 @@ def test_mini_run_arms_detection_at_baseline_cost(monkeypatch):
 
     monkeypatch.setattr(CompiledMini, "run", spy)
     assert backend.run(looping, [], 4_000_000).verdict == "timeout"
-    assert arms == [1_000_000]  # the budget over the timeout factor
+    assert backend.run(looping, [], 10**12).verdict == "timeout"
+    # the same stride whatever the budget or the timeout factor
+    assert arms == [CYCLE_STRIDE, CYCLE_STRIDE]
 
 
 def test_mini_budget_derivation():
