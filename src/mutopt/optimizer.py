@@ -5,8 +5,9 @@ The original runs once on every input (``_baseline``), and that
 ``OverallTime`` is the reference every mutant runs against: on input i a
 mutant gets the backend's ``mutant_budget`` of the original's cost and must
 print the original's output (``backend.overall_time``), or it is discarded
-at the first input where it fails.  The final confirmation runs the original
-again and checks the selected source the same way.
+at the first input where it fails.  The final confirmation compiles the
+selected source in full on a fresh backend, which decides nothing, and
+checks it against that same baseline on every input.
 
 ``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
 in-process or in a pool worker; the selection loop in ``optimize`` only
@@ -206,18 +207,23 @@ def _host_block() -> dict:
     }
 
 
-def confirm_equivalence(candidate: SourceUnit | bytes,
-                        original: SourceUnit | bytes,
-                        inputs: InputSet,
-                        config: OptimizeConfig) -> bool:
-    """True iff candidate and original produce identical normalized outputs
-    on every input in the set.  Any mismatch, compile failure, timeout or
-    crash yields False."""
-    backend = make_backend(config.backend, config.scratch_dir)
+def confirm_equivalence(candidate: SourceUnit | bytes, baseline: OverallTime,
+                        inputs: InputSet, config: OptimizeConfig) -> bool:
+    """True iff candidate prints the baseline's normalized output on every
+    input in the set, within each input's mutant budget.  ``baseline`` is
+    the original's run on these inputs (``_baseline``).
+
+    The candidate is compiled in full on a fresh backend, which decides
+    nothing, and runs against ``baseline``; so on the mini backend it is
+    that backend's first program.  On the external backend its files go to
+    ``confirm/`` under the scratch directory, apart from the search's.  Any
+    mismatch, compile failure, timeout or crash yields False.
+    """
+    scratch = None if config.scratch_dir is None else config.scratch_dir / "confirm"
+    backend = make_backend(config.backend, scratch)
     try:
-        baseline = _baseline(backend, original, inputs, config.source_name)
         program = backend.compile(candidate, name=config.source_name)
-    except (InvalidBaseline, CompileError):
+    except CompileError:
         return False
     run = overall_time(backend, program, [e.values for e in inputs.entries], baseline)
     return run.verdict == VERDICT_OK
@@ -261,7 +267,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
         best_verdict.status = STATUS_SELECTED
 
     selected_source = best.mutated_text if best is not None else source.text
-    if not confirm_equivalence(selected_source, source, inputs, config):
+    if not confirm_equivalence(selected_source, baseline, inputs, config):
         raise RuntimeError(
             "internal error: selected source failed the final equivalence pass")
 

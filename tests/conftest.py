@@ -10,6 +10,7 @@ from mutopt import AOR, ASR, ROR, CompileError, Language, SourceUnit, apply_all,
 from mutopt.cli import load_inputs
 from mutopt.minilang import BudgetExceeded, MiniProgram, MiniRuntimeError, parse_mini
 from mutopt.minilang.interp import compile_program
+from mutopt.optimizer import InvalidBaseline, _baseline, confirm_equivalence
 from mutopt.tokens import MalformedSource
 
 import minigen
@@ -47,6 +48,18 @@ def b2tob10_unit() -> SourceUnit:
 @pytest.fixture
 def max_search_unit() -> SourceUnit:
     return load_unit("max_search.mini")
+
+
+def confirm_against(candidate, original, inputs, config) -> bool:
+    """``confirm_equivalence`` of ``candidate`` against ``original``'s own
+    baseline, run on a fresh backend; False when the original itself does
+    not compile or run cleanly on every input."""
+    backend = mutopt.backend.make_backend(config.backend, config.scratch_dir)
+    try:
+        baseline = _baseline(backend, original, inputs, config.source_name)
+    except InvalidBaseline:
+        return False
+    return confirm_equivalence(candidate, baseline, inputs, config)
 
 
 # ---- differential helpers ----

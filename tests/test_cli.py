@@ -357,6 +357,38 @@ def test_compiler_vanishing_after_baseline_is_toolchain_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kept_external_scratch_keeps_search_and_confirmation_files_apart(
+        tmp_path, monkeypatch):
+    # the search numbers its files from 0001 (the original) and the final
+    # confirmation numbers its own from 0001 under confirm/, so neither
+    # overwrites the other
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path / "scratch"))
+    src = tmp_path / "bigger.c"
+    src.write_text('#include <stdio.h>\nint main(void) {\n  int a = 0;\n'
+                   '  if (scanf("%d", &a) != 1) return 1;\n'
+                   '  printf("%d\\n", a > 3);\n  return 0;\n}\n')
+    inputs = tmp_path / "m"
+    inputs.mkdir()
+    (inputs / "a.in").write_text("5\n")
+    report = tmp_path / "report.json"
+    code = main(["optimize", "--source", str(src), "--inputs", str(inputs),
+                 "--operators", "ror", "--backend", "external",
+                 "--compile-cmd", "cc -O0 {src} -o {out}",
+                 "--run-cmd", "{bin}", "--reps", "1", "--warmups", "0",
+                 "--report", str(report), "--keep-scratch"])
+    assert code in (0, 3)
+    data = json.loads(report.read_text())
+    scratch, = (tmp_path / "scratch").glob("mutopt-*")
+    assert (scratch / "0001.bigger.c").read_bytes() == src.read_bytes()
+    assert (scratch / "0001.bigger.c.bin").is_file()
+    assert len(list(scratch.glob("*.c"))) == 1 + len(data["verdicts"])
+    assert sorted(p.name for p in (scratch / "confirm").iterdir()) == [
+        "0001.bigger.c", "0001.bigger.c.bin"]
+    assert ((scratch / "confirm" / "0001.bigger.c").read_text()
+            == data["final_source"])
+
+
 def test_scratch_removed_on_success(tmp_path, monkeypatch):
     monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
     code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),

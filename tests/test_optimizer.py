@@ -1,6 +1,7 @@
 """Optimizer loop tests: verdict classification, selection, soundness."""
 
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -24,10 +25,13 @@ from mutopt import (
     parse_mini,
     tokenize,
 )
+from mutopt import optimizer
+from mutopt.backend import make_backend
 from mutopt.cli import load_inputs
+from mutopt.optimizer import _baseline
 from mutopt.report import report_to_dict
 
-from conftest import FIXTURE_INPUTS, FIXTURES, PERFBENCH, load_unit
+from conftest import FIXTURE_INPUTS, FIXTURES, PERFBENCH, confirm_against, load_unit
 from oracle import literal_verdicts
 
 HAVE_CC = shutil.which("cc") is not None
@@ -225,31 +229,73 @@ def test_selected_source_is_equivalent_on_inputs():
     unit = load_unit("powsum.mini")
     inputs = input_set(("n", [256]))
     report = run_optimize(unit, inputs)
-    assert confirm_equivalence(report.selected_source, unit, inputs,
-                               OptimizeConfig())
+    assert confirm_against(report.selected_source, unit, inputs,
+                           OptimizeConfig())
 
 
 def test_confirm_equivalence_reflexive(max_search_unit):
-    assert confirm_equivalence(max_search_unit, max_search_unit, MAX_INPUTS,
-                               OptimizeConfig())
+    assert confirm_against(max_search_unit, max_search_unit, MAX_INPUTS,
+                           OptimizeConfig())
 
 
 def test_confirm_equivalence_false_for_killed_mutant(max_search_unit):
     killed = next(m for m in apply_all([ROR], max_search_unit)
                   if m.original == ">=" and m.replacement == "<")
-    assert not confirm_equivalence(killed.mutated_text, max_search_unit,
-                                   MAX_INPUTS, OptimizeConfig())
+    assert not confirm_against(killed.mutated_text, max_search_unit,
+                               MAX_INPUTS, OptimizeConfig())
 
 
 def test_confirm_equivalence_false_for_non_compiling_candidate(max_search_unit):
-    assert not confirm_equivalence(b"x = ;", max_search_unit, MAX_INPUTS,
-                                   OptimizeConfig())
+    assert not confirm_against(b"x = ;", max_search_unit, MAX_INPUTS,
+                               OptimizeConfig())
 
 
 def test_confirm_equivalence_false_when_original_crashes(max_search_unit):
     crashing = input_set(("empty", []))  # max_search reads in[0]
-    assert not confirm_equivalence(b"print(0);", max_search_unit, crashing,
+    assert not confirm_against(b"print(0);", max_search_unit, crashing,
+                               OptimizeConfig())
+
+
+def test_confirm_equivalence_checks_against_the_given_baseline(max_search_unit):
+    backend = make_backend(ExecBackendConfig())
+    baseline = _baseline(backend, max_search_unit, MAX_INPUTS, "unit")
+    assert confirm_equivalence(max_search_unit, baseline, MAX_INPUTS, OptimizeConfig())
+    # the original itself fails against a reference whose output on one
+    # input was altered
+    first, *rest = baseline.results
+    altered = replace(baseline, results=(replace(first, output=first.output + b"0"),
+                                         *rest))
+    assert not confirm_equivalence(max_search_unit, altered, MAX_INPUTS,
                                    OptimizeConfig())
+
+
+def test_confirmation_compiles_only_the_candidate_on_a_fresh_backend(
+        max_search_unit, monkeypatch):
+    # the search's backend holds the original as its base and has decided
+    # runs; the confirmation's must hold neither, and compile the selected
+    # source in full as its first and only program
+    made = []
+
+    def capture(*args):
+        backend, compiled = make_backend(*args), []
+        compile = backend.compile
+
+        def record(source, name="unit.src"):
+            compiled.append(bytes(getattr(source, "text", source)))
+            return compile(source, name)
+
+        backend.compile = record
+        made.append((backend, compiled))
+        return backend
+
+    monkeypatch.setattr(optimizer, "make_backend", capture)
+    report = run_optimize(max_search_unit, MAX_INPUTS)
+    assert report.selected is not None
+    (search, _), (fresh, compiled) = made
+    assert search._decided
+    assert fresh is not search and fresh._decided == {}
+    assert compiled == [report.selected_source]
+    assert fresh._base.unit.text == report.selected_source
 
 
 # ---- memoization and parallelism are invisible ----
@@ -349,7 +395,7 @@ int main(void) {
     got = {v.replacement: v.status for v in report.verdicts if v.original == ">="}
     assert got["<"] == "killed"     # picks the wrong side on (3, 9)
     assert got[">"] in ("equivalent_not_faster", "equivalent_faster", "selected")
-    assert confirm_equivalence(report.selected_source, unit, inputs, config)
+    assert confirm_against(report.selected_source, unit, inputs, config)
     # only the mini backend decides runs without executing them
     assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts),
                                       "inherited": 0, "shadowed": 0}

@@ -47,15 +47,16 @@ def _assert_exact_counts(data: dict, metrics: dict):
     """Every mutant compiles once and calls ``run`` once per run it reports,
     and only the runs not decided without running execute."""
     verdicts, n = data["verdicts"], len(data["inputs"])
-    # the baseline, one per mutant, and the original and the selected
-    # source in confirm_equivalence
-    assert metrics["backend.compile_calls"] == 1 + len(verdicts) + 2
+    # the baseline, one per mutant, and the selected source alone in
+    # confirm_equivalence, which checks it against the baseline's runs
+    assert metrics["backend.compile_calls"] == 1 + len(verdicts) + 1
     runs = sum(v["runs"] for v in verdicts)
     assert sum(data["host"]["decided"].values()) == runs
-    # the baseline's runs, the mutants' and the two sources' in confirm
-    assert metrics["backend.run_calls"] == n + runs + 2 * n
-    # the same, less the decided runs, plus the instrumented run per input
-    assert metrics["interp.runs"] == n + n + data["host"]["decided"]["executed"] + 2 * n
+    # the baseline's runs, the mutants' and the selected source's in confirm
+    assert metrics["backend.run_calls"] == n + runs + n
+    # the baseline's runs, the instrumented run per input, the mutants' runs
+    # less the decided ones, and the selected source's in confirm
+    assert metrics["interp.runs"] == n + n + data["host"]["decided"]["executed"] + n
 
 
 def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
@@ -63,14 +64,14 @@ def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
         FIXTURES / "powsum.mini", FIXTURES / "m_powsum", tmp_path, monkeypatch)
     assert problems == []
     _assert_exact_counts(data, metrics)
-    # Only the two originals, the baseline's and confirm_equivalence's, are
-    # parsed and generated in full.  Every mutant of powsum, and so the
-    # selected source, changes one operator inside a top-level statement
-    # and parses, so each re-parses and compiles that statement alone:
-    # none falls back to the full path, which alone tokenizes (the CLI's
-    # one call) and parses.
+    # Only the original, in the baseline, and the selected source, the first
+    # program of confirm_equivalence's fresh backend, are parsed and
+    # generated in full; the selected source is also tokenized there, the
+    # original once by the CLI.  Every mutant of powsum changes one operator
+    # inside a top-level statement and parses, so each re-parses and
+    # compiles that statement alone: none falls back to the full path.
     assert metrics["backend.compile_errors"] == 0
-    assert metrics["tokens.tokenize_calls"] == 1
+    assert metrics["tokens.tokenize_calls"] == 2
     assert metrics["parser.parse_calls"] == 2
     assert metrics["interp.codegen_calls"] == 2
 
