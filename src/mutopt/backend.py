@@ -12,9 +12,10 @@ The interpreter backend can also decide runs without executing them:
 ``MiniBackend.decide`` runs an instrumented form of the original once per
 input (``minilang.instrument``), which gives the outcome of every mutant
 that is never infected on that input or that changes only data no
-condition reads.  Every mutant still compiles and calls ``run`` once per
-run it reports; ``run`` answers a decided one with the decided result,
-marked in ``RunResult.decided``.
+condition reads.  That run is also the original's baseline, so the
+original runs once per input.  Every mutant still compiles and calls
+``run`` once per run it reports; ``run`` answers a decided one with the
+decided result, marked in ``RunResult.decided``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import time
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
 from statistics import median
@@ -246,6 +247,37 @@ class _Base:
             return program, None  # another binding level regrouped the operands
         return program, (k, index, token.lexeme)
 
+    def instrument(self, edits: Sequence[tuple[int, str]]) -> tuple[list[tuple], Instrumented]:
+        """The base instrumented to decide each of ``edits``, the start of
+        the token it replaces and the new lexeme, that replaces an operator
+        by a swappable one; and the edit of each of those, in order."""
+        keys, sites = [], []
+        for start, new in edits:
+            index = bisect_left(self.starts, start)
+            if index == len(self.starts) or self.starts[index] != start:
+                continue
+            k = self.statement_of(index)
+            site = None if k is None else self.site(k, index, new)
+            if site is not None:
+                keys.append((k, index, new))
+                sites.append(site)
+        return keys, Instrumented(self.tree, sites)
+
+
+def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
+    """``run(input_values, budget, arm)``, a ``CompiledMini.run``, as a
+    ``RunResult``."""
+    try:
+        # one cycle check per CYCLE_STRIDE steps of a loop entry: a program
+        # stuck in a short cycle stops a few strides after entering it
+        result = run(input_values, budget, CYCLE_STRIDE)
+    except BudgetExceeded:
+        return RunResult(b"", None, VERDICT_TIMEOUT)
+    except MiniRuntimeError:
+        return RunResult(b"", None, VERDICT_CRASH)
+    # already normal: one decimal per line, no trailing newline
+    return RunResult(result.output, Cost(result.steps, UNIT_STEPS), VERDICT_OK)
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -272,8 +304,9 @@ class MiniBackend:
     re-lexes, re-parses and compiles only that statement and shares the
     base's other compiled statements.  Any other text is compiled in full.
 
-    ``decide`` settles some runs of the base's one-operator mutants from
-    one instrumented run of the base per input (``minilang.instrument``).
+    ``decide`` runs the base once per input, instrumented, for its baseline,
+    and settles some runs of its one-operator mutants from that run
+    (``minilang.instrument``).
     ``compile`` attaches a mutant's decisions, found by its edit, to its
     program, and ``run`` answers them without executing, within the budget.
     Pickled, the backend is its config, the base's bytes and the decisions.
@@ -315,37 +348,36 @@ class MiniBackend:
             self._base = _Base(source, tree, program)
         return program
 
-    def decide(self, edits: Sequence[tuple[int, str]], inputs: Sequence[Sequence[int]],
-               reference: "OverallTime"):
-        """Decide what runs it can of the base's mutants ``edits``, each the
-        start of the token it replaces and the new lexeme, on ``inputs``, from
-        one instrumented run of the base per input.  ``reference`` is the
-        base's plain run on them; the base must be compiled.  Replaces earlier
-        decisions."""
-        keys, sites = [], []
-        for start, new in edits:
-            index = bisect_left(self._base.starts, start)
-            if index == len(self._base.starts) or self._base.starts[index] != start:
-                continue
-            k = self._base.statement_of(index)
-            site = None if k is None else self._base.site(k, index, new)
-            if site is not None:
-                keys.append((k, index, new))
-                sites.append(site)
+    def decide(self, edits: Sequence[tuple[int, str]],
+               inputs: Sequence[Sequence[int]]) -> "OverallTime":
+        """Run the base once per input, instrumented to decide what runs it
+        can of the base's mutants ``edits``, each the start of the token it
+        replaces and the new lexeme, and return those runs as the base's
+        baseline: ``overall_time`` with no reference, each input under
+        ``baseline_budget`` and armed at ``CYCLE_STRIDE``, stopping at the
+        first one that is not ok.  The base must be compiled.  Replaces
+        earlier decisions; decides nothing unless every run is ok."""
+        keys, probe = self._base.instrument(edits)
+        columns = []
+
+        def run(values, budget, arm):
+            result, column = probe.run(values, budget, arm)
+            columns.append(column)
+            return result
+
+        baseline = _overall(self, partial(_mini_result, run), inputs)
         self._decided = {}
-        if not sites:
-            return
-        probe = Instrumented(self._base.tree, sites)
-        columns = [probe.run(values, MiniRunResult(result.output, result.cost.value))
-                   for values, result in zip(inputs, reference.results)]
+        if baseline.verdict != VERDICT_OK:
+            return baseline
         self._inputs = {tuple(values): i for i, values in enumerate(inputs)}
-        self._steps = tuple(result.cost.value for result in reference.results)
+        self._steps = tuple(result.cost.value for result in baseline.results)
         for j, (key, shadowed) in enumerate(zip(keys, probe.shadowed)):
             kind = DECIDED_SHADOWED if shadowed else DECIDED_INHERITED
             row = tuple(None if column[j] is None else Decision(kind, column[j])
                         for column in columns)
             if any(row):
                 self._decided[key] = row
+        return baseline
 
     def decisions(self, program: CompiledMini) -> tuple[Decision | None, ...] | None:
         """The decisions ``run`` answers for ``program``, by input."""
@@ -363,16 +395,7 @@ class MiniBackend:
                 return RunResult(decision.outcome.output,
                                  Cost(decision.outcome.steps, UNIT_STEPS), VERDICT_OK,
                                  decision.kind)
-        try:
-            # one cycle check per CYCLE_STRIDE steps of a loop entry: a mutant
-            # stuck in a short cycle stops a few strides after entering it
-            result = program.run(input_values, budget, CYCLE_STRIDE)
-        except BudgetExceeded:
-            return RunResult(b"", None, VERDICT_TIMEOUT)
-        except MiniRuntimeError:
-            return RunResult(b"", None, VERDICT_CRASH)
-        # already normal: one decimal per line, no trailing newline
-        return RunResult(result.output, Cost(result.steps, UNIT_STEPS), VERDICT_OK)
+        return _mini_result(program.run, input_values, budget)
 
     def mutant_budget(self, baseline: Cost) -> int:
         return max(1, math.ceil(baseline.value * self.config.timeout_factor))
@@ -476,12 +499,18 @@ def overall_time(backend: Backend, program: CompiledMini | Path,
 
     Empty input list yields a zero cost in the backend's unit.
     """
+    return _overall(backend, partial(backend.run, program), inputs, reference)
+
+
+def _overall(backend: Backend, run, inputs: Sequence[Sequence[int]],
+             reference: OverallTime | None = None) -> OverallTime:
+    """``overall_time`` with ``run(input_values, budget)`` for the runs."""
     total = Cost(0, backend.unit)
     results: list[RunResult] = []
     for i, values in enumerate(inputs):
         ref = None if reference is None else reference.results[i]
-        result = backend.run(program, values, backend.baseline_budget() if ref is None
-                             else backend.mutant_budget(ref.cost))
+        result = run(values, backend.baseline_budget() if ref is None
+                     else backend.mutant_budget(ref.cost))
         results.append(result)
         if not result.ok:
             return OverallTime(None, result.verdict, i, tuple(results))

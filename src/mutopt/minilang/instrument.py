@@ -25,7 +25,10 @@ even after a differing print, as in a real run.
 
 ``Instrumented`` generates the original's code once with these checks and
 shadows (``interp._CodeGen`` hooks) and runs it per input.  A site turns
-its checks off once all its mutants are infected.
+its checks off once all its mutants are infected.  The checks and shadows
+add no step, change no variable of the original and print nothing, so each
+run is the original's own run, with the same outcome, and the mini backend
+takes it as the baseline instead of running the original plain as well.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from typing import Sequence
 
 from . import ast_nodes as ast
 from .ast_nodes import MiniProgram
-from .interp import (BudgetExceeded, CompiledMini, MiniRunResult, MiniRuntimeError,
-                     _CodeGen, _exec, _names, _reads, _variables, _wrap)
+from .interp import (CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen, _exec,
+                     _names, _reads, _variables, _wrap)
 
 
 @dataclass(frozen=True)
@@ -314,12 +317,15 @@ class Instrumented:
 
     # ---- runs ----
 
-    def run(self, values: Sequence[int], reference: MiniRunResult) -> list:
-        """Each site's outcome on ``values``, the original's run on which is
-        ``reference``: the ``MiniRunResult`` a real run would give, or the
-        message of the ``MiniRuntimeError`` it would raise, or None where the
-        mutant must run (it is infected and not data-only, or this run did
-        not reproduce ``reference``)."""
+    def run(self, values: Sequence[int], budget: int,
+            arm: int | None = None) -> tuple[MiniRunResult, list]:
+        """The original's run on ``values`` (``CompiledMini.run`` under
+        ``budget`` and ``arm``), and each site's outcome there: the
+        ``MiniRunResult`` a real run of its mutant would give, or the
+        message of the ``MiniRuntimeError`` it would raise, or None where
+        the mutant must run (it is infected and not data-only).  Raises what
+        the original's run raises; the checks and shadows add no step, so
+        that is what the plain original raises."""
         self._infected = [False] * len(self.sites)
         self._live = [len(checks) for checks in self._checks]
         for n, checks in enumerate(self._checks):
@@ -329,22 +335,17 @@ class Instrumented:
         shadows = {j: _Shadow(slice_) for j, slice_ in self._slices.items()}
         for n, holders in enumerate(self._holders):
             self._ns[f"_Z{n}"] = [(shadows[j], self._ns[name]) for j, name in holders]
-        try:
-            result = self.program.run(values, reference.steps)
-        except (BudgetExceeded, MiniRuntimeError):
-            result = None
-        if result != reference:
-            return [None] * len(self.sites)
+        result = self.program.run(values, budget, arm)
         outcomes = []
         for j, infected in enumerate(self._infected):
             shadow = shadows.get(j)
             if shadow is None:
-                outcomes.append(None if infected else reference)
+                outcomes.append(None if infected else result)
             elif shadow.error is not None:
                 outcomes.append(shadow.error)
             else:
-                outcomes.append(_shadow_result(shadow, reference))
-        return outcomes
+                outcomes.append(_shadow_result(shadow, result))
+        return result, outcomes
 
 
 def _closure(names: set[str], assigns) -> set[str]:

@@ -1,24 +1,26 @@
 """The optimization loop: evaluate every first-order mutant against the
 input set, keep the equivalent ones, and select the fastest.
 
-The original runs once on every input (``_baseline``), and that
-``OverallTime`` is the reference every mutant runs against: on input i a
-mutant gets the backend's ``mutant_budget`` of the original's cost and must
-print the original's output (``backend.overall_time``), or it is discarded
-at the first input where it fails.  The final confirmation compiles the
-selected source in full on a fresh backend, which decides nothing, and
-checks it against that same baseline on every input.
+The original runs once on every input, and that ``OverallTime`` is the
+baseline every mutant runs against: on input i a mutant gets the backend's
+``mutant_budget`` of the original's cost and must print the original's
+output (``backend.overall_time``), or it is discarded at the first input
+where it fails.  The final confirmation compiles the selected source in
+full on a fresh backend, which decides nothing, and checks it against that
+same baseline on every input.
 
 ``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
 in-process or in a pool worker; the selection loop in ``optimize`` only
 refines its ``equivalent`` status into ``equivalent_faster``,
 ``equivalent_not_faster`` or ``selected``.
 
-On the mini backend, ``MiniBackend.decide`` first settles the runs it can
-from one instrumented run of the original per input; each mutant still
-compiles and calls ``run`` once per input it reports, and the backend
-answers the decided calls.  ``host.decided`` totals the reported runs by
-how they were decided: executed, inherited or shadowed.
+On the external backend the baseline is a plain run of the original
+(``_baseline``).  On the mini backend it is ``MiniBackend.decide``'s one
+instrumented run of the original per input, which also settles the mutant
+runs it can; each mutant still compiles and calls ``run`` once per input it
+reports, and the backend answers the decided calls.  ``host.decided``
+totals the reported runs by how they were decided: executed, inherited or
+shadowed.
 """
 
 from __future__ import annotations
@@ -147,6 +149,23 @@ def improvement_test(tau_o: Cost, tau_p: Cost, threshold: float) -> bool:
     return tau_p.value < (1.0 - threshold) * tau_o.value
 
 
+def _compile_original(backend: Backend, source: SourceUnit | bytes, name: str):
+    """The original compiled; raises InvalidBaseline when it does not compile."""
+    try:
+        return backend.compile(source, name=name)
+    except CompileError as exc:
+        raise InvalidBaseline(f"original program does not compile: {exc}") from exc
+
+
+def _valid(baseline: OverallTime, inputs: InputSet) -> OverallTime:
+    """``baseline``; raises InvalidBaseline when it is not ok on every input."""
+    if baseline.verdict != VERDICT_OK:
+        raise InvalidBaseline(
+            f"original program verdict {baseline.verdict!r} on input "
+            f"{inputs.entries[baseline.failing_index].id!r}")
+    return baseline
+
+
 def _baseline(backend: Backend, source: SourceUnit | bytes, inputs: InputSet,
               name: str) -> OverallTime:
     """Compile the original and run it on every input with no reference.
@@ -154,16 +173,9 @@ def _baseline(backend: Backend, source: SourceUnit | bytes, inputs: InputSet,
     Raises InvalidBaseline when it does not compile or does not run cleanly
     on every input.
     """
-    try:
-        program = backend.compile(source, name=name)
-    except CompileError as exc:
-        raise InvalidBaseline(f"original program does not compile: {exc}") from exc
-    baseline = overall_time(backend, program, [e.values for e in inputs.entries])
-    if baseline.verdict != VERDICT_OK:
-        raise InvalidBaseline(
-            f"original program verdict {baseline.verdict!r} on input "
-            f"{inputs.entries[baseline.failing_index].id!r}")
-    return baseline
+    program = _compile_original(backend, source, name)
+    return _valid(overall_time(backend, program, [e.values for e in inputs.entries]),
+                  inputs)
 
 
 def _evaluate_one(backend: Backend, inputs: InputSet, baseline: OverallTime,
@@ -237,19 +249,22 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     does not run cleanly on every input; propagates ToolchainError.
     """
     backend = make_backend(config.backend, config.scratch_dir)
-    baseline = _baseline(backend, source, inputs, config.source_name)
-    mutants = apply_all(operators, source, config.line_range)
-
     # perfbench/trace_run.py attributes a compile or run span to a mutant
     # only when it is a direct child of optimize, between the apply_all span
-    # and the one final confirm_equivalence span.  So the baseline stays
-    # above, and the evaluate phase must not go through make_backend,
-    # apply_all or confirm_equivalence, the module globals the tracer wraps.
-    # ``decide`` runs the original through ``CompiledMini.run``, not the
-    # backend's compile or run, so no mutant is charged with it.
-    if isinstance(backend, MiniBackend) and mutants:
-        backend.decide([(m.start, m.replacement) for m in mutants],
-                       [e.values for e in inputs.entries], baseline)
+    # and the one final confirm_equivalence span.  So the original's compile
+    # and the external backend's baseline runs stay above apply_all, and the
+    # evaluate phase must not go through make_backend, apply_all or
+    # confirm_equivalence, the module globals the tracer wraps.  ``decide``
+    # runs the original through ``CompiledMini.run``, not the backend's
+    # compile or run, so no mutant is charged with it.
+    if isinstance(backend, MiniBackend):
+        _compile_original(backend, source, config.source_name)
+        mutants = apply_all(operators, source, config.line_range)
+        baseline = _valid(backend.decide([(m.start, m.replacement) for m in mutants],
+                                         [e.values for e in inputs.entries]), inputs)
+    else:
+        baseline = _baseline(backend, source, inputs, config.source_name)
+        mutants = apply_all(operators, source, config.line_range)
     verdicts = _evaluate_all(backend, config, mutants, inputs, baseline)
     current_tau = baseline.cost
     best: Mutant | None = None

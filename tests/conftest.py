@@ -1,6 +1,6 @@
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import pytest
@@ -8,7 +8,7 @@ import pytest
 import mutopt.backend
 from mutopt import AOR, ASR, ROR, CompileError, Language, SourceUnit, apply_all, tokenize
 from mutopt.cli import load_inputs
-from mutopt.minilang import BudgetExceeded, MiniProgram, MiniRuntimeError, parse_mini
+from mutopt.minilang import BudgetExceeded, MiniProgram, MiniRuntimeError, interp, parse_mini
 from mutopt.minilang.interp import compile_program
 from mutopt.optimizer import InvalidBaseline, _baseline, confirm_equivalence
 from mutopt.tokens import MalformedSource
@@ -151,6 +151,16 @@ class Subject:
 
 
 def build_subject(name: str, text: bytes, inputs: list) -> Subject:
+    # Most of a mutant's generated functions are the original's text again,
+    # so the build compiles each distinct text once.  A code object is
+    # immutable and ``exec`` makes fresh functions from it, so every program
+    # and run is what it is without the cache.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp, "compile", cache(compile), raising=False)
+        return _build_subject(name, text, inputs)
+
+
+def _build_subject(name: str, text: bytes, inputs: list) -> Subject:
     unit = tokenize(text, Language.MINI)
     original = parse_mini(unit)
     compiled = compile_program(original)

@@ -2,25 +2,29 @@
 (``MiniBackend.decide``): every run the backend answers without executing
 must equal the corpus's fresh full compile (class, message, output and
 steps), and every mutant must get the verdict it gets when all its runs
-execute."""
+execute.  The instrumented run is also the mini backend's baseline, so its
+own outcome must equal the original's fresh full compile, armed or not."""
 
 import pytest
 
-from mutopt import AOR, ASR, ROR, ExecBackendConfig, apply_all, overall_time
+from mutopt import AOR, ASR, ROR, ExecBackendConfig, apply_all
 from mutopt.backend import DECIDED_INHERITED, DECIDED_SHADOWED, MiniBackend
 from mutopt.cli import load_inputs
+from mutopt.minilang.interp import CYCLE_STRIDE, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
-from conftest import FIXTURE_INPUTS, FIXTURES, attempt, full_compile, load_unit
+from conftest import (FIXTURE_INPUTS, FIXTURES, attempt, full_compile, load_unit, outcome,
+                      outcomes)
 
 
 def _deciding_backend(unit, inputs):
     """A backend that compiled ``unit`` and decided its mutants on
-    ``inputs``, the original's run on them and the mutants."""
+    ``inputs``, the original's run on them (``decide``'s baseline) and the
+    mutants."""
     backend = MiniBackend(ExecBackendConfig())
-    reference = overall_time(backend, backend.compile(unit), inputs)
+    backend.compile(unit)
     mutants = apply_all([ROR, ASR, AOR], unit)
-    backend.decide([(m.start, m.replacement) for m in mutants], inputs, reference)
+    reference = backend.decide([(m.start, m.replacement) for m in mutants], inputs)
     return backend, reference, mutants
 
 
@@ -80,6 +84,55 @@ def test_decisions_match_full_compile_on_wide(corpus):
     found, decided = _wrong_decisions(corpus.wide)
     assert found == []
     assert decided > 0
+
+
+def _instrumented_differences(subject) -> list[str]:
+    """Runs of the subject's original, instrumented with the sites of all
+    its mutants, whose outcome differs from the fresh full compile's:
+    unarmed, armed at 0 and at ``CYCLE_STRIDE`` under the subject's budgets,
+    and under one step short of the original's steps, where it must stop
+    over budget.  The mini backend takes this run as the baseline."""
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(subject.unit)
+    _, probe = backend._base.instrument(
+        [(m.start, m.replacement) for m in apply_all([ROR, ASR, AOR], subject.unit)])
+
+    def run(*args):
+        return probe.run(*args)[0]
+
+    original = subject.original
+    expected = {None: original.unarmed, 0: original.armed,
+                CYCLE_STRIDE: tuple(outcomes(compile_program(original.program),
+                                             subject.inputs, subject.budgets,
+                                             CYCLE_STRIDE))}
+    found = []
+    for arm, want in expected.items():
+        for values, budget, ran in zip(subject.inputs, subject.budgets, want):
+            got = outcome(run, values, budget, arm)
+            if got != ran:
+                found.append(f"{subject.name} on {values} armed at {arm}: "
+                             f"instrumented {got}, ran {ran}")
+            steps = budget // 10  # the corpus's budgets are 10x the steps
+            if steps > 1:
+                short = outcome(run, values, steps - 1, arm)
+                if short != ("BudgetExceeded", ""):
+                    found.append(f"{subject.name} on {values} armed at {arm}: "
+                                 f"instrumented {short} under {steps - 1} steps")
+    return found
+
+
+@pytest.mark.parametrize("name, inputs", FIXTURE_INPUTS.items())
+def test_instrumented_original_matches_full_compile_on_fixture(name, inputs, corpus):
+    assert _instrumented_differences(corpus.fixture(name)) == []
+
+
+def test_instrumented_original_matches_full_compile_on_generated_programs(corpus):
+    assert [line for subject in corpus.generated
+            for line in _instrumented_differences(subject)] == []
+
+
+def test_instrumented_original_matches_full_compile_on_wide(corpus):
+    assert _instrumented_differences(corpus.wide) == []
 
 
 def _kinds(backend, mutant, n):

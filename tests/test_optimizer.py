@@ -26,8 +26,10 @@ from mutopt import (
     tokenize,
 )
 from mutopt import optimizer
-from mutopt.backend import make_backend
+from mutopt.backend import MiniBackend, make_backend
 from mutopt.cli import load_inputs
+from mutopt.minilang import BudgetExceeded, interp
+from mutopt.minilang.interp import CYCLE_STRIDE
 from mutopt.optimizer import _baseline
 from mutopt.report import report_to_dict
 
@@ -105,6 +107,58 @@ def test_invalid_baseline_on_crash():
     with pytest.raises(InvalidBaseline) as err:
         run_optimize(unit, input_set(("good", [2]), ("zero", [0])))
     assert "zero" in str(err.value)  # names the failing input
+
+
+def _record_runs(monkeypatch) -> list:
+    """A list that gains (program, input values, steps where a
+    BudgetExceeded stopped it or None) at each ``CompiledMini.run``."""
+    runs = []
+    real = interp.CompiledMini.run
+
+    def run(self, input_values, *args):
+        runs.append((self, tuple(input_values), None))
+        try:
+            return real(self, input_values, *args)
+        except BudgetExceeded as stop:
+            runs[-1] = runs[-1][:2] + (stop.steps,)
+            raise
+
+    monkeypatch.setattr(interp.CompiledMini, "run", run)
+    return runs
+
+
+def test_invalid_baseline_on_a_cycling_original(monkeypatch):
+    # the original has relational and shortcut sites, so its baseline is
+    # the instrumented run, which must prove the cycle as a plain run does
+    # and not spin up to BASELINE_STEP_LIMIT
+    runs = _record_runs(monkeypatch)
+    unit = tokenize(b"x = 0; while (x < 1) { x += 0; } print(x);", Language.MINI)
+    with pytest.raises(InvalidBaseline) as err:
+        run_optimize(unit, input_set(("a", [1])))
+    assert str(err.value) == "original program verdict 'timeout' on input 'a'"
+    (_, values, steps), = runs
+    assert values == (1,) and steps <= 3 * CYCLE_STRIDE
+
+
+def test_the_search_runs_the_original_once_per_input(monkeypatch):
+    # the baseline is the instrumented run, whose program no backend
+    # compile returns; the base that MiniBackend.compile returns never runs
+    runs = _record_runs(monkeypatch)
+    compiled = []
+    real_compile = MiniBackend.compile
+
+    def compile(self, *args, **kwargs):
+        compiled.append(real_compile(self, *args, **kwargs))
+        return compiled[-1]
+
+    monkeypatch.setattr(MiniBackend, "compile", compile)
+    inputs = load_inputs(FIXTURES / "m_powsum")
+    report = run_optimize(load_unit("powsum.mini"), inputs)
+    assert report.selected is not None
+    instrumented = [values for program, values, _ in runs
+                    if not any(program is c for c in compiled)]
+    assert instrumented == [e.values for e in inputs.entries]
+    assert not any(program is compiled[0] for program, _, _ in runs)
 
 
 # ---- classification on the max-search fixture ----

@@ -47,16 +47,18 @@ def _assert_exact_counts(data: dict, metrics: dict):
     """Every mutant compiles once and calls ``run`` once per run it reports,
     and only the runs not decided without running execute."""
     verdicts, n = data["verdicts"], len(data["inputs"])
-    # the baseline, one per mutant, and the selected source alone in
+    # the original, one per mutant, and the selected source alone in
     # confirm_equivalence, which checks it against the baseline's runs
     assert metrics["backend.compile_calls"] == 1 + len(verdicts) + 1
     runs = sum(v["runs"] for v in verdicts)
     assert sum(data["host"]["decided"].values()) == runs
-    # the baseline's runs, the mutants' and the selected source's in confirm
-    assert metrics["backend.run_calls"] == n + runs + n
-    # the baseline's runs, the instrumented run per input, the mutants' runs
-    # less the decided ones, and the selected source's in confirm
-    assert metrics["interp.runs"] == n + n + data["host"]["decided"]["executed"] + n
+    # the mutants' runs and the selected source's in confirm; the baseline
+    # is decide's instrumented run, which does not go through the backend
+    assert metrics["backend.run_calls"] == runs + n
+    # the instrumented run of the original per input, which is the
+    # baseline, the mutants' runs less the decided ones, and the selected
+    # source's in confirm
+    assert metrics["interp.runs"] == n + data["host"]["decided"]["executed"] + n
 
 
 def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
