@@ -15,7 +15,8 @@ that is never infected on that input or that changes only data no
 condition reads.  That run is also the original's baseline, so the
 original runs once per input.  Every mutant still compiles and calls
 ``run`` once per run it reports; ``run`` answers a decided one with the
-decided result, marked in ``RunResult.decided``.
+decided result, marked in ``RunResult.decided``.  The search's pool workers
+are forked after ``decide`` and inherit the backend with its decisions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from statistics import median
@@ -62,9 +63,9 @@ BASELINE_TIME_LIMIT = 300.0  # seconds
 
 
 class ToolchainError(Exception):
-    """The toolchain itself is unusable (missing or timed-out compiler, run
-    command not found); aborts the whole run, unlike a mutant's compile
-    failure."""
+    """The toolchain itself is unusable (a compiler or run command that is
+    missing or cannot start, a timed-out compiler); aborts the whole run,
+    unlike a mutant's compile failure."""
 
 
 class UnitMismatch(Exception):
@@ -288,16 +289,6 @@ class Decision:
     outcome: MiniRunResult | str
 
 
-@lru_cache(maxsize=1)
-def _unpickled_base(text: bytes) -> _Base:
-    """The base of an unpickled MiniBackend.  A pool unpickles its task once
-    per batch, with the same base bytes every time; the base is a function
-    of them alone, so one process may share it between backends."""
-    unit = tokenize(text, Language.MINI)
-    tree = parse_mini(unit)
-    return _Base(unit, tree, compile_program(tree))
-
-
 class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
     a later text that differs from it inside one top-level statement
@@ -309,7 +300,8 @@ class MiniBackend:
     (``minilang.instrument``).
     ``compile`` attaches a mutant's decisions, found by its edit, to its
     program, and ``run`` answers them without executing, within the budget.
-    Pickled, the backend is its config, the base's bytes and the decisions.
+    Pool workers are forked after ``decide`` and inherit the backend whole:
+    the compiled base and the decisions.
     """
 
     unit = UNIT_STEPS
@@ -321,15 +313,6 @@ class MiniBackend:
         self._inputs: dict[tuple[int, ...], int] = {}  # input values -> index
         self._steps: tuple[int, ...] = ()  # the base's steps on each input
         self._answers = weakref.WeakKeyDictionary()  # compiled mutant -> decisions
-
-    def __getstate__(self):
-        return (self.config, None if self._base is None else self._base.unit.text,
-                self._decided, self._inputs, self._steps)
-
-    def __setstate__(self, state):
-        self.config, text, self._decided, self._inputs, self._steps = state
-        self._base = None if text is None else _unpickled_base(text)
-        self._answers = weakref.WeakKeyDictionary()
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
         # name only matters to external toolchains; accepted for one signature
@@ -427,8 +410,8 @@ class ExternalBackend:
         cmd = [arg.format_map(mapping) for arg in self._compile_args]
         try:
             proc = _run_group(cmd, 120)
-        except FileNotFoundError as exc:
-            raise ToolchainError(f"compiler not found: {cmd[0]}") from exc
+        except OSError as exc:  # missing, not executable, not a program
+            raise ToolchainError(f"cannot start compiler {cmd[0]}: {exc.strerror}") from exc
         except subprocess.TimeoutExpired as exc:
             raise ToolchainError(f"compiler timed out: {' '.join(cmd)}") from exc
         if proc.returncode != 0:
@@ -448,8 +431,9 @@ class ExternalBackend:
             t0 = time.perf_counter()
             try:
                 proc = _run_group(cmd, budget, stdin_data)
-            except FileNotFoundError as exc:
-                raise ToolchainError(f"run command not found: {cmd[0]}") from exc
+            except OSError as exc:
+                raise ToolchainError(f"cannot start run command {cmd[0]}: "
+                                     f"{exc.strerror}") from exc
             except subprocess.TimeoutExpired:
                 return RunResult(b"", None, VERDICT_TIMEOUT)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0

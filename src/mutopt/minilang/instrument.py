@@ -39,7 +39,7 @@ from typing import Sequence
 from . import ast_nodes as ast
 from .ast_nodes import MiniProgram
 from .interp import (CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen, _exec,
-                     _names, _reads, _variables, _wrap)
+                     _names, _reads, _statements, _variables, _wrap)
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,6 @@ def with_op(node, path: tuple, op: str):
         items[path[1]] = with_op(items[path[1]], path[2:], op)
         return replace(node, **{path[0]: tuple(items)})
     return replace(node, **{path[0]: with_op(child, path[1:], op)})
-
-
-def _statements(stmts: Sequence[ast.Stmt]):
-    """Every statement of ``stmts``, at any depth."""
-    for stmt in stmts:
-        yield stmt
-        for name in ("then_body", "else_body", "body"):
-            yield from _statements(getattr(stmt, name, ()))
 
 
 # the signs of a - b on which each relational operator holds, and the one
@@ -318,7 +310,7 @@ class Instrumented:
     # ---- runs ----
 
     def run(self, values: Sequence[int], budget: int,
-            arm: int | None = None) -> tuple[MiniRunResult, list]:
+            arm: int | None) -> tuple[MiniRunResult, list]:
         """The original's run on ``values`` (``CompiledMini.run`` under
         ``budget`` and ``arm``), and each site's outcome there: the
         ``MiniRunResult`` a real run of its mutant would give, or the

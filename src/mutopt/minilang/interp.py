@@ -158,13 +158,12 @@ def expr_cost(node: ast.Expr) -> int:
 
 
 def _statements(stmts: Sequence[ast.Stmt]):
-    """Every statement of ``stmts``, including those in ``if`` branches at
-    any depth, in source order (a nested ``while`` is yielded, not entered)."""
+    """Every statement of ``stmts`` at any depth, in source order: each
+    ``if`` or ``while`` is yielded before the statements of its bodies."""
     for stmt in stmts:
         yield stmt
-        if isinstance(stmt, ast.If):
-            yield from _statements(stmt.then_body)
-            yield from _statements(stmt.else_body)
+        for name in ("then_body", "else_body", "body"):
+            yield from _statements(getattr(stmt, name, ()))
 
 
 def _variables(node: ast.Expr, names: set[str]) -> set[str]:

@@ -309,16 +309,35 @@ def _decided(verdicts: list[MutantVerdict]) -> dict:
     return totals
 
 
+_inherited: tuple = ()  # (task, mutants) in a pool worker, from _inherit
+
+
+def _inherit(task, mutants) -> None:
+    global _inherited
+    _inherited = task, mutants
+
+
+def _evaluate_inherited(index: int) -> MutantVerdict:
+    task, mutants = _inherited
+    return task(mutants[index])
+
+
 def _evaluate_all(backend, config, mutants, inputs, baseline):
-    # the same call either way; only the mapper differs
+    # The same call either way; only the mapper differs.  Pool workers are
+    # forked after ``decide`` and inherit the task and the mutants, so only
+    # indices and verdicts cross the pipe.  Without fork, jobs run serially.
     task = partial(_evaluate_one, backend, inputs, baseline, config.source_name)
     if isinstance(backend, MiniBackend) and config.jobs > 1 and len(mutants) > 1:
-        # imported here, so a serial run does not load its 26 modules (~1.8 MB)
+        # imported here, so a serial run does not load their 26 modules (~1.8 MB)
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunk = max(1, len(mutants) // (config.jobs * 4))
-            return list(pool.map(task, mutants, chunksize=chunk))
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(config.jobs, multiprocessing.get_context("fork"),
+                                     _inherit, (task, mutants)) as pool:
+                chunk = max(1, len(mutants) // (config.jobs * 4))
+                return list(pool.map(_evaluate_inherited, range(len(mutants)),
+                                     chunksize=chunk))
     return list(map(task, mutants))
 
 

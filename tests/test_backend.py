@@ -348,35 +348,3 @@ def test_base_is_the_first_program_compiled(monkeypatch):
             == outcomes(full_compile(mutant.mutated_text), [[64]], [10**6]))
     backend.compile(unit)  # a SourceUnit is always compiled in full
     assert len(parses) == 3
-
-
-def test_pickled_backend_compiles_mutants_like_the_parent():
-    import pickle
-
-    from mutopt import AOR, ASR, ROR, apply_all
-
-    backend = mini_backend()
-    unit = load_unit("b2tob10.mini")
-    inputs = [encode_bits(b) for b in ("0", "1", "110", "1011011010")]
-    backend.compile(unit)
-    mutants = apply_all([ROR, ASR, AOR], unit)
-    backend.decide([(m.start, m.replacement) for m in mutants], inputs)
-    # plain data: the config, the base's bytes and the decisions, no code objects
-    state = backend.__getstate__()
-    assert state[:2] == (backend.config, unit.text)
-    assert "code" not in pickle.dumps(state[2:]).decode("latin-1")
-    clone = pickle.loads(pickle.dumps(backend))
-    budgets = [10**6] * len(inputs)
-    answered = 0
-    for m in mutants:
-        mine, theirs = (attempt(b.compile, m.mutated_text) for b in (backend, clone))
-        assert outcomes(theirs, inputs, budgets) == outcomes(mine, inputs, budgets), m.id
-        if isinstance(mine, str):
-            continue
-        # the clone carries the decisions and answers the same runs
-        assert clone.decisions(theirs) == backend.decisions(mine), m.id
-        runs = [b.run(p, values, budget) for b, p in ((backend, mine), (clone, theirs))
-                for values, budget in zip(inputs, budgets)]
-        assert runs[:len(inputs)] == runs[len(inputs):], m.id
-        answered += sum(run.decided is not None for run in runs[:len(inputs)])
-    assert answered > 0

@@ -333,6 +333,22 @@ def test_malformed_template_is_usage_error(flag, template, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []  # no scratch directory left behind
 
 
+def test_run_command_that_cannot_start_is_toolchain_error(tmp_path, monkeypatch, capsys):
+    # "cp" leaves a copy of the source, which is not executable
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
+    code = main(["optimize", "--source", str(FIXTURES / "b2tob10.c"),
+                 "--backend", "external", "--inputs", str(FIXTURES / "m_scaled"),
+                 "--operators", "ror", "--compile-cmd", "cp {src} {out}",
+                 "--run-cmd", "{bin}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("mutopt: toolchain error: cannot start run command ")
+    assert errors[0].endswith(".b2tob10.c.bin: Permission denied")
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_compiler_vanishing_after_baseline_is_toolchain_error(tmp_path, capsys):
     # compiles the original, then deletes itself before the first mutant

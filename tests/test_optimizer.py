@@ -1,5 +1,6 @@
 """Optimizer loop tests: verdict classification, selection, soundness."""
 
+import os
 import shutil
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from mutopt import (
     InputSet,
     InvalidBaseline,
     Language,
+    Mutant,
     OptimizeConfig,
     ROR,
     UnitMismatch,
@@ -380,7 +382,7 @@ def test_parallel_evaluation_yields_identical_report(monkeypatch):
     a = run_optimize(unit, inputs, jobs=1)
     b = run_optimize(unit, inputs, jobs=2)
     assert strip_host(a) == strip_host(b)
-    # pool workers rebuild the backend's base from its pickled bytes and
+    # pool workers inherit the parent's compiled base and decisions and
     # compile each of the 705 mutants against it
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import widegen
@@ -405,6 +407,49 @@ def test_host_counts_how_each_run_was_decided():
     assert sum(decided.values()) == sum(v.runs for v in a.verdicts)
     assert min(decided.values()) > 0
     assert b.host["decided"] == decided
+
+
+def _evaluating_pids(monkeypatch, tmp_path):
+    """Make each mutant's evaluation leave a file named by the pid of the
+    process that evaluates it, in ``tmp_path``; return a function that
+    lists those pids."""
+    evaluate = optimizer._evaluate_one
+
+    def recorded(*args):
+        (tmp_path / str(os.getpid())).touch()
+        return evaluate(*args)
+
+    monkeypatch.setattr(optimizer, "_evaluate_one", recorded)
+    return lambda: {int(path.name) for path in tmp_path.iterdir()}
+
+
+def test_pool_workers_inherit_the_search_unpickled(monkeypatch, tmp_path):
+    # forked workers inherit the backend and the mutants; only indices and
+    # verdicts cross the pipe
+    unit = load_unit("powsum.mini")
+    inputs = input_set(("n", [64]))
+    serial = run_optimize(unit, inputs, jobs=1)
+
+    def refuse(self, protocol):
+        raise AssertionError(f"{type(self).__name__} pickled")
+
+    monkeypatch.setattr(MiniBackend, "__reduce_ex__", refuse)
+    monkeypatch.setattr(Mutant, "__reduce_ex__", refuse)
+    pids = _evaluating_pids(monkeypatch, tmp_path)
+    assert strip_host(run_optimize(unit, inputs, jobs=2)) == strip_host(serial)
+    assert pids() and os.getpid() not in pids()
+
+
+def test_jobs_run_serially_without_fork(monkeypatch, tmp_path):
+    import multiprocessing
+
+    unit = load_unit("powsum.mini")
+    inputs = input_set(("n", [64]))
+    serial = run_optimize(unit, inputs, jobs=1)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    pids = _evaluating_pids(monkeypatch, tmp_path)
+    assert strip_host(run_optimize(unit, inputs, jobs=2)) == strip_host(serial)
+    assert pids() == {os.getpid()}
 
 
 # ---- line-range restriction ----
