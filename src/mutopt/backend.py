@@ -14,9 +14,11 @@ input (``minilang.instrument``), which gives the outcome of every mutant
 that is never infected on that input or that changes only data no
 condition reads.  That run is also the original's baseline, so the
 original runs once per input.  Every mutant still compiles and calls
-``run`` once per run it reports; ``run`` answers a decided one with the
-decided result, marked in ``RunResult.decided``.  The search's pool workers
-are forked after ``decide`` and inherit the backend with its decisions.
+``run`` once per run it reports.  ``compile`` attaches to a mutant's
+program the record of its decisions, found by its ``Site``, and ``run``
+answers a decided run by the input's values, within the decision's
+``steps``, marked in ``RunResult.decided``.  The search's pool workers are
+forked after ``decide`` and inherit the backend with its decisions.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from typing import Sequence, Union
 from .minilang import CompileError, MiniRuntimeError, BudgetExceeded, parse_mini
 from .minilang import ast_nodes as ast
 from .minilang.ast_nodes import MiniProgram
-from .minilang.instrument import (Instrumented, Site, node_at, operator_paths, swappable,
-                                  with_op)
-from .minilang.interp import CYCLE_STRIDE, CompiledMini, MiniRunResult, compile_program
+from .minilang.instrument import (Decision, Instrumented, Site, node_at, operator_paths,
+                                  swappable, with_op)
+from .minilang.instrument import DECIDED_INHERITED, DECIDED_SHADOWED  # noqa: F401 (re-exported)
+from .minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program
 from .minilang.parser import LEVELS, parse_statement
 from .tokens import Language, SourceUnit, relex, tokenize
 
@@ -52,10 +55,6 @@ VERDICT_KILLED = "killed"  # only from overall_time: output differs from the ref
 
 UNIT_STEPS = "steps"
 UNIT_MS = "ms"
-
-# how MiniBackend.decide decided a mutant's run without running it
-DECIDED_INHERITED = "inherited"  # never infected: the original's run
-DECIDED_SHADOWED = "shadowed"  # data-only: the original's path, shadowed values
 
 # Caps for the baseline itself, which has no reference cost to scale from.
 BASELINE_STEP_LIMIT = 2_000_000_000
@@ -181,43 +180,44 @@ class _Base:
     """The first program a MiniBackend compiles, kept so that a text that
     differs from it inside one top-level statement compiles at the cost of
     that statement.  A text that replaces one operator of it by another and
-    leaves the statement's tree otherwise unchanged has an edit:
-    (statement index, token index, new lexeme)."""
+    leaves the statement's tree otherwise unchanged has that ``Site`` as its
+    edit."""
 
     def __init__(self, unit: SourceUnit, tree: MiniProgram, program: CompiledMini):
         self.unit = unit
         self.tree = tree
         self.program = program
         self.spans = tree.spans
-        self.starts = [t.start for t in unit.tokens]
+        starts = [t.start for t in unit.tokens]
         # each statement's tokens, comments inside it included
-        self.ranges = [(bisect_left(self.starts, a), bisect_left(self.starts, b))
+        self.ranges = [(bisect_left(starts, a), bisect_left(starts, b))
                        for a, b in tree.spans]
         self._paths: dict[int, dict[int, tuple]] = {}
 
-    def statement_of(self, index: int) -> int | None:
-        """The top-level statement that holds token ``index``, if one does."""
-        token = self.unit.tokens[index]
-        k = bisect_right(self.spans, token.start, key=itemgetter(0)) - 1
-        if k < 0 or token.end > self.spans[k][1]:
+    def statement_of(self, start: int) -> int | None:
+        """The top-level statement that holds the token at ``start``, if
+        one does."""
+        k = bisect_right(self.spans, start, key=itemgetter(0)) - 1
+        if k < 0 or start >= self.spans[k][1]:
             return None  # a comment between statements
         return k
 
-    def site(self, k: int, index: int, new: str) -> Site | None:
-        """The ``Site`` where token ``index``, in statement ``k``, becomes
-        ``new``, when the token is an operator that ``new`` may replace
+    def site(self, start: int, new: str) -> Site | None:
+        """The ``Site`` where the token at ``start`` becomes ``new``, when
+        it is an operator that ``new`` may replace
         (``instrument.swappable``)."""
-        node = self.tree.operators.get(self.unit.tokens[index].start)
+        node = self.tree.operators.get(start)
         if node is None or not swappable(node.op, new):
             return None
+        k = self.statement_of(start)
         if k not in self._paths:
             self._paths[k] = operator_paths(self.tree.body[k])
         return Site(k, self._paths[k][id(node)], new)
 
-    def derive(self, text: bytes) -> tuple[CompiledMini, tuple | None] | None:
+    def derive(self, text: bytes) -> tuple[CompiledMini, Site | None] | None:
         """``text`` compiled by re-lexing the one token it changes, re-parsing
         the top-level statement that holds it and compiling that statement
-        alone, and its edit or None; None when that is not certain to equal
+        alone, and its edit, a ``Site``, or None; None when that is not certain to equal
         the full compile, or when the statement is a compile error, whose
         position the full path reports."""
         if text == self.unit.text:
@@ -226,7 +226,8 @@ class _Base:
         if found is None:
             return None
         index, token = found
-        k = self.statement_of(index)
+        start = self.unit.tokens[index].start
+        k = self.statement_of(start)
         if k is None:
             return None
         lo, hi = self.ranges[k]
@@ -239,30 +240,21 @@ class _Base:
             return None
         if program is None:
             return None
-        site = self.site(k, index, token.lexeme)
+        site = self.site(start, token.lexeme)
         if site is None:
             return program, None
-        old = node_at(self.tree.body[k], site.path)
-        if (isinstance(old, ast.BinOp) and LEVELS[old.op] != LEVELS[site.op]
+        node = node_at(self.tree.body[k], site.path)
+        if (isinstance(node, ast.BinOp) and LEVELS[node.op] != LEVELS[site.op]
                 and stmt != with_op(self.tree.body[k], site.path, site.op)):
             return program, None  # another binding level regrouped the operands
-        return program, (k, index, token.lexeme)
+        return program, site
 
-    def instrument(self, edits: Sequence[tuple[int, str]]) -> tuple[list[tuple], Instrumented]:
+    def instrument(self, edits: Sequence[tuple[int, str]]) -> Instrumented:
         """The base instrumented to decide each of ``edits``, the start of
         the token it replaces and the new lexeme, that replaces an operator
-        by a swappable one; and the edit of each of those, in order."""
-        keys, sites = [], []
-        for start, new in edits:
-            index = bisect_left(self.starts, start)
-            if index == len(self.starts) or self.starts[index] != start:
-                continue
-            k = self.statement_of(index)
-            site = None if k is None else self.site(k, index, new)
-            if site is not None:
-                keys.append((k, index, new))
-                sites.append(site)
-        return keys, Instrumented(self.tree, sites)
+        by a swappable one."""
+        sites = (self.site(start, new) for start, new in edits)
+        return Instrumented(self.tree, [site for site in sites if site is not None])
 
 
 def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
@@ -280,15 +272,6 @@ def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
     return RunResult(result.output, Cost(result.steps, UNIT_STEPS), VERDICT_OK)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """A mutant's outcome on one input, decided without running it, and how
-    (``DECIDED_INHERITED`` or ``DECIDED_SHADOWED``): its result, or the
-    message of the ``MiniRuntimeError`` it raises."""
-    kind: str
-    outcome: MiniRunResult | str
-
-
 class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
     a later text that differs from it inside one top-level statement
@@ -298,8 +281,11 @@ class MiniBackend:
     ``decide`` runs the base once per input, instrumented, for its baseline,
     and settles some runs of its one-operator mutants from that run
     (``minilang.instrument``).
-    ``compile`` attaches a mutant's decisions, found by its edit, to its
-    program, and ``run`` answers them without executing, within the budget.
+    ``compile`` attaches to a mutant's program the record of its decisions,
+    found by its ``Site``, and ``run`` answers an input from that record by
+    the input's values, without executing, when the decision's ``steps``
+    are within the budget.  A record outlives a later ``decide``: each
+    decision is a fact about the mutant on those values.
     Pool workers are forked after ``decide`` and inherit the backend whole:
     the compiled base and the decisions.
     """
@@ -309,19 +295,18 @@ class MiniBackend:
     def __init__(self, config: ExecBackendConfig):
         self.config = config
         self._base: _Base | None = None
-        self._decided: dict[tuple, tuple[Decision | None, ...]] = {}  # by edit
-        self._inputs: dict[tuple[int, ...], int] = {}  # input values -> index
-        self._steps: tuple[int, ...] = ()  # the base's steps on each input
-        self._answers = weakref.WeakKeyDictionary()  # compiled mutant -> decisions
+        # by site, then by input values
+        self._decided: dict[Site, dict[tuple[int, ...], Decision]] = {}
+        self._answers = weakref.WeakKeyDictionary()  # compiled mutant -> its record
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
         # name only matters to external toolchains; accepted for one signature
         if self._base is not None and not isinstance(source, SourceUnit):
             found = self._base.derive(bytes(source))
             if found is not None:
-                program, edit = found
-                if edit in self._decided:
-                    self._answers[program] = self._decided[edit]
+                program, site = found
+                if site in self._decided:
+                    self._answers[program] = self._decided[site]
                 return program
         if not isinstance(source, SourceUnit):
             source = tokenize(source, Language.MINI)
@@ -339,45 +324,40 @@ class MiniBackend:
         baseline: ``overall_time`` with no reference, each input under
         ``baseline_budget`` and armed at ``CYCLE_STRIDE``, stopping at the
         first one that is not ok.  The base must be compiled.  Replaces
-        earlier decisions; decides nothing unless every run is ok."""
-        keys, probe = self._base.instrument(edits)
-        columns = []
+        earlier decisions for later compiles (a program compiled before
+        keeps its record, true of the values it was decided on); decides
+        nothing unless every run is ok."""
+        probe = self._base.instrument(edits)
+        rows = []
 
         def run(values, budget, arm):
-            result, column = probe.run(values, budget, arm)
-            columns.append(column)
+            result, decisions = probe.run(values, budget, arm)
+            rows.append((tuple(values), decisions))
             return result
 
         baseline = _overall(self, partial(_mini_result, run), inputs)
         self._decided = {}
         if baseline.verdict != VERDICT_OK:
             return baseline
-        self._inputs = {tuple(values): i for i, values in enumerate(inputs)}
-        self._steps = tuple(result.cost.value for result in baseline.results)
-        for j, (key, shadowed) in enumerate(zip(keys, probe.shadowed)):
-            kind = DECIDED_SHADOWED if shadowed else DECIDED_INHERITED
-            row = tuple(None if column[j] is None else Decision(kind, column[j])
-                        for column in columns)
-            if any(row):
-                self._decided[key] = row
+        for values, decisions in rows:
+            for site, decision in zip(probe.sites, decisions):
+                if decision is not None:
+                    self._decided.setdefault(site, {})[values] = decision
         return baseline
 
-    def decisions(self, program: CompiledMini) -> tuple[Decision | None, ...] | None:
-        """The decisions ``run`` answers for ``program``, by input."""
-        return self._answers.get(program)
+    def decisions(self, program: CompiledMini) -> dict[tuple[int, ...], Decision]:
+        """The decisions ``run`` answers for ``program``, by input values."""
+        return self._answers.get(program, {})
 
     def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:
-        decisions = self.decisions(program)
-        if decisions is not None:
-            i = self._inputs.get(tuple(input_values))
-            decision = None if i is None or self._steps[i] > budget else decisions[i]
-            if decision is not None:
-                if isinstance(decision.outcome, str):
-                    return RunResult(b"", None, VERDICT_CRASH, decision.kind)
-                return RunResult(decision.outcome.output,
-                                 Cost(decision.outcome.steps, UNIT_STEPS), VERDICT_OK,
-                                 decision.kind)
+        decision = self.decisions(program).get(tuple(input_values))
+        if decision is not None and decision.steps <= budget:
+            if isinstance(decision.outcome, str):
+                return RunResult(b"", None, VERDICT_CRASH, decision.kind)
+            return RunResult(decision.outcome.output,
+                             Cost(decision.outcome.steps, UNIT_STEPS), VERDICT_OK,
+                             decision.kind)
         return _mini_result(program.run, input_values, budget)
 
     def mutant_budget(self, baseline: Cost) -> int:

@@ -24,11 +24,12 @@ ISSTA 2017).  A shadow statement that raises makes the outcome that crash,
 even after a differing print, as in a real run.
 
 ``Instrumented`` generates the original's code once with these checks and
-shadows (``interp._CodeGen`` hooks) and runs it per input.  A site turns
-its checks off once all its mutants are infected.  The checks and shadows
-add no step, change no variable of the original and print nothing, so each
-run is the original's own run, with the same outcome, and the mini backend
-takes it as the baseline instead of running the original plain as well.
+shadows (``interp._CodeGen`` hooks) and runs it per input, returning a
+``Decision`` for each site it decides there.  A site turns its checks off
+once all its mutants are infected.  The checks and shadows add no step,
+change no variable of the original and print nothing, so each run is the
+original's own run, with the same outcome, and the mini backend takes it as
+the baseline instead of running the original plain as well.
 """
 
 from __future__ import annotations
@@ -40,6 +41,23 @@ from . import ast_nodes as ast
 from .ast_nodes import MiniProgram
 from .interp import (CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen, _exec,
                      _names, _reads, _statements, _variables, _wrap)
+
+
+# how a mutant's run was decided without running it
+DECIDED_INHERITED = "inherited"  # never infected: the original's run
+DECIDED_SHADOWED = "shadowed"  # data-only: the original's path, shadowed values
+
+
+@dataclass(frozen=True)
+class Decision:
+    """A mutant's outcome on one input, decided without running it, and how
+    (``DECIDED_INHERITED`` or ``DECIDED_SHADOWED``): its result, or the
+    message of the ``MiniRuntimeError`` it raises.  ``steps`` is the
+    original's steps on the input: a run under fewer may stop over budget
+    where the original's does, so the decision holds only within them."""
+    kind: str
+    outcome: MiniRunResult | str
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -173,8 +191,8 @@ def _shadow_source(name: str, stmt: ast.Stmt, shadowed: frozenset,
 
 class Instrumented:
     """The original ``program`` generated once with the checks and shadows
-    that decide each of ``sites``.  ``shadowed[j]`` says whether site j's
-    mutant is data-only."""
+    that decide each of ``sites``; ``run`` returns the original's run on an
+    input and the ``Decision`` of each site there."""
 
     def __init__(self, program: MiniProgram, sites: Sequence[Site]):
         self.sites = list(sites)
@@ -189,7 +207,6 @@ class Instrumented:
         self._checks: list[list[tuple[int, str]]] = []  # per site: (mutant, new op)
         self._ops: list[str] = []  # per site: the original operator
         shadows = self._classify(program, simple, conditions)
-        self.shadowed = [j in shadows for j in range(len(self.sites))]
         sources = self._plan_shadows(shadows, simple)
         self.program = CompiledMini(program, self)
         self._ns = self.program._namespace
@@ -310,14 +327,12 @@ class Instrumented:
     # ---- runs ----
 
     def run(self, values: Sequence[int], budget: int,
-            arm: int | None) -> tuple[MiniRunResult, list]:
+            arm: int | None) -> tuple[MiniRunResult, list[Decision | None]]:
         """The original's run on ``values`` (``CompiledMini.run`` under
-        ``budget`` and ``arm``), and each site's outcome there: the
-        ``MiniRunResult`` a real run of its mutant would give, or the
-        message of the ``MiniRuntimeError`` it would raise, or None where
-        the mutant must run (it is infected and not data-only).  Raises what
-        the original's run raises; the checks and shadows add no step, so
-        that is what the plain original raises."""
+        ``budget`` and ``arm``), and each site's ``Decision`` there, or None
+        where its mutant must run (it is infected and not data-only).
+        Raises what the original's run raises; the checks and shadows add
+        no step, so that is what the plain original raises."""
         self._infected = [False] * len(self.sites)
         self._live = [len(checks) for checks in self._checks]
         for n, checks in enumerate(self._checks):
@@ -328,16 +343,17 @@ class Instrumented:
         for n, holders in enumerate(self._holders):
             self._ns[f"_Z{n}"] = [(shadows[j], self._ns[name]) for j, name in holders]
         result = self.program.run(values, budget, arm)
-        outcomes = []
+        inherited = Decision(DECIDED_INHERITED, result, result.steps)
+        decisions = []
         for j, infected in enumerate(self._infected):
             shadow = shadows.get(j)
             if shadow is None:
-                outcomes.append(None if infected else result)
-            elif shadow.error is not None:
-                outcomes.append(shadow.error)
+                decisions.append(None if infected else inherited)
             else:
-                outcomes.append(_shadow_result(shadow, result))
-        return result, outcomes
+                outcome = (_shadow_result(shadow, result) if shadow.error is None
+                           else shadow.error)
+                decisions.append(Decision(DECIDED_SHADOWED, outcome, result.steps))
+        return result, decisions
 
 
 def _closure(names: set[str], assigns) -> set[str]:

@@ -473,18 +473,13 @@ class _CodeGen:
 def _names(stmts: Sequence[ast.Stmt], names: set[str]) -> set[str]:
     """Add the variables ``stmts`` assign or read, at any depth, to
     ``names`` and return it."""
-    for stmt in stmts:
+    for stmt in _statements(stmts):
         if isinstance(stmt, (ast.Assign, ast.AugAssign)):
             names.add(stmt.name)
-        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
+        if isinstance(stmt, (ast.If, ast.While)):
+            _variables(stmt.cond, names)
+        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
             _variables(stmt.value, names)
-        elif isinstance(stmt, ast.If):
-            _variables(stmt.cond, names)
-            _names(stmt.then_body, names)
-            _names(stmt.else_body, names)
-        elif isinstance(stmt, ast.While):
-            _variables(stmt.cond, names)
-            _names(stmt.body, names)
     return names
 
 

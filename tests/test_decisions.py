@@ -8,7 +8,7 @@ own outcome must equal the original's fresh full compile, armed or not."""
 import pytest
 
 from mutopt import AOR, ASR, ROR, ExecBackendConfig, apply_all
-from mutopt.backend import DECIDED_INHERITED, DECIDED_SHADOWED, MiniBackend
+from mutopt.backend import DECIDED_INHERITED, DECIDED_SHADOWED, VERDICT_CRASH, MiniBackend
 from mutopt.cli import load_inputs
 from mutopt.minilang.interp import CYCLE_STRIDE, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
@@ -47,8 +47,9 @@ def _wrong_decisions(subject) -> tuple[list[str], int]:
     found, decided = [], 0
     for mutant, fresh in zip(mutants, subject.mutants):
         program = attempt(backend.compile, fresh.text)
-        decisions = () if isinstance(program, str) else backend.decisions(program) or ()
-        for values, decision, want in zip(subject.inputs, decisions, fresh.unarmed or ()):
+        decisions = {} if isinstance(program, str) else backend.decisions(program)
+        for values, want in zip(subject.inputs, fresh.unarmed or ()):
+            decision = decisions.get(tuple(values))
             if decision is not None:
                 decided += 1
                 if _outcome(decision) != want:
@@ -94,7 +95,7 @@ def _instrumented_differences(subject) -> list[str]:
     over budget.  The mini backend takes this run as the baseline."""
     backend = MiniBackend(ExecBackendConfig())
     backend.compile(subject.unit)
-    _, probe = backend._base.instrument(
+    probe = backend._base.instrument(
         [(m.start, m.replacement) for m in apply_all([ROR, ASR, AOR], subject.unit)])
 
     def run(*args):
@@ -135,16 +136,17 @@ def test_instrumented_original_matches_full_compile_on_wide(corpus):
     assert _instrumented_differences(corpus.wide) == []
 
 
-def _kinds(backend, mutant, n):
-    decisions = backend.decisions(backend.compile(mutant.mutated_text)) or (None,) * n
-    return tuple(None if d is None else d.kind for d in decisions)
+def _kinds(backend, mutant, inputs):
+    decisions = backend.decisions(backend.compile(mutant.mutated_text))
+    found = (decisions.get(tuple(values)) for values in inputs)
+    return tuple(None if d is None else d.kind for d in found)
 
 
 def test_pinned_decisions_on_scaled():
     inputs = load_inputs(FIXTURES / "m_scaled")
     values = [e.values for e in inputs.entries]
     backend, _, mutants = _deciding_backend(load_unit("b2tob10.mini"), values)
-    kinds = {m.id: _kinds(backend, m, len(values)) for m in mutants}
+    kinds = {m.id: _kinds(backend, m, values) for m in mutants}
     # never infected: on these inputs size is never 0 or negative, aux is
     # never negative and count is at least 1 wherever it is tested
     for id in ("ROR_1", "ROR_2", "ROR_15", "ROR_20"):
@@ -166,7 +168,7 @@ def test_precedence_regroup_is_not_decided():
     backend, _, mutants = _deciding_backend(unit, [[4, 1, 2]])
     start = unit.text.index(b"in[0] - in[1] * in[2]") + len(b"in[0] ")
     regroup, = [m for m in mutants if m.start == start and m.replacement == "/"]
-    assert _kinds(backend, regroup, 1) == (None,)
+    assert _kinds(backend, regroup, [[4, 1, 2]]) == (None,)
     run = backend.run(backend.compile(regroup.mutated_text), [4, 1, 2], 10**6)
     assert run.decided is None
     assert run.output == full_compile(regroup.mutated_text).run([4, 1, 2], 10**6).output
@@ -178,7 +180,42 @@ def test_decisions_are_answered_only_within_the_budget():
     inputs = [FIXTURE_INPUTS["b2tob10.mini"][-1]]
     backend, reference, mutants = _deciding_backend(unit, inputs)
     steps = reference.cost.value
-    inherited = next(m for m in mutants if _kinds(backend, m, 1) == (DECIDED_INHERITED,))
+    inherited = next(m for m in mutants if _kinds(backend, m, inputs) == (DECIDED_INHERITED,))
     program = backend.compile(inherited.mutated_text)
     assert backend.run(program, inputs[0], steps).decided == DECIDED_INHERITED
     assert backend.run(program, inputs[0], steps - 1).decided is None
+
+
+def test_a_later_decide_leaves_earlier_compiles_right():
+    # a decision is a fact about a mutant on given input values: a program
+    # compiled under one decide answers the next decide's inputs as a real
+    # run would, whether it still has a decision for them or not
+    unit = load_unit("powsum.mini")
+    backend, _, mutants = _deciding_backend(unit, [[64], [5]])
+    programs = [attempt(backend.compile, m.mutated_text) for m in mutants]
+    inputs = [[3], [64]]
+    reference = backend.decide([(m.start, m.replacement) for m in mutants], inputs)
+    found, decided = [], 0
+    for mutant, program in zip(mutants, programs):
+        if isinstance(program, str):
+            continue
+        plain = MiniBackend(ExecBackendConfig())
+        fresh = plain.compile(mutant.mutated_text)
+        for values, ref in zip(inputs, reference.results):
+            budget = backend.mutant_budget(ref.cost)
+            got, want = backend.run(program, values, budget), plain.run(fresh, values, budget)
+            decided += got.decided is not None
+            if (got.verdict, got.output, got.cost) != (want.verdict, want.output, want.cost):
+                found.append(f"{mutant.id} on {values}: {got.decided} {got}, ran {want}")
+    assert found == []
+    assert decided > 0
+
+
+def test_a_decide_whose_baseline_fails_leaves_no_decisions():
+    unit = load_unit("powsum.mini")
+    backend, _, mutants = _deciding_backend(unit, [[64]])
+    assert any(backend.decisions(backend.compile(m.mutated_text)) for m in mutants)
+    # powsum reads in[0]: on no input the original crashes
+    baseline = backend.decide([(m.start, m.replacement) for m in mutants], [[]])
+    assert baseline.verdict == VERDICT_CRASH
+    assert not any(backend.decisions(backend.compile(m.mutated_text)) for m in mutants)
