@@ -8,6 +8,13 @@ backend's ``compile`` returns the artifact that its ``run`` takes: a
 toolchain.  Costs from different backends are never comparable; ``Cost``
 carries its unit and adds only within it.
 
+The interpreter backend compiles its first program, the original, in full
+and keeps it as the base.  A later text that swaps one operator of it runs
+a schema: the function of the top-level statement that holds the operator,
+compiled once for all the operators of that site and switched by a
+parameter, the mutant's operator.  Any other text that changes one token
+of a statement compiles that statement alone; the rest compile in full.
+
 The interpreter backend can also decide runs without executing them:
 ``MiniBackend.decide`` runs an instrumented form of the original once per
 input (``minilang.instrument``), which gives the outcome of every mutant
@@ -36,15 +43,16 @@ from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from statistics import median
+from types import CodeType
 from typing import Sequence, Union
 
 from .minilang import CompileError, MiniRuntimeError, BudgetExceeded, parse_mini
 from .minilang import ast_nodes as ast
 from .minilang.ast_nodes import MiniProgram
-from .minilang.instrument import (Decision, Instrumented, Site, node_at, operator_paths,
-                                  swappable, with_op)
+from .minilang.instrument import (Decision, Instrumented, Site, alternatives, node_at,
+                                  operator_paths, with_op)
 from .minilang.instrument import DECIDED_INHERITED, DECIDED_SHADOWED  # noqa: F401 (re-exported)
-from .minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program
+from .minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program, loop_slice
 from .minilang.parser import LEVELS, parse_statement
 from .tokens import Language, SourceUnit, relex, tokenize
 
@@ -179,9 +187,18 @@ def _run_group(cmd: list[str], timeout: float,
 class _Base:
     """The first program a MiniBackend compiles, kept so that a text that
     differs from it inside one top-level statement compiles at the cost of
-    that statement.  A text that replaces one operator of it by another and
-    leaves the statement's tree otherwise unchanged has that ``Site`` as its
-    edit."""
+    that statement, or less.
+
+    A text that replaces one operator of it by another and leaves the
+    statement's tree otherwise unchanged has that ``Site`` as its edit.  It
+    runs a schema of the statement (mutant schemata; Untch, Offutt and
+    Harrold, ISSTA 1993): the statement's function compiled once for all
+    the operators of the site, which switches between them on ``_K``, a
+    parameter set to the mutant's operator.  An operator whose statement
+    gives an enclosing loop another cycle key (``/`` and ``%`` add crash
+    seeds) gets a schema of its own, so every mutant runs the loop heads of
+    its own fresh compile.  Mutation emits the mutants of a site together,
+    so only the current site's schemas are kept."""
 
     def __init__(self, unit: SourceUnit, tree: MiniProgram, program: CompiledMini):
         self.unit = unit
@@ -193,6 +210,9 @@ class _Base:
         self.ranges = [(bisect_left(starts, a), bisect_left(starts, b))
                        for a, b in tree.spans]
         self._paths: dict[int, dict[int, tuple]] = {}
+        self._current: tuple[int, tuple] | None = None  # the site with schemas
+        self._keys: dict[str, tuple] = {}  # its operators' loop keys
+        self._schemas: dict[tuple, CodeType] = {}  # its schemas, by loop keys
 
     def statement_of(self, start: int) -> int | None:
         """The top-level statement that holds the token at ``start``, if
@@ -205,9 +225,9 @@ class _Base:
     def site(self, start: int, new: str) -> Site | None:
         """The ``Site`` where the token at ``start`` becomes ``new``, when
         it is an operator that ``new`` may replace
-        (``instrument.swappable``)."""
+        (``instrument.alternatives``)."""
         node = self.tree.operators.get(start)
-        if node is None or not swappable(node.op, new):
+        if node is None or new not in alternatives(node.op):
             return None
         k = self.statement_of(start)
         if k not in self._paths:
@@ -215,11 +235,16 @@ class _Base:
         return Site(k, self._paths[k][id(node)], new)
 
     def derive(self, text: bytes) -> tuple[CompiledMini, Site | None] | None:
-        """``text`` compiled by re-lexing the one token it changes, re-parsing
-        the top-level statement that holds it and compiling that statement
-        alone, and its edit, a ``Site``, or None; None when that is not certain to equal
-        the full compile, or when the statement is a compile error, whose
-        position the full path reports."""
+        """``text`` compiled at the cost of the one top-level statement it
+        changes, or less, and its edit, a ``Site``, or None; None when that
+        is not certain to equal the full compile, or when the statement is
+        a compile error, whose position the full path reports.
+
+        The changed token is lexed again (``relex``).  A ``Site`` runs its
+        schema, and its statement is parsed again only when the new
+        operator binds at another level than the old one, to check that
+        the operands keep their grouping.  Any other change parses its
+        statement again and compiles that statement alone."""
         if text == self.unit.text:
             return self.program, None
         found = relex(self.unit, text)
@@ -230,29 +255,53 @@ class _Base:
         k = self.statement_of(start)
         if k is None:
             return None
-        lo, hi = self.ranges[k]
-        tokens = list(self.unit.tokens[lo:hi])
-        tokens[index - lo] = token
-        try:
-            stmt = parse_statement(tokens)
+        site = self.site(start, token.lexeme)
+        top = self.tree.body[k]
+        # a swap within one binding level keeps the tree's shape, and so
+        # does a swap of shortcut assignments, which have no level
+        if site is None or LEVELS.get(node_at(top, site.path).op) != LEVELS.get(site.op):
+            lo, hi = self.ranges[k]
+            tokens = list(self.unit.tokens[lo:hi])
+            tokens[index - lo] = token
+            try:
+                stmt = parse_statement(tokens)
+            except CompileError:
+                return None
+            if site is not None and stmt != with_op(top, site.path, site.op):
+                site = None  # another binding level regrouped the operands
+        try:  # code past CPython's limits: the full compile decides
+            if site is not None:
+                return self.program.with_code(k, self._schema(site), site.op), site
             program = self.program.with_statement(k, stmt)
         except CompileError:
             return None
-        if program is None:
-            return None
-        site = self.site(start, token.lexeme)
-        if site is None:
-            return program, None
-        node = node_at(self.tree.body[k], site.path)
-        if (isinstance(node, ast.BinOp) and LEVELS[node.op] != LEVELS[site.op]
-                and stmt != with_op(self.tree.body[k], site.path, site.op)):
-            return program, None  # another binding level regrouped the operands
-        return program, site
+        return None if program is None else (program, None)
+
+    def _schema(self, site: Site) -> CodeType:
+        """The code of the schema that runs ``site``'s mutant."""
+        top, path = self.tree.body[site.statement], site.path
+        if self._current != (site.statement, path):
+            # the loops whose bodies hold the site; its operator changes
+            # no other loop's key
+            loops = [path[:i] for i, step in enumerate(path)
+                     if step == "body" and isinstance(node_at(top, path[:i]), ast.While)]
+            self._current = site.statement, path
+            self._keys = {op: tuple(loop_slice(node_at(with_op(top, path, op), loop))
+                                    for loop in loops)
+                          for op in alternatives(node_at(top, path).op)}
+            self._schemas = {}
+        key = self._keys[site.op]
+        if key not in self._schemas:
+            stmt = with_op(top, path, site.op)
+            ops = tuple(op for op, other in self._keys.items() if other == key)
+            self._schemas[key] = self.program.statement_code(
+                site.statement, stmt, (node_at(stmt, path), ops))
+        return self._schemas[key]
 
     def instrument(self, edits: Sequence[tuple[int, str]]) -> Instrumented:
         """The base instrumented to decide each of ``edits``, the start of
         the token it replaces and the new lexeme, that replaces an operator
-        by a swappable one."""
+        by one of its ``alternatives``."""
         sites = (self.site(start, new) for start, new in edits)
         return Instrumented(self.tree, [site for site in sites if site is not None])
 
@@ -275,8 +324,10 @@ def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
 class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
     a later text that differs from it inside one top-level statement
-    re-lexes, re-parses and compiles only that statement and shares the
-    base's other compiled statements.  Any other text is compiled in full.
+    re-lexes the changed token and shares the base's other compiled
+    statements (``_Base.derive``).  An operator swap runs its site's schema,
+    compiled once for all the site's operators; any other change re-parses
+    and compiles its statement alone.  Any other text is compiled in full.
 
     ``decide`` runs the base once per input, instrumented, for its baseline,
     and settles some runs of its one-operator mutants from that run

@@ -140,12 +140,13 @@ _ARITHMETIC = {"+": lambda a, b: _wrap(a + b), "-": lambda a, b: _wrap(a - b),
                "*": lambda a, b: _wrap(a * b), "/": _div, "%": _mod}
 
 
-def swappable(old: str, new: str) -> bool:
-    """Whether a site may replace operator ``old`` by ``new``: two
-    relational operators, two arithmetic ones or two shortcut assignments."""
-    if old.endswith("=") and new.endswith("=") and old[:-1] in _ARITHMETIC:
-        old, new = old[:-1], new[:-1]
-    return any(old in ops and new in ops for ops in (_SIGNS, _ARITHMETIC))
+def alternatives(op: str) -> tuple[str, ...]:
+    """The operators a site may replace operator ``op`` by: the other
+    relational operators, arithmetic ones or shortcut assignments."""
+    if op.endswith("=") and op[:-1] in _ARITHMETIC:
+        return tuple(f"{new}=" for new in _ARITHMETIC if new != op[:-1])
+    return next((tuple(new for new in ops if new != op)
+                 for ops in (_SIGNS, _ARITHMETIC) if op in ops), ())
 
 
 class _Shadow:

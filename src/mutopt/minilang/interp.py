@@ -6,9 +6,13 @@ themselves when a value actually leaves the representable range.  Each
 top-level statement becomes one function, which takes the step count and
 the variables the statement names as parameters, so they are fast locals,
 and returns them; a driver calls the statement functions in order.  A
-mutant changes one statement, so ``CompiledMini.with_statement`` compiles
-only that statement's function and shares the others and the driver's code
-with the program it derives from.
+mutant changes one statement and shares the other functions and the
+driver's code with the program it derives from (``CompiledMini.with_code``).
+An operator swap runs a schema of its statement (``statement_code`` with a
+switch): the function compiled once for all the operators of that site,
+where only the switched operator tests ``_K``, a parameter whose default
+is the mutant's operator.  Any other change compiles its statement alone
+(``with_statement``).
 
 Cost model, counted in ``steps``:
 
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from types import FunctionType
+from types import CodeType, FunctionType
 from typing import Sequence
 
 from . import ast_nodes as ast
@@ -273,9 +277,11 @@ class _CodeGen:
     node, a, b)`` emits lines where a binary or shortcut-assignment operator
     ``node`` has its operands in atoms ``a`` and ``b`` and is not yet
     evaluated, and its ``statement(gen, stmt)`` before each assignment or
-    print.  A variable in ``shadowed`` reads from the dict ``_w``."""
+    print.  A variable in ``shadowed`` reads from the dict ``_w``.
+    ``switch``, a node and operators, makes a schema: that node evaluates
+    whichever of the operators the variable ``_K`` holds."""
 
-    def __init__(self, hooks=None, shadowed=frozenset()):
+    def __init__(self, hooks=None, shadowed=frozenset(), switch=None):
         self.lines: list[str] = []
         self.indent = 1
         self.temp = 0
@@ -283,6 +289,7 @@ class _CodeGen:
         self.tail = 0  # the innermost loop's tail cost, paid at its next head
         self.hooks = hooks
         self.shadowed = shadowed
+        self.switch_node, self.switch_ops = switch or (None, ())
 
     def emit(self, line: str):
         self.lines.append("    " * self.indent + line)
@@ -324,13 +331,16 @@ class _CodeGen:
             a = self.gen_expr(node.left)
             b = self.gen_expr(node.right)
             self.probe(node, a, b)
-            return self.gen_binop(node.op, a, b, node.line)
+            t = self.new_temp()
+            for op in self.branches(node):
+                self.gen_binop(op, a, b, node.line, t)
+            return t
         raise TypeError(f"unknown expression node {node!r}")
 
     def gen_cond(self, node: ast.Expr) -> str:
         """A Python boolean expression for a ``while`` or ``if`` condition,
         with its operands generated first as atoms, left then right."""
-        if isinstance(node, ast.BinOp) and node.op in _TESTS:
+        if isinstance(node, ast.BinOp) and node.op in _TESTS and node is not self.switch_node:
             a = self.gen_expr(node.left)
             b = self.gen_expr(node.right)
             self.probe(node, a, b)
@@ -340,6 +350,35 @@ class _CodeGen:
     def probe(self, node: ast.Node, a: str, b: str):
         if self.hooks is not None:
             self.hooks.site(self, node, a, b)
+
+    def branches(self, node: ast.Node):
+        """The operators to emit ``node`` with: its own; at the switched
+        node, each of the schema's, each behind its test of ``_K``."""
+        if node is not self.switch_node:
+            return (node.op,)
+        return self._switch()
+
+    def _switch(self):
+        *ops, last = self.switch_ops
+        for i, op in enumerate(ops):
+            self.emit(f"{'el' if i else ''}if _K == {op!r}:")
+            self.indent += 1
+            yield op
+            self.indent -= 1
+        if ops:
+            self.emit("else:")
+            self.indent += 1
+        yield last
+        if ops:
+            self.indent -= 1
+
+    def store(self, var: str, op: str, a: str, b: str, line: int):
+        """Emit ``var = a op b``: in ``var`` itself, but through a temporary
+        for ``/`` and ``%``, whose fix-ups read the operands."""
+        if op in ("/", "%"):
+            self.emit(f"{var} = {self.gen_binop(op, a, b, line)}")
+        else:
+            self.gen_binop(op, a, b, line, var)
 
     def gen_binop(self, op: str, a: str, b: str, line: int,
                   target: str | None = None) -> str:
@@ -394,23 +433,22 @@ class _CodeGen:
             self.hooks.statement(self, stmt)
         if isinstance(stmt, ast.Assign):
             self.pending += _stmt_cost(stmt)
-            value = stmt.value
-            if isinstance(value, ast.BinOp) and value.op not in ("/", "%"):
+            value, var = stmt.value, f"v_{stmt.name}"
+            if isinstance(value, ast.BinOp):
                 a = self.gen_expr(value.left)
                 b = self.gen_expr(value.right)
                 self.probe(value, a, b)
-                self.gen_binop(value.op, a, b, value.line, f"v_{stmt.name}")
+                for op in self.branches(value):
+                    self.store(var, op, a, b, value.line)
             else:
-                self.emit(f"v_{stmt.name} = {self.gen_expr(value)}")
+                self.emit(f"{var} = {self.gen_expr(value)}")
         elif isinstance(stmt, ast.AugAssign):
             self.pending += _stmt_cost(stmt)
             atom = self.gen_expr(stmt.value)
-            op, var = stmt.op[0], f"v_{stmt.name}"
+            var = f"v_{stmt.name}"
             self.probe(stmt, var, atom)
-            if op in ("/", "%"):
-                self.emit(f"{var} = {self.gen_binop(op, var, atom, stmt.line)}")
-            else:
-                self.gen_binop(op, var, atom, stmt.line, var)
+            for op in self.branches(stmt):
+                self.store(var, op[0], var, atom, stmt.line)
         elif isinstance(stmt, ast.Print):
             self.pending += _stmt_cost(stmt)
             self.emit(f"_out_append({self.gen_expr(stmt.value)})")
@@ -495,12 +533,13 @@ def _state(names: Sequence[str]) -> str:
 
 
 def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
-                      hooks=None) -> str:
+                      hooks=None, switch=None) -> str:
     """The function of top-level statement ``index``: it takes the run's
     context, the step count and the variables ``names``, and returns the
-    last two."""
-    gen = _CodeGen(hooks)
-    gen.lines.append(f"def _st{index}({_CONTEXT}, {_state(names)}):")
+    last two.  With ``switch`` (see ``_CodeGen``) it also takes ``_K``."""
+    gen = _CodeGen(hooks, switch=switch)
+    k = "" if switch is None else ", _K"
+    gen.lines.append(f"def _st{index}({_CONTEXT}, {_state(names)}{k}):")
     gen.gen_stmt(stmt)
     gen.flush()
     gen.emit(f"return {_state(names)}")
@@ -567,13 +606,30 @@ class CompiledMini:
         ``stmt``, generating and compiling only the new statement's function
         and sharing the others and the driver's code; None when ``stmt``
         names a variable that the old statement does not."""
-        names = self._signatures[index]
-        if not _names((stmt,), set()) <= set(names):
+        if not _names((stmt,), set()) <= set(self._signatures[index]):
             return None
+        return self.with_code(index, self.statement_code(index, stmt))
+
+    def statement_code(self, index: int, stmt: ast.Stmt, switch=None) -> CodeType:
+        """The code of top-level statement ``index``'s function for
+        ``stmt``, which names no variable the old statement does not.  With
+        ``switch``, a node of ``stmt`` and operators, it is a schema: the
+        node's operator is the function's last argument ``_K``, one of
+        those operators."""
+        namespace = {}
+        _exec(_statement_source(stmt, index, self._signatures[index], switch=switch),
+              namespace)
+        return namespace[f"_st{index}"].__code__
+
+    def with_code(self, index: int, code: CodeType, op: str | None = None) -> "CompiledMini":
+        """This program with ``code`` as top-level statement ``index``'s
+        function, ``op`` as its ``_K`` for a schema, sharing the others and
+        the driver's code."""
         clone = object.__new__(CompiledMini)
         clone._signatures = self._signatures
         clone._namespace = dict(self._namespace)
-        _exec(_statement_source(stmt, index, names), clone._namespace)
+        clone._namespace[f"_st{index}"] = FunctionType(
+            code, clone._namespace, None, None if op is None else (op,))
         clone._fn = FunctionType(self._fn.__code__, clone._namespace)
         return clone
 

@@ -97,6 +97,13 @@ def attempt(compile, text: bytes):
         return type(exc).__name__
 
 
+def merges_tokens(subject, fresh) -> bool:
+    """Whether a mutant's text lexes into another number of tokens than the
+    subject's original: its change merged two tokens or opened a comment
+    (``merges.mini``)."""
+    return len(tokenize(fresh.text, Language.MINI).tokens) != len(subject.unit.tokens)
+
+
 def count_full_parses(monkeypatch) -> list:
     """A list that gains an entry at each full parse the backend makes."""
     parses = []
@@ -118,6 +125,8 @@ FIXTURE_INPUTS = {
     "max_search.mini": "m_max",
     "powsum.mini": "m_powsum",
     "slices.mini": [[4, 1, 2], [0, 3, 5, 1], [2, -1, 3], [9, 2, 0, -4, 7]],
+    "merges.mini": [[5, 3], [-7, 2], [0, 0], [4, -1]],
+    "reentry.mini": [[1, 4], [2, 4], [3, 6], [2, 0], [3, -2]],
 }
 
 

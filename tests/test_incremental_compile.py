@@ -1,12 +1,18 @@
 """Differential gate for the mini backend's statement-level compile: a
 backend that compiled the original first compiles each mutant by re-lexing
-one token and re-parsing and compiling one top-level statement.  For every
-mutant, that must behave exactly like a fresh full compile."""
+one token and compiling one top-level statement, or running the schema of
+that statement for the mutant's operator site.  For every mutant, that must
+behave exactly like a fresh full compile."""
+
+from dataclasses import fields, is_dataclass
 
 import pytest
 
-from mutopt import ExecBackendConfig, Language, tokenize
+from mutopt import AOR, ASR, ROR, ExecBackendConfig, Language, apply_all, tokenize
 from mutopt.backend import MiniBackend
+from mutopt.minilang import BudgetExceeded, MiniRuntimeError, interp
+from mutopt.minilang.ast_nodes import While
+from mutopt.minilang.interp import CYCLE_STRIDE, loop_slice
 
 from conftest import (
     FIXTURE_INPUTS,
@@ -15,6 +21,7 @@ from conftest import (
     attempt,
     count_full_parses,
     full_compile,
+    merges_tokens,
     outcome,
     outcomes,
 )
@@ -45,10 +52,12 @@ def _statement_compile_mismatches(subject, parses: list) -> tuple[list[str], int
 @pytest.mark.parametrize("name, inputs", FIXTURE_INPUTS.items())
 def test_statement_compile_matches_full_compile_on_fixture(name, inputs, corpus,
                                                            monkeypatch):
+    subject = corpus.fixture(name)
     found, full_parses = _statement_compile_mismatches(
-        corpus.fixture(name), count_full_parses(monkeypatch))
+        subject, count_full_parses(monkeypatch))
     assert found == []
-    assert full_parses == 0
+    # only a mutant that merges tokens falls back to the full path
+    assert full_parses == sum(merges_tokens(subject, fresh) for fresh in subject.mutants)
 
 
 def test_statement_compile_matches_full_compile_on_wide(corpus, monkeypatch):
@@ -71,6 +80,104 @@ def test_statement_compile_matches_full_compile_on_generated_programs(corpus, mo
         full_parses += p
     assert found == []
     assert mutants > 0 and full_parses == 0
+
+
+def _stop(program, values, budget, arm) -> tuple:
+    """``conftest.outcome`` of a run, with the step count where it stopped
+    for a BudgetExceeded."""
+    try:
+        result = program.run(values, budget, arm)
+    except BudgetExceeded as exc:
+        return "BudgetExceeded", exc.steps
+    except MiniRuntimeError as exc:
+        return "MiniRuntimeError", str(exc)
+    return "ok", result.output, result.steps
+
+
+def _timeout_mismatches(subject) -> tuple[list[str], int]:
+    """Runs of the subject's mutants that the corpus has over budget, where
+    the backend's compile stops at another step than a fresh full compile,
+    armed at 0 and at ``CYCLE_STRIDE``; and the number of runs compared."""
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(subject.unit)
+    found, compared = [], 0
+    for fresh in subject.mutants:
+        stuck = [(values, budget) for values, budget, got
+                 in zip(subject.inputs, subject.budgets, fresh.unarmed or ())
+                 if got[0] == "BudgetExceeded"]
+        if not stuck:
+            continue
+        derived, full = backend.compile(fresh.text), full_compile(fresh.text)
+        for values, budget in stuck:
+            for arm in (0, CYCLE_STRIDE):
+                compared += 1
+                got, want = (_stop(p, values, budget, arm) for p in (derived, full))
+                if got != want:
+                    found.append(f"{subject.name} {fresh.id} on {values} arm={arm}: "
+                                 f"{got} != {want}")
+    return found, compared
+
+
+# The sweeps above compare a timeout by class and message alone; a loop
+# head that checks another cycle key than the mutant's own compile stops
+# at another step, or runs to its budget.
+@pytest.mark.parametrize("name, inputs", FIXTURE_INPUTS.items())
+def test_timeouts_stop_where_full_compile_does_on_fixture(name, inputs, corpus):
+    assert _timeout_mismatches(corpus.fixture(name))[0] == []
+
+
+def test_timeouts_stop_where_full_compile_does_on_wide(corpus):
+    assert _timeout_mismatches(corpus.wide)[0] == []
+
+
+def test_timeouts_stop_where_full_compile_does_on_generated_programs(corpus):
+    found, compared = [], 0
+    for subject in corpus.generated:
+        f, c = _timeout_mismatches(subject)
+        found += f
+        compared += c
+    assert found == []
+    assert compared > 0
+
+
+def _shape(node):
+    """``node`` without its operators: trees that differ only in operators
+    have one shape."""
+    if isinstance(node, tuple):
+        return tuple(map(_shape, node))
+    if is_dataclass(node):
+        return (type(node), *(_shape(getattr(node, f.name)) for f in fields(node)
+                              if f.name != "op"))
+    return node
+
+
+@pytest.mark.parametrize("name", ["b2tob10.mini", "wide"])
+def test_each_schema_compiles_once(name, corpus, monkeypatch):
+    # A mutant that swaps one operator and keeps the tree's shape runs the
+    # schema of its statement, compiled once per operator site, or once for
+    # each set of cycle keys the site's mutants give the loops; any other
+    # mutant that compiles compiles its own statement.
+    subject = corpus.wide if name == "wide" else corpus.fixture(name)
+    schemas, others = set(), 0
+    shape = _shape(subject.original.program.body)
+    for mutant, fresh in zip(apply_all([ROR, ASR, AOR], subject.unit), subject.mutants):
+        if fresh.error:
+            continue
+        if _shape(fresh.program.body) != shape:
+            others += 1
+            continue
+        keys = tuple(loop_slice(stmt) for stmt in interp._statements(fresh.program.body)
+                     if isinstance(stmt, While))
+        schemas.add((mutant.start, keys))
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(subject.unit)
+    compiles = []
+    monkeypatch.setattr(interp, "compile",
+                        lambda *args: compiles.append(1) or compile(*args), raising=False)
+    for fresh in subject.mutants:
+        attempt(backend.compile, fresh.text)
+    assert len(compiles) == len(schemas) + others
+    assert len(schemas) < len(subject.mutants)
 
 
 def test_corpus_holds_every_mutant(corpus, monkeypatch):
