@@ -26,6 +26,18 @@ program the record of its decisions, found by its ``Site``, and ``run``
 answers a decided run by the input's values, within the decision's
 ``steps``, marked in ``RunResult.decided``.  The search's pool workers are
 forked after ``decide`` and inherit the backend with its decisions.
+
+The external backend evaluates a program in two passes over the inputs
+(``overall_time``).  The check pass runs it once per input (``run``) and
+stops at the first wrong output, crash or timeout; only a program that
+passes every input is timed (``ExternalBackend.timed``: ``warmups``
+discarded runs, then the median of ``repetitions`` measured ones).  It
+also decides by binary identity (trivial compiler equivalence; Papadakis
+et al., ICSE 2015): ``compile`` digests each binary that is an ELF file
+(``elf_digest``), and a program whose code equals an earlier program's is
+answered from that code's recorded runs on the same input values, without
+a spawn, marked ``DECIDED_IDENTICAL``.  That assumes a program's behaviour
+does not depend on its own path.
 """
 
 from __future__ import annotations
@@ -34,11 +46,12 @@ import math
 import os
 import shlex
 import signal
+import struct
 import subprocess
 import time
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -63,6 +76,8 @@ VERDICT_KILLED = "killed"  # only from overall_time: output differs from the ref
 
 UNIT_STEPS = "steps"
 UNIT_MS = "ms"
+
+DECIDED_IDENTICAL = "identical"  # the binary of an earlier program: its run
 
 # Caps for the baseline itself, which has no reference cost to scale from.
 BASELINE_STEP_LIMIT = 2_000_000_000
@@ -182,6 +197,58 @@ def _run_group(cmd: list[str], timeout: float,
             proc.wait()
             raise
     return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
+SHF_ALLOC = 0x2
+SHT_NOTE = 7
+SHT_NOBITS = 8
+# ELF file header from e_type on, and one section header, by EI_CLASS
+_ELF_HEADERS = {1: ("16xHHIIIIIHHHHHH", "IIIIIIIIII"),
+                2: ("16xHHIQQQIHHHHHH", "IIQQQQIIQQ")}
+
+
+def elf_digest(data: bytes) -> bytes | None:
+    """A digest of the code an ELF file loads, or None when ``data`` is not
+    an ELF file whose section table parses.
+
+    It covers the entry point and every allocated section that is not a
+    note: its name, type, address, size and, unless it takes no space in
+    the file, its contents.  So it leaves out the symbol table, which names
+    the source file, and the build-id note, which hashes the whole file.
+    """
+    if data[:4] != b"\x7fELF" or len(data) < 6 or data[4] not in _ELF_HEADERS \
+            or data[5] not in (1, 2):
+        return None
+    # imported here: it loads OpenSSL, about 3.7 MB of resident memory that
+    # a search on the mini backend never needs
+    import hashlib
+
+    order = "<" if data[5] == 1 else ">"
+    header, section = (struct.Struct(order + f) for f in _ELF_HEADERS[data[4]])
+
+    def contents(offset: int, size: int) -> bytes:
+        if offset + size > len(data):
+            raise ValueError("section past the end of the file")
+        return data[offset:offset + size]
+
+    try:
+        (_, _, _, entry, _, shoff, _, _, _, _, shentsize, shnum,
+         shstrndx) = header.unpack_from(data)
+        if shentsize != section.size or shstrndx >= shnum:
+            return None
+        sections = [section.unpack_from(data, shoff + i * shentsize) for i in range(shnum)]
+        names = contents(*sections[shstrndx][4:6])
+        digest = hashlib.sha256(entry.to_bytes(8, "little"))
+        for name, kind, flags, address, offset, size, *_ in sections:
+            if not flags & SHF_ALLOC or kind == SHT_NOTE:
+                continue
+            label = names[name:names.index(b"\0", name)]
+            digest.update(struct.pack("<IQQQ", kind, address, size, len(label)) + label)
+            if kind != SHT_NOBITS:
+                digest.update(contents(offset, size))
+    except (struct.error, ValueError):  # truncated or inconsistent
+        return None
+    return digest.digest()
 
 
 class _Base:
@@ -419,6 +486,20 @@ class MiniBackend:
 
 
 class ExternalBackend:
+    """Compiles and runs through the configured command templates; costs
+    are wall-clock milliseconds.
+
+    ``run`` is one spawn, which checks a program's output on an input;
+    ``timed`` is ``warmups`` discarded spawns and ``repetitions`` measured
+    ones, whose median is the cost.  ``overall_time`` times a program only
+    once it has passed the check on every input.  ``compile`` digests each
+    ELF binary (``elf_digest``).  A program whose digest equals an earlier
+    program's is answered from that code's recorded run on the same input
+    values, without a spawn, when the run was made under the same budget
+    or was ok within this one; the first program with a digest always
+    spawns.
+    """
+
     unit = UNIT_MS
 
     def __init__(self, config: ExecBackendConfig, scratch_dir: Path):
@@ -428,6 +509,11 @@ class ExternalBackend:
         self._counter = 0
         self._compile_args = check_template(config.compile_cmd, COMPILE_PLACEHOLDERS)
         self._run_args = check_template(config.run_cmd, RUN_PLACEHOLDERS)
+        self._digests: dict[Path, bytes] = {}  # each ELF program's code
+        self._first: dict[bytes, Path] = {}  # each code's first program
+        # by (warmups, repetitions, code, input values): the budget and
+        # the result of that code's last run
+        self._recorded: dict[tuple, tuple[float, RunResult]] = {}
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Path:
         # name keeps the real extension so compilers that sniff suffixes
@@ -448,17 +534,52 @@ class ExternalBackend:
         if proc.returncode != 0:
             diag = proc.stderr.decode("utf-8", errors="replace").strip()
             raise CompileError(diag or f"compiler exited {proc.returncode}", 0, 0)
+        try:
+            digest = elf_digest(out_path.read_bytes())
+        except OSError:  # no binary: running it fails as it would have
+            digest = None
+        if digest is not None:
+            self._digests[out_path] = digest
+            self._first.setdefault(digest, out_path)
         return out_path
 
     def run(self, program: Path, input_values: Sequence[int],
             budget: float) -> RunResult:
+        """One run of ``program`` on the input; its cost is that run's wall
+        time."""
+        return self._recall(program, input_values, budget, 0, 1)
+
+    def timed(self, program: Path, input_values: Sequence[int],
+              budget: float) -> RunResult:
+        """``warmups`` runs of ``program`` on the input, then
+        ``repetitions`` measured ones; the cost is their median, the output
+        the first measured run's."""
+        return self._recall(program, input_values, budget,
+                            self.config.warmups, self.config.repetitions)
+
+    def _recall(self, program: Path, input_values: Sequence[int], budget: float,
+                warmups: int, repetitions: int) -> RunResult:
+        """``_spawn``, or the recorded result of the same runs of an
+        earlier program with the same code."""
+        digest = self._digests.get(program)
+        key = (warmups, repetitions, digest, tuple(input_values))
+        if digest is not None and self._first[digest] != program and key in self._recorded:
+            within, result = self._recorded[key]
+            if within == budget or (result.ok and result.cost.value <= budget * 1000.0):
+                return replace(result, decided=DECIDED_IDENTICAL)
+        result = self._spawn(program, input_values, budget, warmups, repetitions)
+        if digest is not None:
+            self._recorded[key] = budget, result
+        return result
+
+    def _spawn(self, program: Path, input_values: Sequence[int], budget: float,
+               warmups: int, repetitions: int) -> RunResult:
         stdin_data = (" ".join(str(v) for v in input_values) + "\n").encode("ascii")
         mapping = {"bin": str(program), "input": "-"}
         cmd = [arg.format_map(mapping) for arg in self._run_args]
         times_ms: list[float] = []
         output: bytes | None = None
-        total = self.config.warmups + self.config.repetitions
-        for i in range(total):
+        for i in range(warmups + repetitions):
             t0 = time.perf_counter()
             try:
                 proc = _run_group(cmd, budget, stdin_data)
@@ -470,7 +591,7 @@ class ExternalBackend:
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             if proc.returncode != 0:
                 return RunResult(b"", None, VERDICT_CRASH)
-            if i >= self.config.warmups:
+            if i >= warmups:
                 times_ms.append(elapsed_ms)
                 if output is None:
                     output = normalize_output(proc.stdout)
@@ -501,7 +622,9 @@ class OverallTime:
     cost: Cost | None
     verdict: str
     failing_index: int | None = None
-    results: tuple[RunResult, ...] = ()  # every run made, in input order
+    # the runs made, in input order; on the external backend, the timed
+    # runs of a program that passed its check (see ``overall_time``)
+    results: tuple[RunResult, ...] = ()
 
 
 def overall_time(backend: Backend, program: CompiledMini | Path,
@@ -512,8 +635,27 @@ def overall_time(backend: Backend, program: CompiledMini | Path,
     original's run on the same inputs), input i runs under ``mutant_budget``
     of the reference's cost and is ``killed`` if its output differs.
 
+    The inputs are checked first (``check``).  On the external backend a
+    program that passes every one is then timed through the same loop
+    (``ExternalBackend.timed``), and the costs and outputs are the timed
+    runs'.  Its ``results`` are the check's when only the timed pass fails
+    (a flaky program, or one near its budget): a verdict reports the runs
+    its check made.
+
     Empty input list yields a zero cost in the backend's unit.
     """
+    checked = check(backend, program, inputs, reference)
+    if checked.verdict != VERDICT_OK or not isinstance(backend, ExternalBackend):
+        return checked
+    timed = _overall(backend, partial(backend.timed, program), inputs, reference)
+    return timed if timed.verdict == VERDICT_OK else replace(timed, results=checked.results)
+
+
+def check(backend: Backend, program: CompiledMini | Path,
+          inputs: Sequence[Sequence[int]],
+          reference: OverallTime | None = None) -> OverallTime:
+    """``overall_time`` with one ``run`` per input and no timed pass: the
+    costs are those runs' own."""
     return _overall(backend, partial(backend.run, program), inputs, reference)
 
 

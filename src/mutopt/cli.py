@@ -164,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--operators", required=True,
                      help="comma list from: ror, asr, aor")
     opt.add_argument("--reps", type=_number(int, lambda v: v >= 1, ">= 1"),
-                     default=5, help="timed repetitions")
+                     default=5,
+                     help="timed repetitions, once a program has passed its check")
     opt.add_argument("--warmups", type=_number(int, lambda v: v >= 0, ">= 0"),
-                     default=1, help="discarded warmup runs")
+                     default=1,
+                     help="discarded warmup runs before the timed ones")
     opt.add_argument("--timeout-factor",
                      type=_number(float, lambda v: 1 < v < math.inf, "> 1 and finite"),
                      default=10.0,

@@ -15,12 +15,15 @@ refines its ``equivalent`` status into ``equivalent_faster``,
 ``equivalent_not_faster`` or ``selected``.
 
 On the external backend the baseline is a plain run of the original
-(``_baseline``).  On the mini backend it is ``MiniBackend.decide``'s one
+(``_baseline``), and a mutant is timed only once it has passed the check on
+every input (``backend.overall_time``); a mutant whose binary is the
+original's, or an earlier mutant's, is answered from that binary's runs.
+On the mini backend the baseline is ``MiniBackend.decide``'s one
 instrumented run of the original per input, which also settles the mutant
-runs it can; each mutant still compiles and calls ``run`` once per input it
-reports, and the backend answers the decided calls.  ``host.decided``
-totals the reported runs by how they were decided: executed, inherited or
-shadowed.
+runs it can.  Either way each mutant compiles and calls ``run`` once per
+input it reports, and the backend answers the decided calls.
+``host.decided`` totals the reported runs by how they were decided:
+executed, inherited, shadowed or identical.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .backend import (
+    DECIDED_IDENTICAL,
     DECIDED_INHERITED,
     DECIDED_SHADOWED,
     Backend,
@@ -45,6 +49,7 @@ from .backend import (
     UNIT_STEPS,
     UnitMismatch,
     VERDICT_OK,
+    check,
     make_backend,
     overall_time,
 )
@@ -96,7 +101,7 @@ class MutantVerdict:
     input_id: str | None = None  # set for killed/crash/timeout
     tau: Cost | None = None      # set for equivalent_* and selected
     runs: int = 0                # runs made before the verdict, executed or decided
-    # per run: how MiniBackend.decide decided it, None if executed; like
+    # per run: how the backend decided it, None if executed; like
     # ``jobs``, how a verdict was reached, so only its totals are reported,
     # under ``host``
     decided: tuple[str | None, ...] = field(default=(), compare=False)
@@ -226,10 +231,11 @@ def confirm_equivalence(candidate: SourceUnit | bytes, baseline: OverallTime,
     the original's run on these inputs (``_baseline``).
 
     The candidate is compiled in full on a fresh backend, which decides
-    nothing, and runs against ``baseline``; so on the mini backend it is
-    that backend's first program.  On the external backend its files go to
-    ``confirm/`` under the scratch directory, apart from the search's.  Any
-    mismatch, compile failure, timeout or crash yields False.
+    nothing, and runs once per input against ``baseline`` (``check``),
+    untimed; so on the mini backend it is that backend's first program.
+    On the external backend its files go to ``confirm/`` under the scratch
+    directory, apart from the search's.  Any mismatch, compile failure,
+    timeout or crash yields False.
     """
     scratch = None if config.scratch_dir is None else config.scratch_dir / "confirm"
     backend = make_backend(config.backend, scratch)
@@ -237,7 +243,7 @@ def confirm_equivalence(candidate: SourceUnit | bytes, baseline: OverallTime,
         program = backend.compile(candidate, name=config.source_name)
     except CompileError:
         return False
-    run = overall_time(backend, program, [e.values for e in inputs.entries], baseline)
+    run = check(backend, program, [e.values for e in inputs.entries], baseline)
     return run.verdict == VERDICT_OK
 
 
@@ -302,7 +308,8 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
 
 def _decided(verdicts: list[MutantVerdict]) -> dict:
     """The reported runs by how they were decided."""
-    totals = {"executed": 0, DECIDED_INHERITED: 0, DECIDED_SHADOWED: 0}
+    totals = {"executed": 0, DECIDED_INHERITED: 0, DECIDED_SHADOWED: 0,
+              DECIDED_IDENTICAL: 0}
     for verdict in verdicts:
         for kind in verdict.decided:
             totals[kind or "executed"] += 1

@@ -1,4 +1,6 @@
 import os
+import shlex
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -48,6 +50,35 @@ def b2tob10_unit() -> SourceUnit:
 @pytest.fixture
 def max_search_unit() -> SourceUnit:
     return load_unit("max_search.mini")
+
+
+# A C program whose constant conditions gcc folds even at -O0: on lines 6
+# and 7, ``>=`` and ``!=`` build the original's binary, and ``<=`` and
+# ``==`` build the same binary as ``<``.  Line 6's ``<`` is killed on input
+# 5, line 7's survives, and line 8's operators are all different code.
+FOLDED_C = b"""int scanf(const char *, ...);
+int printf(const char *, ...);
+int main(void) {
+    int a = 0, b = 0;
+    scanf("%d", &a);
+    if (2 > 1) a += 10;
+    if (2 > 1) b = 1;
+    printf("%d\\n", a > 14);
+    return 0;
+}
+"""
+
+
+def logging_run_cmd(log: Path, interpreter: str = "") -> str:
+    """An external ``--run-cmd`` that appends the program's path to ``log``
+    at each spawn, then runs it (through ``interpreter``, if given)."""
+    script = f'echo "$0" >> {shlex.quote(str(log))}; exec {interpreter} "$0"'
+    return f"sh -c {shlex.quote(script)} {{bin}}"
+
+
+def spawns(log: Path) -> Counter:
+    """The spawns ``logging_run_cmd`` logged, by program file name."""
+    return Counter(Path(line).name for line in log.read_text().splitlines())
 
 
 def confirm_against(candidate, original, inputs, config) -> bool:

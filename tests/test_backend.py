@@ -3,6 +3,7 @@
 import shlex
 import shutil
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,16 +12,18 @@ from mutopt import (
     Cost,
     ExecBackendConfig,
     Language,
+    RunResult,
     ToolchainError,
     UnitMismatch,
     make_backend,
     overall_time,
     tokenize,
 )
-from mutopt.backend import normalize_output
+from mutopt.backend import elf_digest, normalize_output
 from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini
 
-from conftest import attempt, count_full_parses, encode_bits, full_compile, load_unit, outcomes
+from conftest import (attempt, count_full_parses, encode_bits, full_compile, load_unit,
+                      logging_run_cmd, outcomes, spawns)
 
 HAVE_CC = shutil.which("cc") is not None
 external = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -241,6 +244,79 @@ def test_external_single_repetition_cost_is_that_measurement(tmp_path):
     program = backend.compile(C_OK, name="adder.c")
     result = backend.run(program, [1, 2], budget=10.0)
     assert result.ok and result.cost.value > 0
+
+
+C_COMPARE = b"""int scanf(const char *, ...);
+int printf(const char *, ...);
+int main(void) { int a = 0; scanf("%d", &a); printf("%d\\n", a > 3); return 0; }
+"""
+
+
+@external
+def test_elf_digest_ignores_the_file_name_and_sees_the_code(tmp_path):
+    backend = make_backend(ext_config(), tmp_path)
+    one, two = (backend.compile(C_COMPARE, name=name) for name in ("one.c", "two.c"))
+    greater_equal = backend.compile(C_COMPARE.replace(b"a > 3", b"a >= 3"), name="one.c")
+    # the symbol table names each source file, and the build-id hashes it
+    assert one.read_bytes() != two.read_bytes()
+    digests = [elf_digest(p.read_bytes()) for p in (one, two, greater_equal)]
+    assert None not in digests
+    assert digests[0] == digests[1] != digests[2]
+
+
+@external
+def test_elf_digest_rejects_truncated_and_garbage_headers(tmp_path):
+    data = make_backend(ext_config(), tmp_path).compile(C_COMPARE, name="cmp.c").read_bytes()
+    assert elf_digest(data) is not None
+    # the section table sits at the end of the file, so every prefix lacks it
+    for n in [*range(0, len(data), 61), len(data) - 1]:
+        assert elf_digest(data[:n]) is None
+    for garbage in (b"\x7fELF" + bytes(range(256)) * 4,
+                    b"\x7fELF\x02\x01\x01" + b"\xff" * 200,
+                    b"\x7fELF\x03\x01" + bytes(100),
+                    b"#!/bin/sh\necho 5\n"):
+        assert elf_digest(garbage) is None
+
+
+def test_external_non_elf_programs_are_run_and_timed(tmp_path):
+    # needs no compiler: two copies of one shell script are the same bytes,
+    # but not ELF files, so each spawns on its own
+    log = tmp_path / "spawns"
+    cfg = ext_config(compile_cmd="cp {src} {out}", run_cmd=logging_run_cmd(log, "sh"),
+                     repetitions=2, warmups=1)
+    backend = make_backend(cfg, tmp_path / "scratch")
+    for name in ("a.sh", "b.sh"):
+        program = backend.compile(b"echo 5\n", name=name)
+        run = overall_time(backend, program, [[1], [2]])
+        assert run.verdict == "ok" and run.cost.unit == "ms" and run.cost.value > 0
+        assert [r.decided for r in run.results] == [None, None]
+        assert [r.output for r in run.results] == [b"5", b"5"]
+    # per input: the check's run, then one warmup and two measured runs
+    assert spawns(log) == {"0001.a.sh.bin": 8, "0002.b.sh.bin": 8}
+
+
+@external
+def test_external_identical_binary_is_answered_without_a_spawn(tmp_path):
+    log = tmp_path / "spawns"
+    backend = make_backend(ext_config(run_cmd=logging_run_cmd(log)), tmp_path / "scratch")
+    first = backend.compile(C_COMPARE, name="first.c")
+    twin = backend.compile(C_COMPARE, name="twin.c")
+    other = backend.compile(C_COMPARE.replace(b"a > 3", b"a >= 3"), name="other.c")
+    runs = [backend.run(program, [5], budget=10.0) for program in (first, first, twin, other)]
+    assert [r.decided for r in runs] == [None, None, "identical", None]
+    assert runs[2] == replace(runs[1], decided="identical")
+    timed = backend.timed(first, [5], budget=10.0)
+    assert backend.timed(twin, [5], budget=10.0) == replace(timed, decided="identical")
+    # the first program of a code always spawns; a twin only where its code
+    # has no run on these values
+    assert backend.run(twin, [6], budget=10.0).decided is None
+    assert spawns(log) == {"0001.first.c.bin": 2 + 2, "0002.twin.c.bin": 1,
+                           "0003.other.c.bin": 1}
+    # a run that is not ok answers only the budget it was made under
+    sleeper, twin = (backend.compile(C_SLEEPY, name=name) for name in ("s.c", "t.c"))
+    assert backend.run(sleeper, [], budget=0.2).verdict == "timeout"
+    assert backend.run(twin, [], budget=0.2).decided == "identical"
+    assert backend.run(twin, [], budget=0.3) == RunResult(b"", None, "timeout")
 
 
 def test_external_backend_requires_scratch_dir():

@@ -35,7 +35,8 @@ from mutopt.minilang.interp import CYCLE_STRIDE
 from mutopt.optimizer import _baseline
 from mutopt.report import report_to_dict
 
-from conftest import FIXTURE_INPUTS, FIXTURES, PERFBENCH, confirm_against, load_unit
+from conftest import (FIXTURE_INPUTS, FIXTURES, FOLDED_C, PERFBENCH, confirm_against,
+                      load_unit, logging_run_cmd, spawns)
 from oracle import literal_verdicts
 
 HAVE_CC = shutil.which("cc") is not None
@@ -405,7 +406,9 @@ def test_host_counts_how_each_run_was_decided():
     b = run_optimize(unit, inputs, jobs=2)
     decided = a.host["decided"]
     assert sum(decided.values()) == sum(v.runs for v in a.verdicts)
-    assert min(decided.values()) > 0
+    # only the external backend decides by identical binaries
+    assert min(decided["executed"], decided["inherited"], decided["shadowed"]) > 0
+    assert decided["identical"] == 0
     assert b.host["decided"] == decided
 
 
@@ -495,6 +498,54 @@ int main(void) {
     assert got["<"] == "killed"     # picks the wrong side on (3, 9)
     assert got[">"] in ("equivalent_not_faster", "equivalent_faster", "selected")
     assert confirm_against(report.selected_source, unit, inputs, config)
-    # only the mini backend decides runs without executing them
-    assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts),
-                                      "inherited": 0, "shadowed": 0}
+    # only the mini backend decides runs from the original's; the external
+    # one decides the runs of ``#include <stdio.h>=``, which gcc builds (with
+    # a warning) into the original's binary
+    include, = (v for v in report.verdicts if (v.line, v.original, v.replacement)
+                == (1, ">", ">="))
+    assert (include.status, include.tau) == ("equivalent_not_faster", report.original_tau)
+    assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts) - 3,
+                                      "inherited": 0, "shadowed": 0, "identical": 3}
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_external_times_only_survivors_and_runs_each_binary_once(tmp_path):
+    log = tmp_path / "spawns"
+    config = OptimizeConfig(
+        backend=ExecBackendConfig(kind="external", compile_cmd="cc -O0 {src} -o {out}",
+                                  run_cmd=logging_run_cmd(log), repetitions=2, warmups=1),
+        scratch_dir=tmp_path / "scratch", source_name="folded.c")
+    inputs = input_set(("x", [3]), ("y", [5]))
+    report = optimize([ROR], tokenize(FOLDED_C, Language.C_LIKE), inputs, config)
+    logged = spawns(log)
+    verdicts = {(v.line, v.replacement): v for v in report.verdicts}
+    spawned = {key: sum(n for name, n in logged.items() if name.endswith(f".{v.mutant_id}.c.bin"))
+               for key, v in verdicts.items()}
+    timed = 1 + 1 + 2  # per input: the check's run, one warmup, two measured
+    # killed ones spawn once per input they reached; survivors are timed
+    assert {key: (v.status, v.input_id, spawned[key]) for key, v in verdicts.items()
+            if v.tau is None} == {
+        (6, "<"): ("killed", "y", 2), (6, "<="): ("killed", "y", 0),
+        (6, "=="): ("killed", "y", 0),
+        (8, "<"): ("killed", "x", 1), (8, "<="): ("killed", "x", 1),
+        (8, "=="): ("killed", "y", 2), (8, "!="): ("killed", "x", 1)}
+    assert spawned[7, "<"] == spawned[8, ">="] == 2 * timed
+    # the original's binary: its runs, so its tau, and never selected
+    for key in [(6, ">="), (6, "!="), (7, ">="), (7, "!=")]:
+        v = verdicts[key]
+        assert (v.status, v.tau, spawned[key]) == ("equivalent_not_faster",
+                                                   report.original_tau, 0)
+        assert v.decided == ("identical", "identical")
+    # an earlier mutant's binary: that mutant's verdict
+    for line in (6, 7):
+        first = verdicts[line, "<"]
+        for op in ("<=", "=="):
+            twin = verdicts[line, op]
+            assert (twin.input_id, twin.tau, twin.runs) == (first.input_id, first.tau,
+                                                            first.runs)
+            assert twin.status == (first.status if first.tau is None
+                                   else "equivalent_not_faster")
+            assert twin.decided == ("identical",) * twin.runs
+    assert report.host["decided"]["identical"] == 2 * 2 + 2 * 2 + 2 * 2 + 2 * 2
+    # the original is checked and timed; the confirmation only checks
+    assert sum(logged.values()) == 2 * timed + sum(spawned.values()) + 2

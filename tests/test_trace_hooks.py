@@ -14,12 +14,14 @@ import pytest
 
 from mutopt.cli import main
 
-from conftest import FIXTURE_INPUTS, FIXTURES, PERFBENCH
+from conftest import FIXTURE_INPUTS, FIXTURES, FOLDED_C, PERFBENCH
 
 
-def _traced_optimize(source, inputs, tmp_path, monkeypatch) -> tuple[dict, dict, list]:
+def _traced_optimize(source, inputs, tmp_path, monkeypatch, *args,
+                     codes=(0,)) -> tuple[dict, dict, list]:
     """The report, the per-layer metrics and the problems of a traced
-    ``optimize`` run at ``--jobs 1``."""
+    ``optimize`` run at ``--jobs 1``, with ``args`` added, that exits with
+    one of ``codes``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # trace_run imports workloads
     trace_run = importlib.import_module("trace_run")
     monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
@@ -30,11 +32,11 @@ def _traced_optimize(source, inputs, tmp_path, monkeypatch) -> tuple[dict, dict,
     try:
         code = main(["optimize", "--source", str(source), "--inputs", str(inputs),
                      "--operators", "ror,asr,aor", "--jobs", "1",
-                     "--report", str(report)])
+                     "--report", str(report), *args])
     finally:
         tracer.close(root)
         tracer.uninstall()
-    assert code == 0
+    assert code in codes
     data = json.loads(report.read_text())
     metrics, problems = trace_run.layer_metrics(tracer.spans, data["verdicts"])
     assert metrics["mutation.mutants"][0] == len(data["verdicts"])
@@ -91,6 +93,34 @@ def test_traced_optimize_counts_decided_runs_exactly(tmp_path, monkeypatch):
     _assert_exact_counts(data, metrics)
     decided = data["host"]["decided"]
     assert decided["inherited"] > 0 and decided["shadowed"] > 0 and decided["executed"] > 0
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_traced_external_optimize_attributes_every_mutant(tmp_path, monkeypatch):
+    # the tracer counts ``ExternalBackend.run`` calls, which check, not the
+    # timed runs; a binary identical to an earlier one still calls ``run``
+    # once per run its verdict reports, and is answered without a spawn
+    source = tmp_path / "folded.c"
+    source.write_bytes(FOLDED_C)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name, value in (("x", 3), ("y", 5)):
+        (inputs / f"{name}.in").write_text(f"{value}\n")
+    data, metrics, problems = _traced_optimize(
+        source, inputs, tmp_path, monkeypatch, "--backend", "external",
+        "--compile-cmd", "cc -O0 {src} -o {out}", "--run-cmd", "{bin}",
+        "--reps", "2", "--warmups", "0", codes=(0, 3))
+    assert problems == []
+    verdicts, n = data["verdicts"], len(data["inputs"])
+    assert metrics["backend.compile_calls"] == 1 + len(verdicts) + 1
+    # the original's check, the mutants' runs and the selected source's in
+    # confirm, which only checks
+    assert sum(v["runs"] for v in verdicts) == 34
+    assert metrics["backend.run_calls"] == n + 34 + n
+    # lines 6 and 7: two mutants each build the original's binary, and two
+    # the binary of the site's ``<``
+    assert data["host"]["decided"] == {"executed": 18, "inherited": 0, "shadowed": 0,
+                                       "identical": 16}
 
 
 @pytest.mark.parametrize("backend, source, inputs", [
