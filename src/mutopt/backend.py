@@ -9,11 +9,11 @@ toolchain.  Costs from different backends are never comparable; ``Cost``
 carries its unit and adds only within it.
 
 The interpreter backend compiles its first program, the original, in full
-and keeps it as the base.  A later text that swaps one operator of it runs
-a schema: the function of the top-level statement that holds the operator,
-compiled once for all the operators of that site and switched by a
-parameter, the mutant's operator.  Any other text that changes one token
-of a statement compiles that statement alone; the rest compile in full.
+and keeps it as the base.  A later text takes one of two paths.  One that
+swaps one operator of the base runs a schema: the function of the
+top-level statement that holds the operator, compiled once for all the
+operators of that site and switched by a parameter, the mutant's operator.
+Any other text compiles in full.
 
 The interpreter backend can also decide runs without executing them:
 ``MiniBackend.decide`` runs an instrumented form of the original once per
@@ -253,8 +253,8 @@ def elf_digest(data: bytes) -> bytes | None:
 
 class _Base:
     """The first program a MiniBackend compiles, kept so that a text that
-    differs from it inside one top-level statement compiles at the cost of
-    that statement, or less.
+    swaps one of its operators compiles at the cost of one statement, or
+    less.
 
     A text that replaces one operator of it by another and leaves the
     statement's tree otherwise unchanged has that ``Site`` as its edit.  It
@@ -271,7 +271,6 @@ class _Base:
         self.unit = unit
         self.tree = tree
         self.program = program
-        self.spans = tree.spans
         starts = [t.start for t in unit.tokens]
         # each statement's tokens, comments inside it included
         self.ranges = [(bisect_left(starts, a), bisect_left(starts, b))
@@ -281,14 +280,6 @@ class _Base:
         self._keys: dict[str, tuple] = {}  # its operators' loop keys
         self._schemas: dict[tuple, CodeType] = {}  # its schemas, by loop keys
 
-    def statement_of(self, start: int) -> int | None:
-        """The top-level statement that holds the token at ``start``, if
-        one does."""
-        k = bisect_right(self.spans, start, key=itemgetter(0)) - 1
-        if k < 0 or start >= self.spans[k][1]:
-            return None  # a comment between statements
-        return k
-
     def site(self, start: int, new: str) -> Site | None:
         """The ``Site`` where the token at ``start`` becomes ``new``, when
         it is an operator that ``new`` may replace
@@ -296,53 +287,44 @@ class _Base:
         node = self.tree.operators.get(start)
         if node is None or new not in alternatives(node.op):
             return None
-        k = self.statement_of(start)
+        # the top-level statement that holds it: the last to start at or before it
+        k = bisect_right(self.tree.spans, start, key=itemgetter(0)) - 1
         if k not in self._paths:
             self._paths[k] = operator_paths(self.tree.body[k])
         return Site(k, self._paths[k][id(node)], new)
 
-    def derive(self, text: bytes) -> tuple[CompiledMini, Site | None] | None:
-        """``text`` compiled at the cost of the one top-level statement it
-        changes, or less, and its edit, a ``Site``, or None; None when that
-        is not certain to equal the full compile, or when the statement is
-        a compile error, whose position the full path reports.
+    def derive(self, text: bytes) -> tuple[CompiledMini, Site] | None:
+        """``text`` compiled as a mutant of the base that swaps one operator
+        for another, and its ``Site``: the base with its site's schema;
+        None when ``text`` is no such mutant or its schema is not certain
+        to equal the full compile, which then compiles it.
 
-        The changed token is lexed again (``relex``).  A ``Site`` runs its
-        schema, and its statement is parsed again only when the new
-        operator binds at another level than the old one, to check that
-        the operands keep their grouping.  Any other change parses its
-        statement again and compiles that statement alone."""
-        if text == self.unit.text:
-            return self.program, None
+        The changed token is lexed again (``relex``).  The statement is
+        parsed again only when the new operator binds at another level than
+        the old one, to check that the operands keep their grouping."""
         found = relex(self.unit, text)
         if found is None:
             return None
         index, token = found
-        start = self.unit.tokens[index].start
-        k = self.statement_of(start)
-        if k is None:
+        site = self.site(self.unit.tokens[index].start, token.lexeme)
+        if site is None:
             return None
-        site = self.site(start, token.lexeme)
-        top = self.tree.body[k]
+        k, top = site.statement, self.tree.body[site.statement]
         # a swap within one binding level keeps the tree's shape, and so
         # does a swap of shortcut assignments, which have no level
-        if site is None or LEVELS.get(node_at(top, site.path).op) != LEVELS.get(site.op):
+        if LEVELS.get(node_at(top, site.path).op) != LEVELS.get(site.op):
             lo, hi = self.ranges[k]
             tokens = list(self.unit.tokens[lo:hi])
             tokens[index - lo] = token
             try:
-                stmt = parse_statement(tokens)
+                if parse_statement(tokens) != with_op(top, site.path, site.op):
+                    return None  # another binding level regrouped the operands
             except CompileError:
                 return None
-            if site is not None and stmt != with_op(top, site.path, site.op):
-                site = None  # another binding level regrouped the operands
         try:  # code past CPython's limits: the full compile decides
-            if site is not None:
-                return self.program.with_code(k, self._schema(site), site.op), site
-            program = self.program.with_statement(k, stmt)
+            return self.program.with_code(k, self._schema(site), site.op), site
         except CompileError:
             return None
-        return None if program is None else (program, None)
 
     def _schema(self, site: Site) -> CodeType:
         """The code of the schema that runs ``site``'s mutant."""
@@ -390,11 +372,11 @@ def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
 
 class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
-    a later text that differs from it inside one top-level statement
-    re-lexes the changed token and shares the base's other compiled
-    statements (``_Base.derive``).  An operator swap runs its site's schema,
-    compiled once for all the site's operators; any other change re-parses
-    and compiles its statement alone.  Any other text is compiled in full.
+    a later text that swaps one of its operators re-lexes the changed token
+    and runs its site's schema, compiled once for all the site's operators,
+    in place of the statement that holds it, sharing the base's other
+    compiled statements (``_Base.derive``).  Any other text is compiled in
+    full.
 
     ``decide`` runs the base once per input, instrumented, for its baseline,
     and settles some runs of its one-operator mutants from that run

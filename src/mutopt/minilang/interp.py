@@ -6,13 +6,12 @@ themselves when a value actually leaves the representable range.  Each
 top-level statement becomes one function, which takes the step count and
 the variables the statement names as parameters, so they are fast locals,
 and returns them; a driver calls the statement functions in order.  A
-mutant changes one statement and shares the other functions and the
-driver's code with the program it derives from (``CompiledMini.with_code``).
-An operator swap runs a schema of its statement (``statement_code`` with a
-switch): the function compiled once for all the operators of that site,
-where only the switched operator tests ``_K``, a parameter whose default
-is the mutant's operator.  Any other change compiles its statement alone
-(``with_statement``).
+mutant that swaps one operator changes one statement and shares the other
+functions and the driver's code with the program it derives from
+(``CompiledMini.with_code``).  That statement runs a schema
+(``statement_code`` with a switch): its function compiled once for all
+the operators of the mutant's site, where only the switched operator tests
+``_K``, a parameter whose default is the mutant's operator.
 
 Cost model, counted in ``steps``:
 
@@ -601,35 +600,24 @@ class CompiledMini:
             _exec(function, self._namespace)
         self._fn = self._namespace["_mini"]
 
-    def with_statement(self, index: int, stmt: ast.Stmt) -> "CompiledMini | None":
-        """This program with top-level statement ``index`` replaced by
-        ``stmt``, generating and compiling only the new statement's function
-        and sharing the others and the driver's code; None when ``stmt``
-        names a variable that the old statement does not."""
-        if not _names((stmt,), set()) <= set(self._signatures[index]):
-            return None
-        return self.with_code(index, self.statement_code(index, stmt))
-
-    def statement_code(self, index: int, stmt: ast.Stmt, switch=None) -> CodeType:
-        """The code of top-level statement ``index``'s function for
-        ``stmt``, which names no variable the old statement does not.  With
-        ``switch``, a node of ``stmt`` and operators, it is a schema: the
-        node's operator is the function's last argument ``_K``, one of
-        those operators."""
+    def statement_code(self, index: int, stmt: ast.Stmt, switch) -> CodeType:
+        """The code of top-level statement ``index``'s schema for ``stmt``,
+        which names no variable the old statement does not: ``switch`` is a
+        node of ``stmt`` and operators, and the node's operator is the
+        function's last argument ``_K``, one of those operators."""
         namespace = {}
         _exec(_statement_source(stmt, index, self._signatures[index], switch=switch),
               namespace)
         return namespace[f"_st{index}"].__code__
 
-    def with_code(self, index: int, code: CodeType, op: str | None = None) -> "CompiledMini":
-        """This program with ``code`` as top-level statement ``index``'s
-        function, ``op`` as its ``_K`` for a schema, sharing the others and
+    def with_code(self, index: int, code: CodeType, op: str) -> "CompiledMini":
+        """This program with the schema ``code`` as top-level statement
+        ``index``'s function, ``op`` as its ``_K``, sharing the others and
         the driver's code."""
         clone = object.__new__(CompiledMini)
         clone._signatures = self._signatures
         clone._namespace = dict(self._namespace)
-        clone._namespace[f"_st{index}"] = FunctionType(
-            code, clone._namespace, None, None if op is None else (op,))
+        clone._namespace[f"_st{index}"] = FunctionType(code, clone._namespace, None, (op,))
         clone._fn = FunctionType(self._fn.__code__, clone._namespace)
         return clone
 

@@ -1,7 +1,7 @@
 import os
 import shlex
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -135,6 +135,29 @@ def merges_tokens(subject, fresh) -> bool:
     return len(tokenize(fresh.text, Language.MINI).tokens) != len(subject.unit.tokens)
 
 
+def shape(node):
+    """``node`` without its operators: trees that differ only in operators
+    have one shape."""
+    if isinstance(node, tuple):
+        return tuple(map(shape, node))
+    if is_dataclass(node):
+        return (type(node), *(shape(getattr(node, f.name)) for f in fields(node)
+                              if f.name != "op"))
+    return node
+
+
+def regroups(subject, fresh) -> bool:
+    """Whether a mutant's tree has another shape than the subject's
+    original: its new operator binds at another level than the old one and
+    regrouped the operands (``slices.mini``)."""
+    if fresh.program is None:
+        return False
+    body, original = fresh.program.body, subject.original.program.body
+    # the corpus keeps the original's statement wherever a mutant's equals it
+    return len(body) != len(original) or any(
+        new is not old and shape(new) != shape(old) for new, old in zip(body, original))
+
+
 def count_full_parses(monkeypatch) -> list:
     """A list that gains an entry at each full parse the backend makes."""
     parses = []
@@ -158,6 +181,7 @@ FIXTURE_INPUTS = {
     "slices.mini": [[4, 1, 2], [0, 3, 5, 1], [2, -1, 3], [9, 2, 0, -4, 7]],
     "merges.mini": [[5, 3], [-7, 2], [0, 0], [4, -1]],
     "reentry.mini": [[1, 4], [2, 4], [3, 6], [2, 0], [3, -2]],
+    "seeds.mini": [[2, 4, 56], [1, 0, 20], [3, -2, 90], [0, 8, 7], [3, 6, 30]],
 }
 
 

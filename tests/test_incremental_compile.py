@@ -1,10 +1,8 @@
-"""Differential gate for the mini backend's statement-level compile: a
-backend that compiled the original first compiles each mutant by re-lexing
-one token and compiling one top-level statement, or running the schema of
-that statement for the mutant's operator site.  For every mutant, that must
-behave exactly like a fresh full compile."""
-
-from dataclasses import fields, is_dataclass
+"""Differential gate for the mini backend's compile of a mutant: a backend
+that compiled the original first re-lexes the one token a mutant swaps and
+runs the schema of the statement that holds that operator site, or
+compiles the mutant in full.  For every mutant, that must behave exactly
+like a fresh full compile."""
 
 import pytest
 
@@ -24,6 +22,7 @@ from conftest import (
     merges_tokens,
     outcome,
     outcomes,
+    regroups,
 )
 
 
@@ -56,8 +55,10 @@ def test_statement_compile_matches_full_compile_on_fixture(name, inputs, corpus,
     found, full_parses = _statement_compile_mismatches(
         subject, count_full_parses(monkeypatch))
     assert found == []
-    # only a mutant that merges tokens falls back to the full path
-    assert full_parses == sum(merges_tokens(subject, fresh) for fresh in subject.mutants)
+    # only a mutant that merges tokens, or whose new operator regroups the
+    # operands, compiles in full
+    assert full_parses == sum(merges_tokens(subject, fresh) or regroups(subject, fresh)
+                              for fresh in subject.mutants)
 
 
 def test_statement_compile_matches_full_compile_on_wide(corpus, monkeypatch):
@@ -140,30 +141,19 @@ def test_timeouts_stop_where_full_compile_does_on_generated_programs(corpus):
     assert compared > 0
 
 
-def _shape(node):
-    """``node`` without its operators: trees that differ only in operators
-    have one shape."""
-    if isinstance(node, tuple):
-        return tuple(map(_shape, node))
-    if is_dataclass(node):
-        return (type(node), *(_shape(getattr(node, f.name)) for f in fields(node)
-                              if f.name != "op"))
-    return node
-
-
 @pytest.mark.parametrize("name", ["b2tob10.mini", "wide"])
 def test_each_schema_compiles_once(name, corpus, monkeypatch):
     # A mutant that swaps one operator and keeps the tree's shape runs the
     # schema of its statement, compiled once per operator site, or once for
-    # each set of cycle keys the site's mutants give the loops; any other
-    # mutant that compiles compiles its own statement.
+    # each set of cycle keys the site's mutants give the loops.  Any other
+    # mutant compiles in full; neither program has one, so every compile()
+    # call is a schema's.
     subject = corpus.wide if name == "wide" else corpus.fixture(name)
     schemas, others = set(), 0
-    shape = _shape(subject.original.program.body)
     for mutant, fresh in zip(apply_all([ROR, ASR, AOR], subject.unit), subject.mutants):
         if fresh.error:
             continue
-        if _shape(fresh.program.body) != shape:
+        if regroups(subject, fresh):
             others += 1
             continue
         keys = tuple(loop_slice(stmt) for stmt in interp._statements(fresh.program.body)
@@ -176,7 +166,8 @@ def test_each_schema_compiles_once(name, corpus, monkeypatch):
                         lambda *args: compiles.append(1) or compile(*args), raising=False)
     for fresh in subject.mutants:
         attempt(backend.compile, fresh.text)
-    assert len(compiles) == len(schemas) + others
+    assert others == 0
+    assert len(compiles) == len(schemas)
     assert len(schemas) < len(subject.mutants)
 
 

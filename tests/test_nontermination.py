@@ -197,11 +197,12 @@ def _armed_differences(subject, strides=(0,)) -> list[str]:
     return found
 
 
-# b2tob10 and slices come last, after the four fixtures this sweep first ran on
+# b2tob10, slices and seeds come last, after the four fixtures this sweep
+# first ran on
 @pytest.mark.parametrize("name, inputs", [
     (name, FIXTURE_INPUTS[name])
     for name in ("hostile.mini", "max_search.mini", "powsum.mini", "census.mini",
-                 "b2tob10.mini", "slices.mini")])
+                 "b2tob10.mini", "slices.mini", "seeds.mini")])
 def test_detection_never_changes_a_fixture_outcome(name, inputs, corpus):
     assert _armed_differences(corpus.fixture(name), STRIDES) == []
 

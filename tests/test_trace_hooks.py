@@ -71,9 +71,9 @@ def test_traced_optimize_attributes_every_mutant(tmp_path, monkeypatch):
     # Only the original, in the baseline, and the selected source, the first
     # program of confirm_equivalence's fresh backend, are parsed and
     # generated in full; the selected source is also tokenized there, the
-    # original once by the CLI.  Every mutant of powsum changes one operator
-    # inside a top-level statement and parses, so each re-parses and
-    # compiles that statement alone: none falls back to the full path.
+    # original once by the CLI.  Every mutant of powsum swaps one operator
+    # and keeps its tree's shape, so each runs the schema of its site: none
+    # compiles in full.
     assert metrics["backend.compile_errors"] == 0
     assert metrics["tokens.tokenize_calls"] == 2
     assert metrics["parser.parse_calls"] == 2
