@@ -10,10 +10,11 @@ carries its unit and adds only within it.
 
 The interpreter backend compiles its first program, the original, in full
 and keeps it as the base.  A later text takes one of two paths.  One that
-swaps one operator of the base runs a schema: the function of the
-top-level statement that holds the operator, compiled once for all the
-operators of that site and switched by a parameter, the mutant's operator.
-Any other text compiles in full.
+swaps one operator of the base, for one that the parser recorded as
+keeping the statement's tree (``MiniProgram.levels``), runs a schema: the
+function of the top-level statement that holds the operator, compiled
+once for all the operators of that site and switched by a parameter, the
+mutant's operator.  Any other text compiles in full.
 
 The interpreter backend can also decide runs without executing them:
 ``MiniBackend.decide`` runs an instrumented form of the original once per
@@ -50,7 +51,7 @@ import struct
 import subprocess
 import time
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
@@ -66,7 +67,7 @@ from .minilang.instrument import (Decision, Instrumented, Site, alternatives, no
                                   operator_paths, with_op)
 from .minilang.instrument import DECIDED_INHERITED, DECIDED_SHADOWED  # noqa: F401 (re-exported)
 from .minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program, loop_slice
-from .minilang.parser import LEVELS, parse_statement
+from .minilang.parser import LEVELS
 from .tokens import Language, SourceUnit, relex, tokenize
 
 VERDICT_OK = "ok"
@@ -257,8 +258,9 @@ class _Base:
     less.
 
     A text that replaces one operator of it by another and leaves the
-    statement's tree otherwise unchanged has that ``Site`` as its edit.  It
-    runs a schema of the statement (mutant schemata; Untch, Offutt and
+    statement's tree otherwise unchanged, as the parser's range of binding
+    levels for that operator says, has that ``Site`` as its edit.  It runs
+    a schema of the statement (mutant schemata; Untch, Offutt and
     Harrold, ISSTA 1993): the statement's function compiled once for all
     the operators of the site, which switches between them on ``_K``, a
     parameter set to the mutant's operator.  An operator whose statement
@@ -271,10 +273,6 @@ class _Base:
         self.unit = unit
         self.tree = tree
         self.program = program
-        starts = [t.start for t in unit.tokens]
-        # each statement's tokens, comments inside it included
-        self.ranges = [(bisect_left(starts, a), bisect_left(starts, b))
-                       for a, b in tree.spans]
         self._paths: dict[int, dict[int, tuple]] = {}
         self._current: tuple[int, tuple] | None = None  # the site with schemas
         self._keys: dict[str, tuple] = {}  # its operators' loop keys
@@ -283,9 +281,13 @@ class _Base:
     def site(self, start: int, new: str) -> Site | None:
         """The ``Site`` where the token at ``start`` becomes ``new``, when
         it is an operator that ``new`` may replace
-        (``instrument.alternatives``)."""
+        (``instrument.alternatives``) and keep the statement's tree: a
+        binary operator's binding level must be in the parser's range for
+        it (``MiniProgram.levels``); a shortcut assignment has none."""
         node = self.tree.operators.get(start)
-        if node is None or new not in alternatives(node.op):
+        levels = self.tree.levels.get(start)
+        if node is None or new not in alternatives(node.op) or (
+                levels is not None and LEVELS[new] not in levels):
             return None
         # the top-level statement that holds it: the last to start at or before it
         k = bisect_right(self.tree.spans, start, key=itemgetter(0)) - 1
@@ -295,13 +297,10 @@ class _Base:
 
     def derive(self, text: bytes) -> tuple[CompiledMini, Site] | None:
         """``text`` compiled as a mutant of the base that swaps one operator
-        for another, and its ``Site``: the base with its site's schema;
-        None when ``text`` is no such mutant or its schema is not certain
-        to equal the full compile, which then compiles it.
-
-        The changed token is lexed again (``relex``).  The statement is
-        parsed again only when the new operator binds at another level than
-        the old one, to check that the operands keep their grouping."""
+        for another and keeps the statement's tree, and its ``Site``: the
+        base with its site's schema; None when ``text`` is no such mutant
+        or its schema does not compile, and the full compile decides.  Only
+        the changed token is lexed again (``relex``)."""
         found = relex(self.unit, text)
         if found is None:
             return None
@@ -309,20 +308,8 @@ class _Base:
         site = self.site(self.unit.tokens[index].start, token.lexeme)
         if site is None:
             return None
-        k, top = site.statement, self.tree.body[site.statement]
-        # a swap within one binding level keeps the tree's shape, and so
-        # does a swap of shortcut assignments, which have no level
-        if LEVELS.get(node_at(top, site.path).op) != LEVELS.get(site.op):
-            lo, hi = self.ranges[k]
-            tokens = list(self.unit.tokens[lo:hi])
-            tokens[index - lo] = token
-            try:
-                if parse_statement(tokens) != with_op(top, site.path, site.op):
-                    return None  # another binding level regrouped the operands
-            except CompileError:
-                return None
         try:  # code past CPython's limits: the full compile decides
-            return self.program.with_code(k, self._schema(site), site.op), site
+            return self.program.with_code(site.statement, self._schema(site), site.op), site
         except CompileError:
             return None
 
@@ -347,13 +334,6 @@ class _Base:
                 site.statement, stmt, (node_at(stmt, path), ops))
         return self._schemas[key]
 
-    def instrument(self, edits: Sequence[tuple[int, str]]) -> Instrumented:
-        """The base instrumented to decide each of ``edits``, the start of
-        the token it replaces and the new lexeme, that replaces an operator
-        by one of its ``alternatives``."""
-        sites = (self.site(start, new) for start, new in edits)
-        return Instrumented(self.tree, [site for site in sites if site is not None])
-
 
 def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
     """``run(input_values, budget, arm)``, a ``CompiledMini.run``, as a
@@ -372,11 +352,11 @@ def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
 
 class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
-    a later text that swaps one of its operators re-lexes the changed token
-    and runs its site's schema, compiled once for all the site's operators,
-    in place of the statement that holds it, sharing the base's other
-    compiled statements (``_Base.derive``).  Any other text is compiled in
-    full.
+    a later text that swaps one of its operators and keeps the statement's
+    tree re-lexes the changed token and runs its site's schema, compiled
+    once for all the site's operators, in place of the statement that holds
+    it, sharing the base's other compiled statements (``_Base.derive``).
+    Any other text is compiled in full.
 
     ``decide`` runs the base once per input, instrumented, for its baseline,
     and settles some runs of its one-operator mutants from that run
@@ -427,7 +407,8 @@ class MiniBackend:
         earlier decisions for later compiles (a program compiled before
         keeps its record, true of the values it was decided on); decides
         nothing unless every run is ok."""
-        probe = self._base.instrument(edits)
+        sites = (self._base.site(start, new) for start, new in edits)
+        probe = Instrumented(self._base.tree, [site for site in sites if site is not None])
         rows = []
 
         def run(values, budget, arm):

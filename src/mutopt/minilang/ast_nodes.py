@@ -98,11 +98,14 @@ Node = Union[Expr, Stmt]
 @dataclass(eq=False)
 class MiniProgram:
     """A parsed program, the variables it names, the byte span in the source
-    of each top-level statement, from its first token to its last, and the
-    node each binary or shortcut-assignment operator token built, by the
-    token's start."""
+    of each top-level statement, from its first token to its last, the node
+    each binary or shortcut-assignment operator token built, by the token's
+    start, and the binding levels another operator may take in place of
+    each binary one and parse to the same tree (``parser.LEVELS``; the rule
+    is ``_Parser.climb``'s), by the token's start too."""
 
     body: tuple[Stmt, ...]
     variables: tuple[str, ...]
     spans: tuple[tuple[int, int], ...]
     operators: dict[int, Node] = field(default_factory=dict)
+    levels: dict[int, range] = field(default_factory=dict)

@@ -230,8 +230,7 @@ class Instrumented:
             cut = max((i + 1 for i, step in enumerate(site.path) if isinstance(step, int)),
                       default=0)
             stmt = node_at(top, site.path[:cut])
-            if (site.path[cut:cut + 1] != ("cond",)
-                    and isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print))):
+            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
                 target = getattr(stmt, "name", None)
                 if target not in slices:
                     slices[target] = frozenset(_closure({target} - {None}, assigns))

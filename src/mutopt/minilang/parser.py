@@ -28,8 +28,6 @@ binary operator.  A deeper program is a CompileError, so no later stage
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..tokens import Language, SourceUnit, Token, TokenKind
 from . import ast_nodes as ast
 
@@ -66,6 +64,7 @@ class _Parser:
         self.depth = 0  # levels open above the current token
         self.variables: set[str] = set()
         self.operators: dict[int, ast.Node] = {}  # operator token start -> its node
+        self.levels: dict[int, range] = {}  # binary operator token start -> climb's range
 
     def error(self, message: str) -> CompileError:
         if self.pos < len(self.tokens):
@@ -124,7 +123,8 @@ class _Parser:
             spans.append((start, self.tokens[self.pos - 1].end))
         return ast.MiniProgram(body=tuple(body),
                                variables=tuple(sorted(self.variables)),
-                               spans=tuple(spans), operators=self.operators)
+                               spans=tuple(spans), operators=self.operators,
+                               levels=self.levels)
 
     def statement(self) -> ast.Stmt:
         tok = self.peek()
@@ -218,20 +218,36 @@ class _Parser:
     def expression(self) -> ast.Expr:
         return self.climb(0)[0]
 
-    def climb(self, min_level: int) -> tuple[ast.Expr, int]:
+    def climb(self, min_level: int) -> tuple[ast.Expr, int, int]:
         """Precedence climbing: the operand and every following operator
         that binds at ``min_level`` or tighter, grouped to the left, with
-        the height of the tree in nesting levels."""
+        the height of the tree in nesting levels and the level of the
+        chain's last operator, 10 if it has none.  That is the loosest level
+        it grouped: each right operand takes every tighter operator, so
+        levels never rise along the chain.
+
+        Another operator in place of one of the chain's parses to the same
+        tree exactly when it binds from the larger of ``min_level`` and the
+        level of the operator, if any, that follows the right operand, to
+        the smaller of the level of the operator, if any, that built the
+        left operand and one less than the loosest level grouped in the
+        right operand.  ``levels`` records that range by the operator
+        token's start."""
         node, height = self.unary()
+        loosest, last = 10, None  # the level and token start of node's operator
         while True:
             tok = self.peek()
             level = -1 if tok is None else LEVELS.get(tok.lexeme, -1)
             if level < min_level:
-                return node, height
+                return node, height, loosest
             self.take()
-            right, right_height = self.nested(self.climb, level + 1)
+            if last is not None:  # this operator follows last's right operand
+                self.levels[last] = range(level, self.levels[last].stop)
+            right, right_height, right_loosest = self.nested(self.climb, level + 1)
             node = ast.BinOp(tok.lexeme, node, right, tok.line)
             self.operators[tok.start] = node
+            self.levels[tok.start] = range(min_level, min(loosest, right_loosest - 1) + 1)
+            loosest, last = level, tok.start
             height = 1 + max(height, right_height)
             self.check_depth(height)
 
@@ -259,13 +275,13 @@ class _Parser:
             return ast.IntLit(value), 0
         if tok.lexeme == "(":
             self.take()
-            inner, height = self.nested(self.climb, 0)
+            inner, height, _ = self.nested(self.climb, 0)
             self.expect(")")
             return inner, height + 1
         if tok.lexeme == "in":
             self.take()
             self.expect("[")
-            index, height = self.nested(self.climb, 0)
+            index, height, _ = self.nested(self.climb, 0)
             self.expect("]")
             return ast.ArrayRead(index, tok.line), height + 1
         if tok.lexeme == "in_len":
@@ -290,18 +306,3 @@ def parse_mini(source: SourceUnit) -> ast.MiniProgram:
         raise ValueError(f"expected a mini unit, got {source.language.value}")
     tokens = [t for t in source.tokens if t.kind is not TokenKind.COMMENT]
     return _Parser(tokens).parse_program()
-
-
-def parse_statement(tokens: Sequence[Token]) -> ast.Stmt:
-    """Parse ``tokens`` as exactly one top-level statement.
-
-    A statement that ends before the last token is a CompileError too.
-    The parser looks past a statement's last token only for an ``else``,
-    so where a top-level statement of a program starts, the full parser
-    takes the same statement from these tokens unless ``else`` follows.
-    """
-    parser = _Parser([t for t in tokens if t.kind is not TokenKind.COMMENT])
-    stmt = parser.statement()
-    if parser.peek() is not None:
-        raise parser.error("expected the end of the statement")
-    return stmt

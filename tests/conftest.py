@@ -149,7 +149,7 @@ def shape(node):
 def regroups(subject, fresh) -> bool:
     """Whether a mutant's tree has another shape than the subject's
     original: its new operator binds at another level than the old one and
-    regrouped the operands (``slices.mini``)."""
+    regrouped the operands (``slices.mini``, ``precedence.mini``)."""
     if fresh.program is None:
         return False
     body, original = fresh.program.body, subject.original.program.body
@@ -182,6 +182,7 @@ FIXTURE_INPUTS = {
     "merges.mini": [[5, 3], [-7, 2], [0, 0], [4, -1]],
     "reentry.mini": [[1, 4], [2, 4], [3, 6], [2, 0], [3, -2]],
     "seeds.mini": [[2, 4, 56], [1, 0, 20], [3, -2, 90], [0, 8, 7], [3, 6, 30]],
+    "precedence.mini": [[3, 5, 2], [0, -4, 7], [6, 6, 1], [1, 0, 0, 9], [2, -1, -3]],
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from mutopt import AOR, ASR, ROR, ExecBackendConfig, apply_all
 from mutopt.backend import DECIDED_INHERITED, DECIDED_SHADOWED, VERDICT_CRASH, MiniBackend
 from mutopt.cli import load_inputs
+from mutopt.minilang.instrument import Instrumented
 from mutopt.minilang.interp import CYCLE_STRIDE, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
@@ -95,8 +96,9 @@ def _instrumented_differences(subject) -> list[str]:
     over budget.  The mini backend takes this run as the baseline."""
     backend = MiniBackend(ExecBackendConfig())
     backend.compile(subject.unit)
-    probe = backend._base.instrument(
-        [(m.start, m.replacement) for m in apply_all([ROR, ASR, AOR], subject.unit)])
+    sites = (backend._base.site(m.start, m.replacement)
+             for m in apply_all([ROR, ASR, AOR], subject.unit))
+    probe = Instrumented(backend._base.tree, [site for site in sites if site is not None])
 
     def run(*args):
         return probe.run(*args)[0]
