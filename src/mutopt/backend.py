@@ -39,6 +39,15 @@ et al., ICSE 2015): ``compile`` digests each binary that is an ELF file
 answered from that code's recorded runs on the same input values, without
 a spawn, marked ``DECIDED_IDENTICAL``.  That assumes a program's behaviour
 does not depend on its own path.
+
+On a C source the external backend first checks the one-operator mutants
+in a few schema binaries (``ExternalBackend.decide``, ``cschema``): each
+compiles many mutants once, switched at run time by an environment
+variable.  A mutant that a schema kills or crashes compiles no binary of
+its own; its ``run`` calls are answered from its schema runs, marked
+``DECIDED_SCHEMA``.  Every other mutant, one that passes the schema or
+times out in it included, compiles and runs alone, so only such programs
+are digested and timed.
 """
 
 from __future__ import annotations
@@ -79,6 +88,7 @@ UNIT_STEPS = "steps"
 UNIT_MS = "ms"
 
 DECIDED_IDENTICAL = "identical"  # the binary of an earlier program: its run
+DECIDED_SCHEMA = "schema"  # the mutant's run in a schema binary (ExternalBackend.decide)
 
 # Caps for the baseline itself, which has no reference cost to scale from.
 BASELINE_STEP_LIMIT = 2_000_000_000
@@ -181,13 +191,14 @@ def normalize_output(raw: bytes) -> bytes:
     return b"\n".join(lines)
 
 
-def _run_group(cmd: list[str], timeout: float,
-               stdin_data: bytes | None = None) -> subprocess.CompletedProcess:
+def _run_group(cmd: list[str], timeout: float, stdin_data: bytes | None = None,
+               env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     """``subprocess.run`` with captured output, in a new session whose whole
-    process group is killed on timeout, so no descendant outlives it."""
+    process group is killed on timeout, so no descendant outlives it;
+    ``env``, when given, is the whole environment."""
     stdin = None if stdin_data is None else subprocess.PIPE
-    with subprocess.Popen(cmd, stdin=stdin, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, start_new_session=True) as proc:
+    with subprocess.Popen(cmd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, start_new_session=True) as proc:
         try:
             stdout, stderr = proc.communicate(stdin_data, timeout=timeout)
         except BaseException:  # timeout or interrupt: no process may survive
@@ -280,20 +291,28 @@ class _Base:
 
     def site(self, start: int, new: str) -> Site | None:
         """The ``Site`` where the token at ``start`` becomes ``new``, when
-        it is an operator that ``new`` may replace
-        (``instrument.alternatives``) and keep the statement's tree: a
-        binary operator's binding level must be in the parser's range for
-        it (``MiniProgram.levels``); a shortcut assignment has none."""
-        node = self.tree.operators.get(start)
-        levels = self.tree.levels.get(start)
-        if node is None or new not in alternatives(node.op) or (
-                levels is not None and LEVELS[new] not in levels):
+        ``new`` is one of its ``swaps``."""
+        if new not in self.swaps(start):
             return None
+        node = self.tree.operators[start]
         # the top-level statement that holds it: the last to start at or before it
         k = bisect_right(self.tree.spans, start, key=itemgetter(0)) - 1
         if k not in self._paths:
             self._paths[k] = operator_paths(self.tree.body[k])
         return Site(k, self._paths[k][id(node)], new)
+
+    def swaps(self, start: int) -> tuple[str, ...]:
+        """The operators that may replace the token at ``start``: none
+        unless it is an operator; else those of
+        ``instrument.alternatives`` that keep the statement's tree, whose
+        binding level is in the parser's range for it
+        (``MiniProgram.levels``), or all for a shortcut assignment."""
+        node = self.tree.operators.get(start)
+        if node is None:
+            return ()
+        levels = self.tree.levels.get(start)
+        return tuple(op for op in alternatives(node.op)
+                     if levels is None or LEVELS[op] in levels)
 
     def derive(self, text: bytes) -> tuple[CompiledMini, Site] | None:
         """``text`` compiled as a mutant of the base that swaps one operator
@@ -305,16 +324,19 @@ class _Base:
         if found is None:
             return None
         index, token = found
-        site = self.site(self.unit.tokens[index].start, token.lexeme)
+        start = self.unit.tokens[index].start
+        site = self.site(start, token.lexeme)
         if site is None:
             return None
         try:  # code past CPython's limits: the full compile decides
-            return self.program.with_code(site.statement, self._schema(site), site.op), site
+            return self.program.with_code(site.statement, self._schema(site, start),
+                                          site.op), site
         except CompileError:
             return None
 
-    def _schema(self, site: Site) -> CodeType:
-        """The code of the schema that runs ``site``'s mutant."""
+    def _schema(self, site: Site, start: int) -> CodeType:
+        """The code of the schema that runs ``site``'s mutant, the operator
+        at ``start``, switched between its ``swaps``."""
         top, path = self.tree.body[site.statement], site.path
         if self._current != (site.statement, path):
             # the loops whose bodies hold the site; its operator changes
@@ -324,7 +346,7 @@ class _Base:
             self._current = site.statement, path
             self._keys = {op: tuple(loop_slice(node_at(with_op(top, path, op), loop))
                                     for loop in loops)
-                          for op in alternatives(node_at(top, path).op)}
+                          for op in self.swaps(start)}
             self._schemas = {}
         key = self._keys[site.op]
         if key not in self._schemas:
@@ -461,6 +483,16 @@ class ExternalBackend:
     values, without a spawn, when the run was made under the same budget
     or was ok within this one; the first program with a digest always
     spawns.
+
+    The first program compiled is the original.  On a C source, ``decide``
+    checks its one-operator mutants in a few schema binaries
+    (``cschema``) and records the runs of each one the schema kills or
+    crashes.  ``compile`` of such a mutant writes its source and builds
+    nothing, and ``run`` answers from that record by the same rule as for
+    an identical binary, marked ``DECIDED_SCHEMA``; a run it did not
+    record builds the mutant alone first.  Schema binaries are never
+    digested, so a schema's run and an identical binary's never answer
+    each other.
     """
 
     unit = UNIT_MS
@@ -477,15 +509,41 @@ class ExternalBackend:
         # by (warmups, repetitions, code, input values): the budget and
         # the result of that code's last run
         self._recorded: dict[tuple, tuple[float, RunResult]] = {}
+        self._original: tuple[SourceUnit | bytes, str] | None = None  # and its name
+        # by the digest of a mutant's text, then by input values: the
+        # budget and result of each of its runs in a schema
+        self._decided: dict[bytes, dict[tuple[int, ...], tuple[float, RunResult]]] = {}
+        self._answers: dict[Path, dict] = {}  # an unbuilt program -> its runs
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Path:
         # name keeps the real extension so compilers that sniff suffixes
         # (gcc, javac) treat the file correctly; the counter avoids clashes
         data = source.text if isinstance(source, SourceUnit) else bytes(source)
+        if self._original is None:
+            self._original = source, name
         self._counter += 1
         src_path = self.scratch / f"{self._counter:04d}.{name}"
         out_path = self.scratch / f"{self._counter:04d}.{name}.bin"
         src_path.write_bytes(data)
+        runs = self._decided.get(_text_digest(data)) if self._decided else None
+        if runs is not None:
+            self._answers[out_path] = runs
+            return out_path
+        self._build(src_path, out_path)
+        return out_path
+
+    def _build(self, src_path: Path, out_path: Path) -> None:
+        """Compile ``src_path`` to ``out_path`` and digest the binary."""
+        self._cc(src_path, out_path)
+        try:
+            digest = elf_digest(out_path.read_bytes())
+        except OSError:  # no binary: running it fails as it would have
+            digest = None
+        if digest is not None:
+            self._digests[out_path] = digest
+            self._first.setdefault(digest, out_path)
+
+    def _cc(self, src_path: Path, out_path: Path) -> None:
         mapping = {"src": str(src_path), "out": str(out_path)}
         cmd = [arg.format_map(mapping) for arg in self._compile_args]
         try:
@@ -497,19 +555,58 @@ class ExternalBackend:
         if proc.returncode != 0:
             diag = proc.stderr.decode("utf-8", errors="replace").strip()
             raise CompileError(diag or f"compiler exited {proc.returncode}", 0, 0)
-        try:
-            digest = elf_digest(out_path.read_bytes())
-        except OSError:  # no binary: running it fails as it would have
-            digest = None
-        if digest is not None:
-            self._digests[out_path] = digest
-            self._first.setdefault(digest, out_path)
-        return out_path
+
+    def decide(self, edits: Sequence[tuple[int, str]], inputs: Sequence[Sequence[int]],
+               baseline: "OverallTime") -> None:
+        """Check the original's one-operator mutants ``edits``, each the
+        start of the token it replaces and the new lexeme, against
+        ``baseline``, the original's run on ``inputs``, in schema binaries,
+        and record the runs of each mutant that one kills or crashes; the
+        rest, timeouts too, are left to run alone.  Only on a ``.c``
+        original with an ok baseline; a schema that does not compile
+        decides nothing.  The original must be compiled.  Replaces the
+        earlier record for later compiles.  Spawns through ``_spawn``, never
+        ``compile`` or ``run``."""
+        from .cschema import SWITCH, schemas  # only a C search writes schemas
+
+        self._decided = {}
+        source, name = self._original
+        if not name.endswith(".c") or baseline.verdict != VERDICT_OK:
+            return
+        unit = source if isinstance(source, SourceUnit) else tokenize(source, Language.C_LIKE)
+        ends = {t.start: t.end for t in unit.tokens}
+        env = dict(os.environ)
+        (self.scratch / "schema").mkdir(exist_ok=True)
+        for j, (text, members) in enumerate(schemas(unit, edits)):
+            src_path = self.scratch / "schema" / f"{j:02d}.{name}"
+            binary = src_path.with_name(src_path.name + ".bin")
+            src_path.write_bytes(text)
+            try:
+                self._cc(src_path, binary)
+            except CompileError:
+                continue
+            except ToolchainError as exc:
+                raise ToolchainError(f"while compiling mutant schema {src_path.name}: "
+                                     f"{exc}") from exc
+            spawn = partial(self._spawn, binary, warmups=0, repetitions=1, env=env)
+            for n, index in enumerate(members, 1):
+                env[SWITCH] = str(n)
+                checked = _overall(self, spawn, inputs, baseline)
+                if checked.verdict in (VERDICT_KILLED, VERDICT_CRASH):
+                    start, new = edits[index]
+                    mutant = unit.text[:start] + new.encode() + unit.text[ends[start]:]
+                    self._decided[_text_digest(mutant)] = {
+                        tuple(values): (self.mutant_budget(ref.cost), result)
+                        for values, ref, result in zip(inputs, baseline.results,
+                                                       checked.results)}
 
     def run(self, program: Path, input_values: Sequence[int],
             budget: float) -> RunResult:
         """One run of ``program`` on the input; its cost is that run's wall
         time."""
+        recorded = self._answers.get(program, {}).get(tuple(input_values))
+        if recorded is not None and _covers(*recorded, budget):
+            return replace(recorded[1], decided=DECIDED_SCHEMA)
         return self._recall(program, input_values, budget, 0, 1)
 
     def timed(self, program: Path, input_values: Sequence[int],
@@ -524,11 +621,13 @@ class ExternalBackend:
                 warmups: int, repetitions: int) -> RunResult:
         """``_spawn``, or the recorded result of the same runs of an
         earlier program with the same code."""
+        if self._answers.pop(program, None) is not None:  # a run no schema made
+            self._build(program.with_suffix(""), program)
         digest = self._digests.get(program)
         key = (warmups, repetitions, digest, tuple(input_values))
         if digest is not None and self._first[digest] != program and key in self._recorded:
             within, result = self._recorded[key]
-            if within == budget or (result.ok and result.cost.value <= budget * 1000.0):
+            if _covers(within, result, budget):
                 return replace(result, decided=DECIDED_IDENTICAL)
         result = self._spawn(program, input_values, budget, warmups, repetitions)
         if digest is not None:
@@ -536,7 +635,8 @@ class ExternalBackend:
         return result
 
     def _spawn(self, program: Path, input_values: Sequence[int], budget: float,
-               warmups: int, repetitions: int) -> RunResult:
+               warmups: int, repetitions: int,
+               env: dict[str, str] | None = None) -> RunResult:
         stdin_data = (" ".join(str(v) for v in input_values) + "\n").encode("ascii")
         mapping = {"bin": str(program), "input": "-"}
         cmd = [arg.format_map(mapping) for arg in self._run_args]
@@ -545,7 +645,7 @@ class ExternalBackend:
         for i in range(warmups + repetitions):
             t0 = time.perf_counter()
             try:
-                proc = _run_group(cmd, budget, stdin_data)
+                proc = _run_group(cmd, budget, stdin_data, env)
             except OSError as exc:
                 raise ToolchainError(f"cannot start run command {cmd[0]}: "
                                      f"{exc.strerror}") from exc
@@ -566,6 +666,18 @@ class ExternalBackend:
 
     def baseline_budget(self) -> float:
         return BASELINE_TIME_LIMIT
+
+
+def _text_digest(text: bytes) -> bytes:
+    import hashlib  # see elf_digest
+
+    return hashlib.sha256(text).digest()
+
+
+def _covers(within: float, result: RunResult, budget: float) -> bool:
+    """Whether a run recorded under the budget ``within`` answers one under
+    ``budget``: the same budget, or an ok run that took no longer."""
+    return within == budget or (result.ok and result.cost.value <= budget * 1000.0)
 
 
 Backend = Union[MiniBackend, ExternalBackend]

@@ -15,15 +15,17 @@ refines its ``equivalent`` status into ``equivalent_faster``,
 ``equivalent_not_faster`` or ``selected``.
 
 On the external backend the baseline is a plain run of the original
-(``_baseline``), and a mutant is timed only once it has passed the check on
-every input (``backend.overall_time``); a mutant whose binary is the
-original's, or an earlier mutant's, is answered from that binary's runs.
-On the mini backend the baseline is ``MiniBackend.decide``'s one
-instrumented run of the original per input, which also settles the mutant
-runs it can.  Either way each mutant compiles and calls ``run`` once per
-input it reports, and the backend answers the decided calls.
-``host.decided`` totals the reported runs by how they were decided:
-executed, inherited, shadowed or identical.
+(``_baseline``).  ``ExternalBackend.decide`` then checks the mutants of a C
+source in schema binaries and keeps the runs of each one a schema kills or
+crashes.  A mutant is timed only once it has passed the check on every
+input (``backend.overall_time``); a mutant whose binary is the original's,
+or an earlier mutant's, is answered from that binary's runs.  On the mini
+backend the baseline is ``MiniBackend.decide``'s one instrumented run of
+the original per input, which also settles the mutant runs it can.  Either
+way each mutant compiles and calls ``run`` once per input it reports, and
+the backend answers the decided calls.  ``host.decided`` totals the
+reported runs by how they were decided: executed, inherited, shadowed,
+identical or schema.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Sequence
 from .backend import (
     DECIDED_IDENTICAL,
     DECIDED_INHERITED,
+    DECIDED_SCHEMA,
     DECIDED_SHADOWED,
     Backend,
     Cost,
@@ -261,8 +264,9 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     # and the external backend's baseline runs stay above apply_all, and the
     # evaluate phase must not go through make_backend, apply_all or
     # confirm_equivalence, the module globals the tracer wraps.  ``decide``
-    # runs the original through ``CompiledMini.run``, not the backend's
-    # compile or run, so no mutant is charged with it.
+    # runs the original through ``CompiledMini.run``, or the schema binaries
+    # through ``ExternalBackend._spawn``, not the backend's compile or run,
+    # so no mutant is charged with it.
     if isinstance(backend, MiniBackend):
         _compile_original(backend, source, config.source_name)
         mutants = apply_all(operators, source, config.line_range)
@@ -271,6 +275,8 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     else:
         baseline = _baseline(backend, source, inputs, config.source_name)
         mutants = apply_all(operators, source, config.line_range)
+        backend.decide([(m.start, m.replacement) for m in mutants],
+                       [e.values for e in inputs.entries], baseline)
     verdicts = _evaluate_all(backend, config, mutants, inputs, baseline)
     current_tau = baseline.cost
     best: Mutant | None = None
@@ -309,7 +315,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
 def _decided(verdicts: list[MutantVerdict]) -> dict:
     """The reported runs by how they were decided."""
     totals = {"executed": 0, DECIDED_INHERITED: 0, DECIDED_SHADOWED: 0,
-              DECIDED_IDENTICAL: 0}
+              DECIDED_IDENTICAL: 0, DECIDED_SCHEMA: 0}
     for verdict in verdicts:
         for kind in verdict.decided:
             totals[kind or "executed"] += 1

@@ -10,6 +10,7 @@ import pytest
 import mutopt.backend
 from mutopt import AOR, ASR, ROR, CompileError, Language, SourceUnit, apply_all, tokenize
 from mutopt.cli import load_inputs
+from mutopt.cschema import SWITCH
 from mutopt.minilang import BudgetExceeded, MiniProgram, MiniRuntimeError, interp, parse_mini
 from mutopt.minilang.interp import compile_program
 from mutopt.optimizer import InvalidBaseline, _baseline, confirm_equivalence
@@ -70,15 +71,22 @@ int main(void) {
 
 
 def logging_run_cmd(log: Path, interpreter: str = "") -> str:
-    """An external ``--run-cmd`` that appends the program's path to ``log``
-    at each spawn, then runs it (through ``interpreter``, if given)."""
-    script = f'echo "$0" >> {shlex.quote(str(log))}; exec {interpreter} "$0"'
+    """An external ``--run-cmd`` that appends the program's path and the
+    schema mutant it is switched to (``cschema.SWITCH``, empty outside a
+    schema) to ``log`` at each spawn, then runs it (through
+    ``interpreter``, if given)."""
+    script = f'echo "$0 ${SWITCH}" >> {shlex.quote(str(log))}; exec {interpreter} "$0"'
     return f"sh -c {shlex.quote(script)} {{bin}}"
 
 
 def spawns(log: Path) -> Counter:
-    """The spawns ``logging_run_cmd`` logged, by program file name."""
-    return Counter(Path(line).name for line in log.read_text().splitlines())
+    """The spawns ``logging_run_cmd`` logged, by program file name; a schema
+    binary's by its name and the mutant's number, ``00.a.c.bin#3``."""
+    names = Counter()
+    for line in log.read_text().splitlines():
+        path, _, n = line.rpartition(" ")
+        names[Path(path).name + (f"#{n}" if n else "")] += 1
+    return names
 
 
 def confirm_against(candidate, original, inputs, config) -> bool:

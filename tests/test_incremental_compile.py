@@ -10,7 +10,7 @@ from mutopt import AOR, ASR, ROR, ExecBackendConfig, Language, apply_all, tokeni
 from mutopt.backend import MiniBackend
 from mutopt.minilang import BudgetExceeded, MiniRuntimeError, interp
 from mutopt.minilang.ast_nodes import While
-from mutopt.minilang.interp import CYCLE_STRIDE, loop_slice
+from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini, loop_slice
 
 from conftest import (
     FIXTURE_INPUTS,
@@ -169,6 +169,27 @@ def test_each_schema_compiles_once(name, corpus, monkeypatch):
     assert others == 0
     assert len(compiles) == len(schemas)
     assert len(schemas) < len(subject.mutants)
+
+
+@pytest.mark.parametrize("name", FIXTURE_INPUTS)
+def test_schemas_switch_one_branch_per_mutant_that_keeps_the_tree(name, corpus, monkeypatch):
+    # A site's schemas switch only between the operators that keep its
+    # statement's tree, so every ``_K`` branch is some mutant's: a mutant
+    # that regroups its operands compiles in full and gets none.  A merging
+    # mutant of ``merges.mini`` compiles in full too, but its operator is
+    # one its site may take, so it keeps a branch.
+    subject = corpus.fixture(name)
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(subject.unit)
+    branches = []
+    real = CompiledMini.statement_code
+    monkeypatch.setattr(CompiledMini, "statement_code", lambda self, index, stmt, switch:
+                        branches.extend(switch[1]) or real(self, index, stmt, switch))
+    for fresh in subject.mutants:
+        attempt(backend.compile, fresh.text)
+    assert len(branches) == sum(not regroups(subject, fresh) for fresh in subject.mutants)
+    assert len(branches) == {"precedence.mini": 169, "slices.mini": 112}.get(
+        name, len(subject.mutants))
 
 
 def test_corpus_holds_every_mutant(corpus, monkeypatch):

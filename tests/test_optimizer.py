@@ -498,14 +498,19 @@ int main(void) {
     assert got["<"] == "killed"     # picks the wrong side on (3, 9)
     assert got[">"] in ("equivalent_not_faster", "equivalent_faster", "selected")
     assert confirm_against(report.selected_source, unit, inputs, config)
-    # only the mini backend decides runs from the original's; the external
-    # one decides the runs of ``#include <stdio.h>=``, which gcc builds (with
-    # a warning) into the original's binary
+    # the external backend decides the runs of ``#include <stdio.h>=``,
+    # which gcc builds (with a warning) into the original's binary
     include, = (v for v in report.verdicts if (v.line, v.original, v.replacement)
                 == (1, ">", ">="))
     assert (include.status, include.tau) == ("equivalent_not_faster", report.original_tau)
-    assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts) - 3,
-                                      "inherited": 0, "shadowed": 0, "identical": 3}
+    # the schema answers every run of the mutants it kills or crashes; it
+    # holds none on the preprocessor line
+    decided = [v for v in report.verdicts if v.line > 1 and v.status in ("killed", "crash")]
+    assert all(v.decided == ("schema",) * v.runs for v in decided)
+    assert sum(v.runs for v in decided) == 8
+    assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts) - 3 - 8,
+                                      "inherited": 0, "shadowed": 0, "identical": 3,
+                                      "schema": 8}
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -521,14 +526,23 @@ def test_external_times_only_survivors_and_runs_each_binary_once(tmp_path):
     verdicts = {(v.line, v.replacement): v for v in report.verdicts}
     spawned = {key: sum(n for name, n in logged.items() if name.endswith(f".{v.mutant_id}.c.bin"))
                for key, v in verdicts.items()}
+    # all 15 mutants sit in one schema, which runs the n-th mutant when
+    # switched to n and checks each before any compiles alone
+    schema = {key: logged[f"00.folded.c.bin#{n}"] for n, key in enumerate(verdicts, 1)}
     timed = 1 + 1 + 2  # per input: the check's run, one warmup, two measured
-    # killed ones spawn once per input they reached; survivors are timed
-    assert {key: (v.status, v.input_id, spawned[key]) for key, v in verdicts.items()
-            if v.tau is None} == {
-        (6, "<"): ("killed", "y", 2), (6, "<="): ("killed", "y", 0),
-        (6, "=="): ("killed", "y", 0),
-        (8, "<"): ("killed", "x", 1), (8, "<="): ("killed", "x", 1),
-        (8, "=="): ("killed", "y", 2), (8, "!="): ("killed", "x", 1)}
+    # killed ones spawn once per input they reached, in the schema, and
+    # never alone; the schema answers each of their runs
+    assert {key: (v.status, v.input_id, spawned[key], schema[key], v.decided)
+            for key, v in verdicts.items() if v.tau is None} == {
+        (6, "<"): ("killed", "y", 0, 2, ("schema",) * 2),
+        (6, "<="): ("killed", "y", 0, 2, ("schema",) * 2),
+        (6, "=="): ("killed", "y", 0, 2, ("schema",) * 2),
+        (8, "<"): ("killed", "x", 0, 1, ("schema",)),
+        (8, "<="): ("killed", "x", 0, 1, ("schema",)),
+        (8, "=="): ("killed", "y", 0, 2, ("schema",) * 2),
+        (8, "!="): ("killed", "x", 0, 1, ("schema",))}
+    # survivors pass the schema on both inputs, then run alone and are timed
+    assert all(schema[key] == 2 for key, v in verdicts.items() if v.tau is not None)
     assert spawned[7, "<"] == spawned[8, ">="] == 2 * timed
     # the original's binary: its runs, so its tau, and never selected
     for key in [(6, ">="), (6, "!="), (7, ">="), (7, "!=")]:
@@ -536,7 +550,8 @@ def test_external_times_only_survivors_and_runs_each_binary_once(tmp_path):
         assert (v.status, v.tau, spawned[key]) == ("equivalent_not_faster",
                                                    report.original_tau, 0)
         assert v.decided == ("identical", "identical")
-    # an earlier mutant's binary: that mutant's verdict
+    # an earlier mutant's binary: that mutant's verdict; on line 6 the
+    # schema kills all three, so none of them compiles alone
     for line in (6, 7):
         first = verdicts[line, "<"]
         for op in ("<=", "=="):
@@ -545,7 +560,9 @@ def test_external_times_only_survivors_and_runs_each_binary_once(tmp_path):
                                                             first.runs)
             assert twin.status == (first.status if first.tau is None
                                    else "equivalent_not_faster")
-            assert twin.decided == ("identical",) * twin.runs
-    assert report.host["decided"]["identical"] == 2 * 2 + 2 * 2 + 2 * 2 + 2 * 2
+            assert twin.decided == ("schema" if line == 6 else "identical",) * twin.runs
+    assert report.host["decided"]["identical"] == 2 * 2 + 2 * 2 + 2 * 2
+    assert report.host["decided"]["schema"] == 2 + 2 + 2 + 1 + 1 + 2 + 1
     # the original is checked and timed; the confirmation only checks
-    assert sum(logged.values()) == 2 * timed + sum(spawned.values()) + 2
+    assert sum(logged.values()) == (2 * timed + sum(spawned.values())
+                                    + sum(schema.values()) + 2)

@@ -98,8 +98,9 @@ def test_traced_optimize_counts_decided_runs_exactly(tmp_path, monkeypatch):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_traced_external_optimize_attributes_every_mutant(tmp_path, monkeypatch):
     # the tracer counts ``ExternalBackend.run`` calls, which check, not the
-    # timed runs; a binary identical to an earlier one still calls ``run``
-    # once per run its verdict reports, and is answered without a spawn
+    # timed runs; a binary identical to an earlier one, or a mutant a
+    # schema killed, still calls ``run`` once per run its verdict reports,
+    # and is answered without a spawn
     source = tmp_path / "folded.c"
     source.write_bytes(FOLDED_C)
     inputs = tmp_path / "inputs"
@@ -117,10 +118,11 @@ def test_traced_external_optimize_attributes_every_mutant(tmp_path, monkeypatch)
     # confirm, which only checks
     assert sum(v["runs"] for v in verdicts) == 34
     assert metrics["backend.run_calls"] == n + 34 + n
-    # lines 6 and 7: two mutants each build the original's binary, and two
-    # the binary of the site's ``<``
-    assert data["host"]["decided"] == {"executed": 18, "inherited": 0, "shadowed": 0,
-                                       "identical": 16}
+    # the schema answers the 18 runs of the mutants it kills; on lines 6
+    # and 7 two mutants each build the original's binary, and on line 7,
+    # whose ``<`` survives, two build that ``<``'s binary
+    assert data["host"]["decided"] == {"executed": 4, "inherited": 0, "shadowed": 0,
+                                       "identical": 12, "schema": 18}
 
 
 @pytest.mark.parametrize("backend, source, inputs", [
