@@ -19,14 +19,16 @@ mutant's operator.  Any other text compiles in full.
 The interpreter backend can also decide runs without executing them:
 ``MiniBackend.decide`` runs an instrumented form of the original once per
 input (``minilang.instrument``), which gives the outcome of every mutant
-that is never infected on that input or that changes only data no
-condition reads.  That run is also the original's baseline, so the
-original runs once per input.  Every mutant still compiles and calls
-``run`` once per run it reports.  ``compile`` attaches to a mutant's
-program the record of its decisions, found by its ``Site``, and ``run``
-answers a decided run by the input's values, within the decision's
-``steps``, marked in ``RunResult.decided``.  The search's pool workers are
-forked after ``decide`` and inherit the backend with its decisions.
+that is never infected on that input (inherited) or that changes only data
+no condition reads (shadowed); a mutant first infected late in a long run
+runs only its suffix, in a fork of that run (forked).  That run is also
+the original's baseline, so the original runs once per input.  Every
+mutant still compiles and calls ``run`` once per run it reports.
+``compile`` attaches to a mutant's program the record of its decisions,
+found by its ``Site``, and ``run`` answers a decided run by the input's
+values, within the decision's ``steps``, marked in ``RunResult.decided``.
+The search's pool workers are forked after ``decide`` and inherit the
+backend with its decisions.
 
 The external backend evaluates a program in two passes over the inputs
 (``overall_time``).  The check pass runs it once per input (``run``) and
@@ -74,7 +76,8 @@ from .minilang import ast_nodes as ast
 from .minilang.ast_nodes import MiniProgram
 from .minilang.instrument import (Decision, Instrumented, Site, alternatives, node_at,
                                   operator_paths, with_op)
-from .minilang.instrument import DECIDED_INHERITED, DECIDED_SHADOWED  # noqa: F401 (re-exported)
+from .minilang.instrument import (DECIDED_FORKED, DECIDED_INHERITED,  # noqa: F401 (re-exported)
+                                  DECIDED_SHADOWED)
 from .minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program, loop_slice
 from .minilang.parser import LEVELS
 from .tokens import Language, SourceUnit, relex, tokenize
@@ -382,7 +385,8 @@ class MiniBackend:
 
     ``decide`` runs the base once per input, instrumented, for its baseline,
     and settles some runs of its one-operator mutants from that run
-    (``minilang.instrument``).
+    (``minilang.instrument``): ``DECIDED_INHERITED``, ``DECIDED_SHADOWED``
+    or, run in a fork of it, ``DECIDED_FORKED``.
     ``compile`` attaches to a mutant's program the record of its decisions,
     found by its ``Site``, and ``run`` answers an input from that record by
     the input's values, without executing, when the decision's ``steps``
@@ -425,16 +429,23 @@ class MiniBackend:
         replaces and the new lexeme, and return those runs as the base's
         baseline: ``overall_time`` with no reference, each input under
         ``baseline_budget`` and armed at ``CYCLE_STRIDE``, stopping at the
-        first one that is not ok.  The base must be compiled.  Replaces
-        earlier decisions for later compiles (a program compiled before
-        keeps its record, true of the values it was decided on); decides
-        nothing unless every run is ok."""
+        first one that is not ok.  A run is decided inherited, shadowed or,
+        where ``os.fork`` exists, forked: a mutant first infected late in a
+        run that it matched on every earlier input runs its suffix in a
+        fork of that run, under ``mutant_budget`` of the steps so far.
+        The base must be compiled.  Replaces earlier decisions for later
+        compiles (a program compiled before keeps its record, true of the
+        values it was decided on); decides nothing unless every run is
+        ok."""
         sites = (self._base.site(start, new) for start, new in edits)
         probe = Instrumented(self._base.tree, [site for site in sites if site is not None])
         rows = []
+        # a forked mutant's budget: its own on the original's steps so far
+        bound = ((lambda steps: self.mutant_budget(Cost(steps, UNIT_STEPS)))
+                 if hasattr(os, "fork") else None)
 
         def run(values, budget, arm):
-            result, decisions = probe.run(values, budget, arm)
+            result, decisions = probe.run(values, budget, arm, bound)
             rows.append((tuple(values), decisions))
             return result
 
@@ -456,6 +467,8 @@ class MiniBackend:
             budget: int) -> RunResult:
         decision = self.decisions(program).get(tuple(input_values))
         if decision is not None and decision.steps <= budget:
+            if decision.outcome is None:
+                return RunResult(b"", None, VERDICT_TIMEOUT, decision.kind)
             if isinstance(decision.outcome, str):
                 return RunResult(b"", None, VERDICT_CRASH, decision.kind)
             return RunResult(decision.outcome.output,
@@ -563,10 +576,12 @@ class ExternalBackend:
         ``baseline``, the original's run on ``inputs``, in schema binaries,
         and record the runs of each mutant that one kills or crashes; the
         rest, timeouts too, are left to run alone.  Only on a ``.c``
-        original with an ok baseline; a schema that does not compile
-        decides nothing.  The original must be compiled.  Replaces the
-        earlier record for later compiles.  Spawns through ``_spawn``, never
-        ``compile`` or ``run``."""
+        original with an ok baseline.  A schema that does not compile is
+        split in halves, down to single mutants, so a mutant whose arm does
+        not compile (a ``%`` on a ``double``) leaves only itself to run
+        alone.  The original must be compiled.  Replaces the earlier record
+        for later compiles.  Spawns through ``_spawn``, never ``compile`` or
+        ``run``."""
         from .cschema import SWITCH, schemas  # only a C search writes schemas
 
         self._decided = {}
@@ -577,13 +592,25 @@ class ExternalBackend:
         ends = {t.start: t.end for t in unit.tokens}
         env = dict(os.environ)
         (self.scratch / "schema").mkdir(exist_ok=True)
-        for j, (text, members) in enumerate(schemas(unit, edits)):
+
+        def part(members):  # the schema of some members of one
+            (text, order), = schemas(unit, [edits[index] for index in members])
+            return text, [members[n] for n in order]
+
+        pending = schemas(unit, edits)[::-1]
+        j = 0
+        while pending:
+            text, members = pending.pop()
             src_path = self.scratch / "schema" / f"{j:02d}.{name}"
             binary = src_path.with_name(src_path.name + ".bin")
             src_path.write_bytes(text)
+            j += 1
             try:
                 self._cc(src_path, binary)
             except CompileError:
+                if len(members) > 1:
+                    half = len(members) // 2
+                    pending += [part(members[half:]), part(members[:half])]
                 continue
             except ToolchainError as exc:
                 raise ToolchainError(f"while compiling mutant schema {src_path.name}: "

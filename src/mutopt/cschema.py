@@ -16,8 +16,9 @@ initializers), ``case`` labels, and any expression that holds a brace, a
 preprocessor line or ``__LINE__``.  A mutant whose operator merges with
 a neighbour is left out too.  The scan matches brackets and statements on
 tokens and never parses C; a body it cannot follow gives no full
-expression.  A schema that still does not compile (a ``%`` on a
-``double``, say) decides none of its mutants.
+expression.  A schema may still not compile (a ``%`` on a ``double``,
+say); ``ExternalBackend.decide`` then splits its mutants in halves and
+writes a schema of each.
 
 Each arm is written on one line, from the expression's tokens without its
 comments, and the newlines it spans follow the chain, so every line after

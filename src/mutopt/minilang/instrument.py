@@ -23,6 +23,19 @@ the mutant's exact outcome (after AccMut's shared execution, Wang et al.,
 ISSTA 2017).  A shadow statement that raises makes the outcome that crash,
 even after a differing print, as in a real run.
 
+A mutant infected late in a long run is decided a third way: the run forks
+where it is first infected, and the child runs on as the mutant, so the
+mutant runs only its suffix (AccMut's fork at first infection, Wang et al.,
+ISSTA 2017).  Only a relational site forks: its check line holds exactly
+where the original's comparison and the mutant's differ, so the child's
+``_hit`` there flips the comparison.  Such a mutant keeps the original's
+loop cycle keys, so the child checks the loop heads a fresh run of the
+mutant checks.  It must be known alive on every earlier input of the run,
+since its evaluation stops at the first one it fails.  The child turns
+every other check and shadow off, runs under a lower bound of the mutant's
+budget and reports through a pipe; the parent waits for it before it goes
+on, so at most one child exists.
+
 ``Instrumented`` generates the original's code once with these checks and
 shadows (``interp._CodeGen`` hooks) and runs it per input, returning a
 ``Decision`` for each site it decides there.  A site turns its checks off
@@ -34,29 +47,35 @@ the baseline instead of running the original plain as well.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import ast_nodes as ast
+from . import interp
 from .ast_nodes import MiniProgram
-from .interp import (CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen, _exec,
-                     _names, _reads, _statements, _variables, _wrap)
+from .interp import (BudgetExceeded, CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen,
+                     _exec, _names, _reads, _statements, _variables, _wrap)
 
 
 # how a mutant's run was decided without running it
 DECIDED_INHERITED = "inherited"  # never infected: the original's run
 DECIDED_SHADOWED = "shadowed"  # data-only: the original's path, shadowed values
+DECIDED_FORKED = "forked"  # its suffix, run in a fork of the original's run
 
 
 @dataclass(frozen=True)
 class Decision:
     """A mutant's outcome on one input, decided without running it, and how
-    (``DECIDED_INHERITED`` or ``DECIDED_SHADOWED``): its result, or the
-    message of the ``MiniRuntimeError`` it raises.  ``steps`` is the
-    original's steps on the input: a run under fewer may stop over budget
-    where the original's does, so the decision holds only within them."""
+    (``DECIDED_INHERITED``, ``DECIDED_SHADOWED`` or ``DECIDED_FORKED``): its
+    result, the message of the ``MiniRuntimeError`` it raises, or None when
+    it was proved never to end.  The decision holds within ``steps`` or
+    more: a run under fewer may stop over budget earlier.  That is the
+    original's steps on the input, or for a forked run the bound it ran
+    under."""
     kind: str
-    outcome: MiniRunResult | str
+    outcome: MiniRunResult | str | None
     steps: int
 
 
@@ -215,6 +234,11 @@ class Instrumented:
             _exec(source, self._ns)
         self._infected: list[bool] = []
         self._live: list[int] = []
+        # per mutant: its run matched the original's on every input so far
+        self._alive = [True] * len(self.sites)
+        self._bound: Callable[[int], int] | None = None  # see ``run``
+        self._forked: dict[int, Decision] = {}  # this run's, by mutant
+        self._child: tuple[int, int] | None = None  # in a child: its pipe and bound
 
     def _classify(self, program, simple, conditions) -> dict[int, tuple]:
         """Give each mutant that is not data-only a check at its site, and
@@ -287,20 +311,24 @@ class Instrumented:
     def namespace(self) -> dict:
         return {"_hit": self._hit, "_arithmetic": self._arithmetic, "_shade": _shade}
 
-    def site(self, gen: _CodeGen, node, a: str, b: str):
+    def site(self, gen: _CodeGen, node, a: str, b: str) -> str | None:
         n = self._site_of.get(id(node))
         if n is None:
-            return
+            return None
         op = self._ops[n]
         if op not in _SIGNS:
             gen.emit(f"if _S{n}: _arithmetic({n}, {a}, {b})")
-            return
-        # inline, for a hot loop condition whose mutant is never infected
-        gen.emit(f"if _S{n}:")
-        gen.indent += 1
-        for j, new in self._checks[n]:
-            gen.emit(f"if _M{j} and {_differs(op, new, a, b)}: _hit({j}, {n})")
-        gen.indent -= 1
+            return None
+        # The site's test, with its checks inline, for a hot loop condition
+        # whose mutant is never infected: each check calls ``_hit`` where
+        # its mutant's comparison differs, and the test flips where one
+        # returns True, in a forked child.  As a condition, Python compiles
+        # it to jumps alone, so it costs the original's run no more than
+        # checks apart from the test would.
+        test = f"{a} {op} {b}"
+        checks = " or ".join(f"_M{j} and {_differs(op, new, a, b)} and _hit({j}, {n}, _s)"
+                             for j, new in self._checks[n])
+        return f"(not ({test}) if _S{n} and ({checks}) else {test})"
 
     def statement(self, gen: _CodeGen, stmt):
         n = self._statement_of.get(id(stmt))
@@ -314,9 +342,9 @@ class Instrumented:
         value = _ARITHMETIC[self._ops[n]](a, b)
         for j, new in self._checks[n]:
             if not self._infected[j] and _ARITHMETIC[new](a, b) != value:
-                self._hit(j, n)
+                self._infect(j, n)
 
-    def _hit(self, j: int, n: int):
+    def _infect(self, j: int, n: int):
         """Mutant ``j`` is infected at site ``n``."""
         self._infected[j] = True
         self._ns[f"_M{j}"] = False
@@ -324,15 +352,93 @@ class Instrumented:
         if self._live[n] == 0:
             self._ns[f"_S{n}"] = False
 
+    def _hit(self, j: int, n: int, steps: int) -> bool:
+        """Mutant ``j`` is infected at relational site ``n``, ``steps`` into
+        the run; True in a forked child that runs on as the mutant.  A
+        relational operator adds no crash seed, so the mutant keeps every
+        loop's cycle key (``interp.loop_slice``): the child, which runs the
+        original's loop heads, checks the heads its fresh run checks."""
+        self._infect(j, n)
+        if self._bound is None or steps < interp.FORK_STEPS or not self._alive[j]:
+            return False
+        return self._fork(j, n, self._bound(steps))
+
+    def _fork(self, j: int, n: int, bound: int) -> bool:
+        """Fork: the child runs on as mutant ``j`` under ``bound`` steps and
+        returns True; the parent waits for it, keeps its ``Decision``, if it
+        made one, and returns False."""
+        import pickle  # only a run that forks reads a child's report
+
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the mutant runs as usual
+            os.close(read)
+            os.close(write)
+            return False
+        if pid == 0:
+            os.close(read)
+            self._child = write, bound
+            for m, checks in enumerate(self._checks):
+                self._ns[f"_S{m}"] = m == n
+                for k, _ in checks:
+                    self._ns[f"_M{k}"] = k == j
+            for m in range(len(self._holders)):
+                self._ns[f"_Z{m}"] = ()
+            self._ns["_hit"] = _flip
+            self._ns["_budget"] = bound
+            return True
+        os.close(write)
+        try:
+            with os.fdopen(read, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+        except BaseException:  # an interrupt: no child may outlive the wait
+            _kill(pid)
+            raise
+        if os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
+            try:
+                decision = pickle.loads(data)
+            except Exception:  # no report, or part of one
+                decision = None
+            if isinstance(decision, Decision):
+                self._forked[j] = decision
+        return False
+
+    def _report(self, outcome):
+        """In a forked child: write the ``Decision`` of the run's
+        ``outcome``, its result or what it raised, or None, to the parent,
+        and leave."""
+        import pickle
+
+        try:
+            write, bound = self._child
+            data = pickle.dumps(_forked(outcome, bound))
+            while data:
+                data = data[os.write(write, data):]
+        finally:
+            os._exit(0)
+
     # ---- runs ----
 
-    def run(self, values: Sequence[int], budget: int,
-            arm: int | None) -> tuple[MiniRunResult, list[Decision | None]]:
+    def run(self, values: Sequence[int], budget: int, arm: int | None,
+            bound: Callable[[int], int] | None = None
+            ) -> tuple[MiniRunResult, list[Decision | None]]:
         """The original's run on ``values`` (``CompiledMini.run`` under
         ``budget`` and ``arm``), and each site's ``Decision`` there, or None
         where its mutant must run (it is infected and not data-only).
         Raises what the original's run raises; the checks and shadows add
-        no step, so that is what the plain original raises."""
+        no step, so that is what the plain original raises.
+
+        With ``bound``, a function from the steps so far to a lower bound
+        of the mutant's budget, the run forks at the first infection, at
+        least ``interp.FORK_STEPS`` steps in, of each relational site's
+        mutant that matched the original's output on every earlier input
+        of this ``Instrumented``; the child runs the rest under that bound
+        and decides the run, unless it stops at the bound.  ``arm`` must be
+        the stride a fresh run of the mutant checks its loops at."""
+        self._bound = bound
+        self._forked = {}
         self._infected = [False] * len(self.sites)
         self._live = [len(checks) for checks in self._checks]
         for n, checks in enumerate(self._checks):
@@ -342,18 +448,58 @@ class Instrumented:
         shadows = {j: _Shadow(slice_) for j, slice_ in self._slices.items()}
         for n, holders in enumerate(self._holders):
             self._ns[f"_Z{n}"] = [(shadows[j], self._ns[name]) for j, name in holders]
-        result = self.program.run(values, budget, arm)
+        try:
+            result = self.program.run(values, budget, arm)
+        except BaseException as exc:
+            if self._child is not None:
+                self._report(exc)
+            raise
+        if self._child is not None:
+            self._report(result)
         inherited = Decision(DECIDED_INHERITED, result, result.steps)
         decisions = []
         for j, infected in enumerate(self._infected):
             shadow = shadows.get(j)
             if shadow is None:
-                decisions.append(None if infected else inherited)
+                decision = self._forked.get(j) if infected else inherited
             else:
                 outcome = (_shadow_result(shadow, result) if shadow.error is None
                            else shadow.error)
-                decisions.append(Decision(DECIDED_SHADOWED, outcome, result.steps))
+                decision = Decision(DECIDED_SHADOWED, outcome, result.steps)
+            decisions.append(decision)
+            self._alive[j] = self._alive[j] and decision is not None and isinstance(
+                decision.outcome, MiniRunResult) and decision.outcome.output == result.output
         return result, decisions
+
+
+def _kill(pid: int):
+    """Kill and reap child ``pid``, if it was not reaped yet."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass
+
+
+def _flip(j: int, n: int, steps: int) -> bool:
+    """``_hit`` in a forked child: the one site left checked is its
+    mutant's, and each check that holds there flips the original's test."""
+    return True
+
+
+def _forked(outcome, bound: int) -> Decision | None:
+    """The ``Decision`` of a forked child's run under ``bound``, its result
+    or what it raised: none for a stop at the bound, or for what a run of
+    the mutant never raises."""
+    if isinstance(outcome, MiniRuntimeError):
+        return Decision(DECIDED_FORKED, str(outcome), bound)
+    if isinstance(outcome, BudgetExceeded):
+        if outcome.steps is None or outcome.steps > bound:
+            return None
+        outcome = None  # a loop's slice repeated within the bound: it never ends
+    elif not isinstance(outcome, MiniRunResult):
+        return None
+    return Decision(DECIDED_FORKED, outcome, bound)
 
 
 def _closure(names: set[str], assigns) -> set[str]:

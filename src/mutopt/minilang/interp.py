@@ -60,7 +60,9 @@ detector finds.  ``CYCLE_STRIDE`` is the stride the mini backend uses.
 The generator takes optional hooks that add code where an operator's
 operands are ready and before each assignment or print, without changing
 the step count or the output; ``minilang.instrument`` uses them to run the
-original once and decide mutants from that run.
+original once and decide mutants from that run.  Code generated with hooks
+reads the budget from its globals, not from a parameter, so a run can
+lower it midway.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ _INT_MIN = -(2**63)
 # loop entry.  An entry shorter than this makes no check, and one that never
 # ends stops within a few strides.
 CYCLE_STRIDE = 512
+
+# Steps into the original's instrumented run before a mutant infected there
+# may run on in a forked copy of it (``minilang.instrument``): a fork and
+# reap costs about 2.5 ms of CPU, the time of some 10^5 steps.
+FORK_STEPS = 1 << 20
 
 
 class MiniRuntimeError(Exception):
@@ -275,8 +282,10 @@ class _CodeGen:
     """``hooks``, when set, adds code for instrumentation: its ``site(gen,
     node, a, b)`` emits lines where a binary or shortcut-assignment operator
     ``node`` has its operands in atoms ``a`` and ``b`` and is not yet
-    evaluated, and its ``statement(gen, stmt)`` before each assignment or
-    print.  A variable in ``shadowed`` reads from the dict ``_w``.
+    evaluated, and may return a Python boolean expression that the node, a
+    relational operator, then takes as its test; its ``statement(gen,
+    stmt)`` emits lines before each assignment or print.  A variable in
+    ``shadowed`` reads from the dict ``_w``.
     ``switch``, a node and operators, makes a schema: that node evaluates
     whichever of the operators the variable ``_K`` holds."""
 
@@ -329,10 +338,10 @@ class _CodeGen:
         if isinstance(node, ast.BinOp):
             a = self.gen_expr(node.left)
             b = self.gen_expr(node.right)
-            self.probe(node, a, b)
+            test = self.probe(node, a, b)
             t = self.new_temp()
             for op in self.branches(node):
-                self.gen_binop(op, a, b, node.line, t)
+                self.gen_binop(op, a, b, node.line, t, test)
             return t
         raise TypeError(f"unknown expression node {node!r}")
 
@@ -342,13 +351,15 @@ class _CodeGen:
         if isinstance(node, ast.BinOp) and node.op in _TESTS and node is not self.switch_node:
             a = self.gen_expr(node.left)
             b = self.gen_expr(node.right)
-            self.probe(node, a, b)
-            return _test(node.op, a, b)
+            return self.probe(node, a, b) or _test(node.op, a, b)
         return self.gen_expr(node)
 
-    def probe(self, node: ast.Node, a: str, b: str):
+    def probe(self, node: ast.Node, a: str, b: str) -> str | None:
+        """Emit the hooks' lines at ``node``; return the test they give it,
+        if any."""
         if self.hooks is not None:
-            self.hooks.site(self, node, a, b)
+            return self.hooks.site(self, node, a, b)
+        return None
 
     def branches(self, node: ast.Node):
         """The operators to emit ``node`` with: its own; at the switched
@@ -371,19 +382,20 @@ class _CodeGen:
         if ops:
             self.indent -= 1
 
-    def store(self, var: str, op: str, a: str, b: str, line: int):
+    def store(self, var: str, op: str, a: str, b: str, line: int, test: str | None = None):
         """Emit ``var = a op b``: in ``var`` itself, but through a temporary
         for ``/`` and ``%``, whose fix-ups read the operands."""
         if op in ("/", "%"):
             self.emit(f"{var} = {self.gen_binop(op, a, b, line)}")
         else:
-            self.gen_binop(op, a, b, line, var)
+            self.gen_binop(op, a, b, line, var, test)
 
     def gen_binop(self, op: str, a: str, b: str, line: int,
-                  target: str | None = None) -> str:
+                  target: str | None = None, test: str | None = None) -> str:
         """Emit ``a op b`` into ``target``, or into a new temporary, and
         return it.  Only an operator whose fix-ups read nothing but the
-        result takes a ``target``: not ``/`` or ``%``."""
+        result takes a ``target``: not ``/`` or ``%``.  A relational or
+        logical operator takes ``test``, when given, as its test."""
         t = target or self.new_temp()
         if op in ("+", "-", "*"):
             self.emit(f"{t} = {a} {op} {b}")
@@ -412,7 +424,7 @@ class _CodeGen:
         elif op in ("&", "|", "^"):
             self.emit(f"{t} = {a} {op} {b}")
         elif op in _TESTS:
-            self.emit(f"{t} = 1 if {_test(op, a, b)} else 0")
+            self.emit(f"{t} = 1 if {test or _test(op, a, b)} else 0")
         else:
             raise ValueError(f"unknown operator {op!r}")
         return t
@@ -436,9 +448,9 @@ class _CodeGen:
             if isinstance(value, ast.BinOp):
                 a = self.gen_expr(value.left)
                 b = self.gen_expr(value.right)
-                self.probe(value, a, b)
+                test = self.probe(value, a, b)
                 for op in self.branches(value):
-                    self.store(var, op, a, b, value.line)
+                    self.store(var, op, a, b, value.line, test)
             else:
                 self.emit(f"{var} = {self.gen_expr(value)}")
         elif isinstance(stmt, ast.AugAssign):
@@ -525,6 +537,8 @@ def _signature(stmt: ast.Stmt) -> tuple[str, ...]:
 
 
 _CONTEXT = "_in, _in_len, _out, _out_append, _budget, _arm"
+# with hooks: the budget is a global, which the driver sets
+_HOOKED_CONTEXT = "_in, _in_len, _out, _out_append, _arm"
 
 
 def _state(names: Sequence[str]) -> str:
@@ -538,7 +552,8 @@ def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
     last two.  With ``switch`` (see ``_CodeGen``) it also takes ``_K``."""
     gen = _CodeGen(hooks, switch=switch)
     k = "" if switch is None else ", _K"
-    gen.lines.append(f"def _st{index}({_CONTEXT}, {_state(names)}{k}):")
+    context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
+    gen.lines.append(f"def _st{index}({context}, {_state(names)}{k}):")
     gen.gen_stmt(stmt)
     gen.flush()
     gen.emit(f"return {_state(names)}")
@@ -551,18 +566,21 @@ def generate_source(program: MiniProgram, hooks=None) -> str:
     Each top-level statement becomes a function that takes and returns the
     step count and the variables the statement names, so they stay fast
     locals; the driver ``_mini`` calls them in order.  ``hooks`` instruments
-    the code (see ``_CodeGen``).
+    the code (see ``_CodeGen``), and then the budget is the global
+    ``_budget``, which the driver sets from its argument.
     """
     signatures = [_signature(stmt) for stmt in program.body]
     parts = [_statement_source(stmt, k, names, hooks)
              for k, (stmt, names) in enumerate(zip(program.body, signatures))]
-    lines = ["def _mini(_in, _budget, _arm):",
-             "    _s = 0",
+    context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
+    lines = (["def _mini(_in, _budget, _arm):"] if hooks is None else
+             ["def _mini(_in, _limit, _arm):", "    global _budget", "    _budget = _limit"])
+    lines += ["    _s = 0",
              "    _out = []",
              "    _out_append = _out.append",
              "    _in_len = len(_in)"]
     lines += [f"    v_{name} = 0" for name in program.variables]
-    lines += [f"    {_state(names)} = _st{k}({_CONTEXT}, {_state(names)})"
+    lines += [f"    {_state(names)} = _st{k}({context}, {_state(names)})"
               for k, names in enumerate(signatures)]
     lines += ["    if _s > _budget: _over(_s)",
               "    return _out, _s"]

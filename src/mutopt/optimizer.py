@@ -21,11 +21,11 @@ crashes.  A mutant is timed only once it has passed the check on every
 input (``backend.overall_time``); a mutant whose binary is the original's,
 or an earlier mutant's, is answered from that binary's runs.  On the mini
 backend the baseline is ``MiniBackend.decide``'s one instrumented run of
-the original per input, which also settles the mutant runs it can.  Either
-way each mutant compiles and calls ``run`` once per input it reports, and
-the backend answers the decided calls.  ``host.decided`` totals the
-reported runs by how they were decided: executed, inherited, shadowed,
-identical or schema.
+the original per input, which also settles the mutant runs it can, some in
+a fork of that run.  Either way each mutant compiles and calls ``run`` once
+per input it reports, and the backend answers the decided calls.
+``host.decided`` totals the reported runs by how they were decided:
+executed, inherited, shadowed, forked, identical or schema.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .backend import (
+    DECIDED_FORKED,
     DECIDED_IDENTICAL,
     DECIDED_INHERITED,
     DECIDED_SCHEMA,
@@ -314,7 +315,7 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
 
 def _decided(verdicts: list[MutantVerdict]) -> dict:
     """The reported runs by how they were decided."""
-    totals = {"executed": 0, DECIDED_INHERITED: 0, DECIDED_SHADOWED: 0,
+    totals = {"executed": 0, DECIDED_INHERITED: 0, DECIDED_SHADOWED: 0, DECIDED_FORKED: 0,
               DECIDED_IDENTICAL: 0, DECIDED_SCHEMA: 0}
     for verdict in verdicts:
         for kind in verdict.decided:

@@ -38,6 +38,18 @@ def load_unit(name: str, language: Language = Language.MINI) -> SourceUnit:
     return tokenize((FIXTURES / name).read_bytes(), language)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_child_outlives_the_session():
+    """Fail the session when a child of the test process is left running
+    or unreaped: a forked run, a pool worker or a spawned program."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process outlived the tests ({'running' if pid == 0 else 'unreaped'})")
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
@@ -191,6 +203,7 @@ FIXTURE_INPUTS = {
     "reentry.mini": [[1, 4], [2, 4], [3, 6], [2, 0], [3, -2]],
     "seeds.mini": [[2, 4, 56], [1, 0, 20], [3, -2, 90], [0, 8, 7], [3, 6, 30]],
     "precedence.mini": [[3, 5, 2], [0, -4, 7], [6, 6, 1], [1, 0, 0, 9], [2, -1, -3]],
+    "late.mini": [[60], [100], [7], [45]],
 }
 
 

@@ -186,6 +186,34 @@ def test_schema_that_does_not_compile_decides_nothing(tmp_path, monkeypatch):
     assert verdicts(report) == verdicts(search(tmp_path / "alone", FOLDED_C, inputs))
 
 
+# ``x % n`` on a double does not compile, in a schema or alone; every other
+# mutant of lines 7 and 8 prints another line than the original on 3
+DOUBLE_C = b"""int scanf(const char *, ...);
+int printf(const char *, ...);
+int main(void) {
+    int n = 0;
+    double x = 2.5;
+    scanf("%d", &n);
+    x = x * n;
+    n = n + 7;
+    printf("%d %d\\n", (int) (x * 4), n);
+    return 0;
+}
+"""
+
+
+@external
+def test_a_schema_that_does_not_compile_is_split_down_to_its_bad_arm(tmp_path):
+    report = search(tmp_path, DOUBLE_C, input_set([3], [5]), line_range=(7, 8))
+    bad, = (v for v in report.verdicts if v.status == "compile_error")
+    assert (bad.line, bad.original, bad.replacement) == (7, "*", "%")
+    others = [v for v in report.verdicts if v is not bad]
+    assert len(others) == 7
+    assert all(v.status == "killed" and v.decided == ("schema",) for v in others)
+    # one schema of all 8, halves of 4, 2 and 1 down to the ``%`` arm
+    assert len(list((tmp_path / "schema").glob("*.unit.c"))) == 7
+
+
 HANGING_C = b"""#include <stdio.h>
 #include <unistd.h>
 int main(void) {

@@ -2,14 +2,20 @@
 (``MiniBackend.decide``): every run the backend answers without executing
 must equal the corpus's fresh full compile (class, message, output and
 steps), and every mutant must get the verdict it gets when all its runs
-execute.  The instrumented run is also the mini backend's baseline, so its
-own outcome must equal the original's fresh full compile, armed or not."""
+execute.  That covers the runs a fork of the instrumented run decides: with
+``FORK_STEPS`` at 0, a mutant forks at its first infection in any run.  The
+instrumented run is also the mini backend's baseline, so its own outcome
+must equal the original's fresh full compile, armed or not."""
+
+from collections import Counter
 
 import pytest
 
 from mutopt import AOR, ASR, ROR, ExecBackendConfig, apply_all
-from mutopt.backend import DECIDED_INHERITED, DECIDED_SHADOWED, VERDICT_CRASH, MiniBackend
+from mutopt.backend import (DECIDED_FORKED, DECIDED_INHERITED, DECIDED_SHADOWED, VERDICT_CRASH,
+                            MiniBackend)
 from mutopt.cli import load_inputs
+from mutopt.minilang import interp
 from mutopt.minilang.instrument import Instrumented
 from mutopt.minilang.interp import CYCLE_STRIDE, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
@@ -30,29 +36,32 @@ def _deciding_backend(unit, inputs):
 
 
 def _outcome(decision) -> tuple:
-    """A decision's outcome in the corpus's form (``conftest.outcome``)."""
+    """A decision's outcome in the corpus's form (``conftest.outcome``); a
+    forked run proved never to end stops over budget unarmed."""
+    if decision.outcome is None:
+        return "BudgetExceeded", ""
     if isinstance(decision.outcome, str):
         return "MiniRuntimeError", decision.outcome
     return "ok", decision.outcome.output, decision.outcome.steps
 
 
-def _wrong_decisions(subject) -> tuple[list[str], int]:
+def _wrong_decisions(subject) -> tuple[list[str], Counter]:
     """Decided runs of the subject's mutants that differ from the fresh full
     compile, and verdicts that differ from those of a backend that decides
-    nothing; and the number of decided runs."""
+    nothing; and the decided runs by kind."""
     backend, reference, mutants = _deciding_backend(subject.unit, subject.inputs)
     plain = MiniBackend(ExecBackendConfig())
     plain.compile(subject.unit)
     inputs = InputSet(tuple(InputEntry(str(i), tuple(values))
                             for i, values in enumerate(subject.inputs)))
-    found, decided = [], 0
+    found, decided = [], Counter()
     for mutant, fresh in zip(mutants, subject.mutants):
         program = attempt(backend.compile, fresh.text)
         decisions = {} if isinstance(program, str) else backend.decisions(program)
         for values, want in zip(subject.inputs, fresh.unarmed or ()):
             decision = decisions.get(tuple(values))
             if decision is not None:
-                decided += 1
+                decided[decision.kind] += 1
                 if _outcome(decision) != want:
                     found.append(f"{subject.name} {fresh.id} on {values}: "
                                  f"{decision.kind} {_outcome(decision)}, ran {want}")
@@ -69,23 +78,44 @@ def _wrong_decisions(subject) -> tuple[list[str], int]:
 def test_decisions_match_full_compile_on_fixture(name, inputs, corpus):
     found, decided = _wrong_decisions(corpus.fixture(name))
     assert found == []
-    assert decided > 0
+    assert decided.total() > 0
 
 
 def test_decisions_match_full_compile_on_generated_programs(corpus):
-    found, decided = [], 0
+    found, decided = [], Counter()
     for subject in corpus.generated:
         f, d = _wrong_decisions(subject)
         found += f
         decided += d
     assert found == []
-    assert decided > 0
+    assert decided.total() > 0
 
 
 def test_decisions_match_full_compile_on_wide(corpus):
     found, decided = _wrong_decisions(corpus.wide)
     assert found == []
-    assert decided > 0
+    assert decided.total() > 0
+    # its runs are all far shorter than FORK_STEPS
+    assert decided[DECIDED_FORKED] == 0
+
+
+@pytest.mark.parametrize("name, inputs", FIXTURE_INPUTS.items())
+def test_forked_decisions_match_full_compile_on_fixture(name, inputs, corpus, monkeypatch):
+    monkeypatch.setattr(interp, "FORK_STEPS", 0)
+    found, decided = _wrong_decisions(corpus.fixture(name))
+    assert found == []
+    assert decided[DECIDED_FORKED] > 0
+
+
+def test_forked_decisions_match_full_compile_on_generated_programs(corpus, monkeypatch):
+    monkeypatch.setattr(interp, "FORK_STEPS", 0)
+    found, decided = [], Counter()
+    for subject in corpus.generated[:8]:
+        f, d = _wrong_decisions(subject)
+        found += f
+        decided += d
+    assert found == []
+    assert decided[DECIDED_FORKED] > 0
 
 
 def _instrumented_differences(subject) -> list[str]:
@@ -158,7 +188,12 @@ def test_pinned_decisions_on_scaled():
                "AOR_13", "AOR_14", "AOR_15", "AOR_16"):
         assert kinds[id] == (DECIDED_SHADOWED,) * 3, id
     i20 = [e.id for e in inputs.entries].index("i20")
-    for id in ("ROR_6", "ROR_18", "AOR_5", "AOR_6", "AOR_7", "ROR_13"):
+    # ROR_6, ``i <= 1 << size - 1`` to ``<``, is first infected at the last
+    # outer loop head of i20, 27 steps before its end, and forks there;
+    # ROR_18 is infected at step 27, and the four timeouts early too
+    assert kinds["ROR_6"][i20] == DECIDED_FORKED
+    assert sum(kind == DECIDED_FORKED for row in kinds.values() for kind in row) == 1
+    for id in ("ROR_18", "AOR_5", "AOR_6", "AOR_7", "ROR_13"):
         assert kinds[id][i20] is None, id
 
 

@@ -509,8 +509,8 @@ int main(void) {
     assert all(v.decided == ("schema",) * v.runs for v in decided)
     assert sum(v.runs for v in decided) == 8
     assert report.host["decided"] == {"executed": sum(v.runs for v in report.verdicts) - 3 - 8,
-                                      "inherited": 0, "shadowed": 0, "identical": 3,
-                                      "schema": 8}
+                                      "inherited": 0, "shadowed": 0, "forked": 0,
+                                      "identical": 3, "schema": 8}
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")

@@ -122,7 +122,7 @@ def test_traced_external_optimize_attributes_every_mutant(tmp_path, monkeypatch)
     # and 7 two mutants each build the original's binary, and on line 7,
     # whose ``<`` survives, two build that ``<``'s binary
     assert data["host"]["decided"] == {"executed": 4, "inherited": 0, "shadowed": 0,
-                                       "identical": 12, "schema": 18}
+                                       "forked": 0, "identical": 12, "schema": 18}
 
 
 @pytest.mark.parametrize("backend, source, inputs", [
