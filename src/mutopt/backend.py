@@ -27,8 +27,6 @@ mutant still compiles and calls ``run`` once per run it reports.
 ``compile`` attaches to a mutant's program the record of its decisions,
 found by its ``Site``, and ``run`` answers a decided run by the input's
 values, within the decision's ``steps``, marked in ``RunResult.decided``.
-The search's pool workers are forked after ``decide`` and inherit the
-backend with its decisions.
 
 The external backend evaluates a program in two passes over the inputs
 (``overall_time``).  The check pass runs it once per input (``run``) and
@@ -392,8 +390,6 @@ class MiniBackend:
     the input's values, without executing, when the decision's ``steps``
     are within the budget.  A record outlives a later ``decide``: each
     decision is a fact about the mutant on those values.
-    Pool workers are forked after ``decide`` and inherit the backend whole:
-    the compiled base and the decisions.
     """
 
     unit = UNIT_STEPS

@@ -180,10 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--report", default=None, help="write the JSON report here")
     opt.add_argument("--keep-scratch", action="store_true",
                      help="keep the scratch directory on success")
+    # accepted and ignored, because perfbench/ still passes it
     opt.add_argument("--jobs", type=_number(int, lambda v: v >= 1, ">= 1"),
-                     default=None,
-                     help="parallel mutant evaluations (mini backend); "
-                          "default one per CPU this process may run on")
+                     help=argparse.SUPPRESS)
 
     lst = sub.add_parser("mutants", help="list the mutants without executing")
     lst.add_argument("--source", required=True)
@@ -259,7 +258,6 @@ def _cmd_optimize(args, parser) -> int:
             run_cmd=args.run_cmd, repetitions=args.reps,
             warmups=args.warmups, timeout_factor=args.timeout_factor),
         threshold=args.threshold, line_range=line_range,
-        jobs=args.jobs if args.jobs is not None else _usable_cpus(),
         scratch_dir=scratch, source_name=source_path.name,
     )
     try:
@@ -280,14 +278,6 @@ def _keep_unless_empty(scratch: Path, label: str):
         scratch.rmdir()
     except OSError:
         sys.stderr.write(f"mutopt: {label}: {scratch}\n")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, where the platform can tell (an
-    affinity mask, as set by ``taskset``), else the CPUs in the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _run_optimize(args, operators, config: OptimizeConfig, unit: SourceUnit,

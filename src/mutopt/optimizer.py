@@ -10,7 +10,7 @@ full on a fresh backend, which decides nothing, and checks it against that
 same baseline on every input.
 
 ``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
-in-process or in a pool worker; the selection loop in ``optimize`` only
+once per mutant in mutant order; the selection loop in ``optimize`` only
 refines its ``equivalent`` status into ``equivalent_faster``,
 ``equivalent_not_faster`` or ``selected``.
 
@@ -34,7 +34,6 @@ import os
 import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -105,9 +104,9 @@ class MutantVerdict:
     input_id: str | None = None  # set for killed/crash/timeout
     tau: Cost | None = None      # set for equivalent_* and selected
     runs: int = 0                # runs made before the verdict, executed or decided
-    # per run: how the backend decided it, None if executed; like
-    # ``jobs``, how a verdict was reached, so only its totals are reported,
-    # under ``host``
+    # per run: how the backend decided it, None if executed; how a verdict
+    # was reached, not what it is, so only its totals are reported, under
+    # ``host``
     decided: tuple[str | None, ...] = field(default=(), compare=False)
 
 
@@ -134,15 +133,12 @@ class OptimizeConfig:
     backend: ExecBackendConfig = ExecBackendConfig()
     threshold: float = 0.05  # noise guard for wall-clock units; ignored on steps
     line_range: tuple[int, int] | None = None
-    jobs: int = 1
     scratch_dir: Path | None = None
     source_name: str = "unit"  # stem for mutant files on the external backend
 
     def __post_init__(self):
         if not (0.0 <= self.threshold <= 0.5):
             raise ValueError("threshold must be in [0, 0.5]")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def improvement_test(tau_o: Cost, tau_p: Cost, threshold: float) -> bool:
@@ -232,7 +228,8 @@ def confirm_equivalence(candidate: SourceUnit | bytes, baseline: OverallTime,
                         inputs: InputSet, config: OptimizeConfig) -> bool:
     """True iff candidate prints the baseline's normalized output on every
     input in the set, within each input's mutant budget.  ``baseline`` is
-    the original's run on these inputs (``_baseline``).
+    the original's run on these inputs: ``MiniBackend.decide``'s on the
+    mini backend, ``_baseline``'s on the external one.
 
     The candidate is compiled in full on a fresh backend, which decides
     nothing, and runs once per input against ``baseline`` (``check``),
@@ -278,7 +275,8 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
         mutants = apply_all(operators, source, config.line_range)
         backend.decide([(m.start, m.replacement) for m in mutants],
                        [e.values for e in inputs.entries], baseline)
-    verdicts = _evaluate_all(backend, config, mutants, inputs, baseline)
+    verdicts = [_evaluate_one(backend, inputs, baseline, config.source_name, mutant)
+                for mutant in mutants]
     current_tau = baseline.cost
     best: Mutant | None = None
     best_verdict: MutantVerdict | None = None
@@ -323,42 +321,9 @@ def _decided(verdicts: list[MutantVerdict]) -> dict:
     return totals
 
 
-_inherited: tuple = ()  # (task, mutants) in a pool worker, from _inherit
-
-
-def _inherit(task, mutants) -> None:
-    global _inherited
-    _inherited = task, mutants
-
-
-def _evaluate_inherited(index: int) -> MutantVerdict:
-    task, mutants = _inherited
-    return task(mutants[index])
-
-
-def _evaluate_all(backend, config, mutants, inputs, baseline):
-    # The same call either way; only the mapper differs.  Pool workers are
-    # forked after ``decide`` and inherit the task and the mutants, so only
-    # indices and verdicts cross the pipe.  Without fork, jobs run serially.
-    task = partial(_evaluate_one, backend, inputs, baseline, config.source_name)
-    if isinstance(backend, MiniBackend) and config.jobs > 1 and len(mutants) > 1:
-        # imported here, so a serial run does not load their 26 modules (~1.8 MB)
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(config.jobs, multiprocessing.get_context("fork"),
-                                     _inherit, (task, mutants)) as pool:
-                chunk = max(1, len(mutants) // (config.jobs * 4))
-                return list(pool.map(_evaluate_inherited, range(len(mutants)),
-                                     chunksize=chunk))
-    return list(map(task, mutants))
-
-
 def _config_echo(operators, inputs, config: OptimizeConfig) -> dict:
-    # jobs is deliberately absent: it is execution strategy, observationally
-    # invisible, and reports must not depend on it.  "step_budget_factor"
-    # is kept as an alias of timeout_factor so the report format is unchanged.
+    # "step_budget_factor" is kept as an alias of timeout_factor so the
+    # report format is unchanged.
     return {
         "backend": config.backend.kind,
         "operators": [op.kind.lower() for op in operators],

@@ -41,7 +41,7 @@ def load_unit(name: str, language: Language = Language.MINI) -> SourceUnit:
 @pytest.fixture(scope="session", autouse=True)
 def no_child_outlives_the_session():
     """Fail the session when a child of the test process is left running
-    or unreaped: a forked run, a pool worker or a spawned program."""
+    or unreaped: a forked run or a spawned program."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

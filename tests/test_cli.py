@@ -477,23 +477,6 @@ def test_load_inputs_accepts_only_64_bit_integers(value, ok, tmp_path):
             load_inputs(d)
 
 
-def test_default_jobs_counts_the_cpus_this_process_may_run_on(tmp_path, monkeypatch):
-    # under `taskset -c 0` on a two-CPU host, os.cpu_count() still says 2
-    import mutopt.cli
-
-    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path / "scratch"))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    configs = []
-    real_optimize = mutopt.cli.optimize
-    monkeypatch.setattr(mutopt.cli, "optimize", lambda operators, unit, inputs, config:
-                        configs.append(config) or real_optimize(operators, unit, inputs, config))
-    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
-                 "--inputs", str(FIXTURES / "m_powsum"), "--operators", "ror"])
-    assert code in (0, 3)
-    assert [c.jobs for c in configs] == [1]
-
-
 # ---- report round-trip ----
 
 def test_report_json_round_trips():

@@ -1,8 +1,8 @@
 """Forking the instrumented run of the original where a mutant is first
 infected (``minilang.instrument``): a child that decides nothing leaves the
-run to a fresh execution, no child outlives ``decide``, a search without
-``os.fork`` decides what it decides without forking, and forked runs do not
-depend on ``--jobs``.  ``FORK_STEPS`` is 0 here, so any infection forks."""
+run to a fresh execution, no child outlives ``decide``, and a search
+without ``os.fork`` decides what it decides without forking.
+``FORK_STEPS`` is 0 here, so any infection forks."""
 
 import os
 import pickle
@@ -16,7 +16,7 @@ from mutopt.backend import DECIDED_FORKED, MiniBackend
 from mutopt.minilang import ast_nodes as ast
 from mutopt.minilang import interp
 from mutopt.minilang.instrument import node_at, with_op
-from mutopt.optimizer import InputEntry, InputSet, OptimizeConfig, _evaluate_one, optimize
+from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
 from conftest import FIXTURE_INPUTS, load_unit
 
@@ -190,13 +190,3 @@ def test_without_fork_decide_decides_the_same_and_forks_nothing(monkeypatch):
     assert any(d is not None and d.kind == DECIDED_FORKED for d in forking.values())
     assert plain == {key: None if d is not None and d.kind == DECIDED_FORKED else d
                      for key, d in forking.items()}
-
-
-def test_forked_runs_do_not_depend_on_jobs():
-    inputs = InputSet(tuple(InputEntry(f"n{v[0]}", tuple(v)) for v in LATE_INPUTS))
-    a, b = (optimize([ROR, ASR, AOR], LATE, inputs, OptimizeConfig(jobs=jobs))
-            for jobs in (1, 2))
-    assert a.host["decided"][DECIDED_FORKED] > 0
-    assert a.host["decided"] == b.host["decided"]
-    a.host = b.host = {}
-    assert a == b

@@ -1,5 +1,6 @@
 """Optimizer loop tests: verdict classification, selection, soundness."""
 
+import json
 import os
 import shutil
 from dataclasses import replace
@@ -15,7 +16,6 @@ from mutopt import (
     InputSet,
     InvalidBaseline,
     Language,
-    Mutant,
     OptimizeConfig,
     ROR,
     UnitMismatch,
@@ -29,13 +29,12 @@ from mutopt import (
 )
 from mutopt import optimizer
 from mutopt.backend import MiniBackend, make_backend
-from mutopt.cli import load_inputs
+from mutopt.cli import load_inputs, main
 from mutopt.minilang import BudgetExceeded, interp
 from mutopt.minilang.interp import CYCLE_STRIDE
 from mutopt.optimizer import _baseline
-from mutopt.report import report_to_dict
 
-from conftest import (FIXTURE_INPUTS, FIXTURES, FOLDED_C, PERFBENCH, confirm_against,
+from conftest import (FIXTURE_INPUTS, FIXTURES, FOLDED_C, confirm_against,
                       load_unit, logging_run_cmd, spawns)
 from oracle import literal_verdicts
 
@@ -355,13 +354,7 @@ def test_confirmation_compiles_only_the_candidate_on_a_fresh_backend(
     assert fresh._base.unit.text == report.selected_source
 
 
-# ---- memoization and parallelism are invisible ----
-
-def strip_host(report):
-    d = report_to_dict(report)
-    d.pop("host")
-    return d
-
+# ---- memoization is invisible ----
 
 @pytest.mark.parametrize("fixture, inputs", [
     ("max_search.mini", MAX_INPUTS),
@@ -377,39 +370,17 @@ def test_memoized_verdicts_match_literal_oracle(fixture, inputs):
     assert got == literal_verdicts([ROR, ASR, AOR], unit, inputs)
 
 
-def test_parallel_evaluation_yields_identical_report(monkeypatch):
-    unit = load_unit("powsum.mini")
-    inputs = input_set(("n", [64]))
-    a = run_optimize(unit, inputs, jobs=1)
-    b = run_optimize(unit, inputs, jobs=2)
-    assert strip_host(a) == strip_host(b)
-    # pool workers inherit the parent's compiled base and decisions and
-    # compile each of the 705 mutants against it
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import widegen
-
-    unit = tokenize(widegen.generate_program(1).encode(), Language.MINI)
-    inputs = input_set(*((f"r{k}", v) for k, v in enumerate(widegen.generate_inputs(1))))
-    a = run_optimize(unit, inputs, jobs=1)
-    b = run_optimize(unit, inputs, jobs=2)
-    assert len(a.verdicts) == sum(widegen.expected_mutants().values())
-    assert strip_host(a) == strip_host(b)
-
-
 def test_host_counts_how_each_run_was_decided():
     # b2tob10 on the corpus's small inputs: each reported run executed, or
-    # was inherited from the original's or shadowed; the totals do not
-    # depend on --jobs, because the parent decides before the pool starts
+    # was inherited from the original's or shadowed
     unit = load_unit("b2tob10.mini")
     inputs = input_set(*((f"b{k}", v) for k, v in enumerate(FIXTURE_INPUTS["b2tob10.mini"])))
-    a = run_optimize(unit, inputs, jobs=1)
-    b = run_optimize(unit, inputs, jobs=2)
-    decided = a.host["decided"]
-    assert sum(decided.values()) == sum(v.runs for v in a.verdicts)
+    report = run_optimize(unit, inputs)
+    decided = report.host["decided"]
+    assert sum(decided.values()) == sum(v.runs for v in report.verdicts)
     # only the external backend decides by identical binaries
     assert min(decided["executed"], decided["inherited"], decided["shadowed"]) > 0
     assert decided["identical"] == 0
-    assert b.host["decided"] == decided
 
 
 def _evaluating_pids(monkeypatch, tmp_path):
@@ -426,33 +397,23 @@ def _evaluating_pids(monkeypatch, tmp_path):
     return lambda: {int(path.name) for path in tmp_path.iterdir()}
 
 
-def test_pool_workers_inherit_the_search_unpickled(monkeypatch, tmp_path):
-    # forked workers inherit the backend and the mutants; only indices and
-    # verdicts cross the pipe
-    unit = load_unit("powsum.mini")
-    inputs = input_set(("n", [64]))
-    serial = run_optimize(unit, inputs, jobs=1)
-
-    def refuse(self, protocol):
-        raise AssertionError(f"{type(self).__name__} pickled")
-
-    monkeypatch.setattr(MiniBackend, "__reduce_ex__", refuse)
-    monkeypatch.setattr(Mutant, "__reduce_ex__", refuse)
-    pids = _evaluating_pids(monkeypatch, tmp_path)
-    assert strip_host(run_optimize(unit, inputs, jobs=2)) == strip_host(serial)
-    assert pids() and os.getpid() not in pids()
-
-
-def test_jobs_run_serially_without_fork(monkeypatch, tmp_path):
-    import multiprocessing
-
-    unit = load_unit("powsum.mini")
-    inputs = input_set(("n", [64]))
-    serial = run_optimize(unit, inputs, jobs=1)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    pids = _evaluating_pids(monkeypatch, tmp_path)
-    assert strip_host(run_optimize(unit, inputs, jobs=2)) == strip_host(serial)
+def test_jobs_is_accepted_and_ignored(monkeypatch, tmp_path):
+    # every mutant is evaluated in this process, and the report is the one
+    # without --jobs
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path / "scratch"))
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    pids = _evaluating_pids(monkeypatch, pid_dir)
+    argv = ["optimize", "--source", str(FIXTURES / "powsum.mini"),
+            "--inputs", str(FIXTURES / "m_powsum"), "--operators", "ror,asr,aor"]
+    reports = []
+    for extra in (["--jobs", "2"], []):
+        report = tmp_path / f"report{len(reports)}.json"
+        assert main([*argv, *extra, "--report", str(report)]) == 0
+        reports.append({k: v for k, v in json.loads(report.read_text()).items()
+                        if k != "host"})
     assert pids() == {os.getpid()}
+    assert reports[0] == reports[1]
 
 
 # ---- line-range restriction ----

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from mutopt.cli import main
+from mutopt.cli import build_parser, main
 
 from conftest import FIXTURE_INPUTS, FIXTURES, FOLDED_C, PERFBENCH
 
@@ -20,8 +20,8 @@ from conftest import FIXTURE_INPUTS, FIXTURES, FOLDED_C, PERFBENCH
 def _traced_optimize(source, inputs, tmp_path, monkeypatch, *args,
                      codes=(0,)) -> tuple[dict, dict, list]:
     """The report, the per-layer metrics and the problems of a traced
-    ``optimize`` run at ``--jobs 1``, with ``args`` added, that exits with
-    one of ``codes``."""
+    ``optimize`` run, with ``args`` added, that exits with one of
+    ``codes``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # trace_run imports workloads
     trace_run = importlib.import_module("trace_run")
     monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path))
@@ -31,8 +31,7 @@ def _traced_optimize(source, inputs, tmp_path, monkeypatch, *args,
     root = tracer.open("cli:main")
     try:
         code = main(["optimize", "--source", str(source), "--inputs", str(inputs),
-                     "--operators", "ror,asr,aor", "--jobs", "1",
-                     "--report", str(report), *args])
+                     "--operators", "ror,asr,aor", "--report", str(report), *args])
     finally:
         tracer.close(root)
         tracer.uninstall()
@@ -148,3 +147,22 @@ def test_setup_probe_runs(backend, source, inputs, tmp_path, monkeypatch):
     proc = subprocess.run([sys.executable, str(PERFBENCH / "probe_setup.py"), str(spec)],
                           env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # the optimize command lines that perfbench/run.py starts and that
+    # trace_run.py runs in process, at the workload's --jobs and at 1: a CLI
+    # change that breaks one fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    parser = build_parser()
+    for workload in run.workloads.WORKLOADS.values():
+        argv = run.optimize_argv(workload, tmp_path / "report.json")
+        argvs = [argv[argv.index("optimize"):]]
+        for jobs in {workload.jobs or os.cpu_count() or 1, 1}:
+            argvs.append(["optimize", *workload.cli_args(), "--jobs", str(jobs),
+                          "--report", str(tmp_path / "traced.json")])
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            assert (args.command, args.source, args.backend) == (
+                "optimize", workload.source, workload.backend), argv
