@@ -390,12 +390,18 @@ class MiniBackend:
     the input's values, without executing, when the decision's ``steps``
     are within the budget.  A record outlives a later ``decide``: each
     decision is a fact about the mutant on those values.
+
+    Every program is generated for the largest budget a run can get, a
+    mutant's on the largest baseline (``BASELINE_STEP_LIMIT`` times the
+    timeout factor), so its loop counters need no overflow check.
     """
 
     unit = UNIT_STEPS
 
     def __init__(self, config: ExecBackendConfig):
         self.config = config
+        # the largest budget a run gets: a mutant's, on the largest baseline
+        self._budget = math.ceil(BASELINE_STEP_LIMIT * config.timeout_factor)
         self._base: _Base | None = None
         # by site, then by input values
         self._decided: dict[Site, dict[tuple[int, ...], Decision]] = {}
@@ -413,7 +419,7 @@ class MiniBackend:
         if not isinstance(source, SourceUnit):
             source = tokenize(source, Language.MINI)
         tree = parse_mini(source)  # raises CompileError
-        program = compile_program(tree)
+        program = compile_program(tree, self._budget)
         if self._base is None:
             self._base = _Base(source, tree, program)
         return program
@@ -434,7 +440,8 @@ class MiniBackend:
         values it was decided on); decides nothing unless every run is
         ok."""
         sites = (self._base.site(start, new) for start, new in edits)
-        probe = Instrumented(self._base.tree, [site for site in sites if site is not None])
+        probe = Instrumented(self._base.tree, [site for site in sites if site is not None],
+                             self._budget)
         rows = []
         # a forked mutant's budget: its own on the original's steps so far
         bound = ((lambda steps: self.mutant_budget(Cost(steps, UNIT_STEPS)))

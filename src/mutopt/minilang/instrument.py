@@ -38,8 +38,12 @@ on, so at most one child exists.
 
 ``Instrumented`` generates the original's code once with these checks and
 shadows (``interp._CodeGen`` hooks) and runs it per input, returning a
-``Decision`` for each site it decides there.  A site turns its checks off
-once all its mutants are infected.  The checks and shadows add no step,
+``Decision`` for each site it decides there.  Some mutants are decided at
+code generation: a relational mutant whose comparison differs from the
+original's on no operands the interval facts allow at its site
+(``minilang.ranges``) is never infected, so it gets no check and is
+inherited on every input.  A site turns its checks off once all its
+mutants are infected.  The checks and shadows add no step,
 change no variable of the original and print nothing, so each run is the
 original's own run, with the same outcome, and the mini backend takes it as
 the baseline instead of running the original plain as well.
@@ -57,6 +61,7 @@ from . import interp
 from .ast_nodes import MiniProgram
 from .interp import (BudgetExceeded, CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen,
                      _exec, _names, _reads, _statements, _variables, _wrap)
+from .ranges import compare
 
 
 # how a mutant's run was decided without running it
@@ -133,6 +138,13 @@ _SIGNS = {"<": {-1}, "<=": {-1, 0}, ">": {1}, ">=": {0, 1}, "==": {0}, "!=": {-1
 _HOLDS_ON = {frozenset(signs): op for op, signs in _SIGNS.items()}
 
 
+def _may_differ(op: str, new: str, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether relational ``x op y`` and ``x new y`` differ for some ``x``
+    in interval ``a`` and ``y`` in ``b``."""
+    signs = frozenset(_SIGNS[op] ^ _SIGNS[new])
+    return len(signs) == 3 or compare(_HOLDS_ON[signs], a, b) is not None
+
+
 def _differs(op: str, new: str, a: str, b: str) -> str:
     """A Python condition that holds where relational ``a op b`` and
     ``a new b`` differ."""
@@ -205,7 +217,7 @@ def _shadow_source(name: str, stmt: ast.Stmt, shadowed: frozenset,
     else:
         target = f"_w[{stmt.name!r}]"
         atom = gen.gen_expr(stmt.value)
-        gen.emit(f"{target} = {gen.gen_binop(stmt.op[0], target, atom, stmt.line)}")
+        gen.emit(f"{target} = {gen.gen_binop(stmt, stmt.op[:-1], target, atom)}")
     return "\n".join(gen.lines) + "\n"
 
 
@@ -214,7 +226,8 @@ class Instrumented:
     that decide each of ``sites``; ``run`` returns the original's run on an
     input and the ``Decision`` of each site there."""
 
-    def __init__(self, program: MiniProgram, sites: Sequence[Site]):
+    def __init__(self, program: MiniProgram, sites: Sequence[Site],
+                 budget: int | None = None):
         self.sites = list(sites)
         conditions: set[str] = set()
         simple = []  # (statement, variable it assigns or None, variables it reads)
@@ -228,7 +241,7 @@ class Instrumented:
         self._ops: list[str] = []  # per site: the original operator
         shadows = self._classify(program, simple, conditions)
         sources = self._plan_shadows(shadows, simple)
-        self.program = CompiledMini(program, self)
+        self.program = CompiledMini(program, self, budget)
         self._ns = self.program._namespace
         for source in sources:
             _exec(source, self._ns)
@@ -311,6 +324,13 @@ class Instrumented:
     def namespace(self) -> dict:
         return {"_hit": self._hit, "_arithmetic": self._arithmetic, "_shade": _shade}
 
+    @property
+    def blind(self) -> frozenset:
+        """The ids of the checked relational nodes: a forked run flips one
+        of them, so the code's facts hold with all of them refining
+        nothing."""
+        return frozenset(node for node, n in self._site_of.items() if self._ops[n] in _SIGNS)
+
     def site(self, gen: _CodeGen, node, a: str, b: str) -> str | None:
         n = self._site_of.get(id(node))
         if n is None:
@@ -319,6 +339,14 @@ class Instrumented:
         if op not in _SIGNS:
             gen.emit(f"if _S{n}: _arithmetic({n}, {a}, {b})")
             return None
+        # a mutant whose comparison differs from the original's on no
+        # operands the facts allow is never infected: it gets no check
+        operands = gen.facts and gen.facts.operands.get(id(node))
+        if operands is not None:
+            self._checks[n] = [(j, new) for j, new in self._checks[n]
+                               if _may_differ(op, new, *operands)]
+            if not self._checks[n]:
+                return None
         # The site's test, with its checks inline, for a hot loop condition
         # whose mutant is never infected: each check calls ``_hit`` where
         # its mutant's comparison differs, and the test flips where one
@@ -361,7 +389,10 @@ class Instrumented:
         self._infect(j, n)
         if self._bound is None or steps < interp.FORK_STEPS or not self._alive[j]:
             return False
-        return self._fork(j, n, self._bound(steps))
+        bound = self._bound(steps)
+        if self.program.budget is not None:  # the code holds up to its budget
+            bound = min(bound, self.program.budget)
+        return self._fork(j, n, bound)
 
     def _fork(self, j: int, n: int, bound: int) -> bool:
         """Fork: the child runs on as mutant ``j`` under ``bound`` steps and

@@ -1,11 +1,10 @@
 """Execution engine for MiniImp with an exact, deterministic step count.
 
 The AST is translated into plain Python functions and executed with native
-integers; 64-bit wrapping is enforced by range checks that only pay for
-themselves when a value actually leaves the representable range.  Each
-top-level statement becomes one function, which takes the step count and
-the variables the statement names as parameters, so they are fast locals,
-and returns them; a driver calls the statement functions in order.  A
+integers; 64-bit wrapping is enforced by range checks on the int64 bounds
+that a result can pass.  Each top-level statement becomes one function,
+which takes the step count and the variables the statement names as
+parameters, so they are fast locals, and returns them; a driver calls the statement functions in order.  A
 mutant that swaps one operator changes one statement and shares the other
 functions and the driver's code with the program it derives from
 (``CompiledMini.with_code``).  That statement runs a schema
@@ -37,11 +36,29 @@ step the code pays only for what the cost model needs:
 
   * a ``while`` or ``if`` condition is tested in place (``a < b``, or
     ``a != 0 and b != 0`` for ``&&``), with no 0/1 value;
-  * a literal is in 0..MAX, so ``x + c``, ``c + x`` check only the upper
-    int64 bound and ``x - c`` only the lower one;
+  * an operation checks only the int64 bounds its exact result can pass,
+    by the statement's interval facts (``minilang.ranges``): ``aux - 1``
+    under ``aux > 0`` and ``count += 1`` from 0 need no check, and
+    ``x + c`` with a literal ``c`` checks only the upper bound;
+  * the largest subexpressions of a loop condition that have an operator,
+    cannot crash (no ``/``, ``%`` or ``in[...]``), have no relational or
+    logical operator and read no variable the loop assigns are computed
+    once per entry of the loop, before it; their steps are still paid at
+    every head;
   * an assignment of a binary operator other than ``/`` and ``%``, and a
     shortcut assignment other than ``/=`` and ``%=``, stores the result in
     its variable and wraps it there.
+
+The facts are sound for every run the code can make.  Each top-level
+statement is analysed on its own, from any int64 values, so a mutant that
+shares a statement's function shares facts that hold whatever ran before
+it; a schema's switched node takes the join of its operators; code with
+hooks is analysed with each checked relational node refining nothing,
+since a forked run flips one; the shadow functions keep every check.  A
+loop counter's facts (a variable the loop writes only with literals and
+literal increments) come from the largest budget the code may run under,
+``CompiledMini``'s ``budget``, which ``run`` enforces; with None, they keep
+their checks.
 
 A run can also stop early as over budget, with the same result.  The head
 of each loop without ``break`` or nested ``while`` checks with Brent's
@@ -73,11 +90,11 @@ from types import CodeType, FunctionType
 from typing import Sequence
 
 from . import ast_nodes as ast
+from . import ranges
 from .ast_nodes import MiniProgram
 from .parser import CompileError
-
-_INT_MAX = 2**63 - 1
-_INT_MIN = -(2**63)
+from .ranges import INT_MAX as _INT_MAX, INT_MIN as _INT_MIN
+from .ranges import statements as _statements, wrap as _wrap
 
 # The mini backend's ``arm``: steps between two cycle checks within one
 # loop entry.  An entry shorter than this makes no check, and one that never
@@ -113,10 +130,6 @@ class BudgetExceeded(Exception):
 class MiniRunResult:
     output: bytes  # decimal values, one per line, no trailing newline
     steps: int
-
-
-def _wrap(v: int) -> int:
-    return ((v + 9223372036854775808) & 18446744073709551615) - 9223372036854775808
 
 
 def _over(steps: int):
@@ -165,15 +178,6 @@ def expr_cost(node: ast.Expr) -> int:
     if isinstance(node, ast.BinOp):
         return 1 + expr_cost(node.left) + expr_cost(node.right)
     raise TypeError(f"unknown expression node {node!r}")
-
-
-def _statements(stmts: Sequence[ast.Stmt]):
-    """Every statement of ``stmts`` at any depth, in source order: each
-    ``if`` or ``while`` is yielded before the statements of its bodies."""
-    for stmt in stmts:
-        yield stmt
-        for name in ("then_body", "else_body", "body"):
-            yield from _statements(getattr(stmt, name, ()))
 
 
 def _variables(node: ast.Expr, names: set[str]) -> set[str]:
@@ -278,6 +282,15 @@ def _test(op: str, a: str, b: str) -> str:
     return f"{a} {op} {b}"
 
 
+def _cost_bound(stmt: ast.Stmt) -> int:
+    """A bound of the steps a run takes in top-level statement ``stmt``
+    past its last budget check: every loop head checks, so at most each of
+    its statements and conditions once."""
+    return sum(_stmt_cost(s) if isinstance(s, _SIMPLE)
+               else 1 + expr_cost(s.cond) if isinstance(s, (ast.If, ast.While)) else 1
+               for s in _statements((stmt,)))
+
+
 class _CodeGen:
     """``hooks``, when set, adds code for instrumentation: its ``site(gen,
     node, a, b)`` emits lines where a binary or shortcut-assignment operator
@@ -287,9 +300,12 @@ class _CodeGen:
     stmt)`` emits lines before each assignment or print.  A variable in
     ``shadowed`` reads from the dict ``_w``.
     ``switch``, a node and operators, makes a schema: that node evaluates
-    whichever of the operators the variable ``_K`` holds."""
+    whichever of the operators the variable ``_K`` holds.
+    ``facts`` (``ranges.Facts``) drops each overflow check whose side the
+    exact result cannot reach; without them, or at a node they do not
+    cover, every check stays."""
 
-    def __init__(self, hooks=None, shadowed=frozenset(), switch=None):
+    def __init__(self, hooks=None, shadowed=frozenset(), switch=None, facts=None):
         self.lines: list[str] = []
         self.indent = 1
         self.temp = 0
@@ -298,6 +314,8 @@ class _CodeGen:
         self.hooks = hooks
         self.shadowed = shadowed
         self.switch_node, self.switch_ops = switch or (None, ())
+        self.facts = facts
+        self.hoisted: dict[int, str] = {}  # id of a loop-invariant node -> its atom
 
     def emit(self, line: str):
         self.lines.append("    " * self.indent + line)
@@ -316,6 +334,8 @@ class _CodeGen:
     # ---- expressions: return a side-effect-free Python atom ----
 
     def gen_expr(self, node: ast.Expr) -> str:
+        if id(node) in self.hoisted:
+            return self.hoisted[id(node)]
         if isinstance(node, ast.IntLit):
             return repr(node.value)
         if isinstance(node, ast.Var):
@@ -333,7 +353,7 @@ class _CodeGen:
             a = self.gen_expr(node.operand)
             t = self.new_temp()
             self.emit(f"{t} = -{a}")
-            self.emit(f"if {t} > {_INT_MAX}: {t} = _wrap({t})")
+            self.checked(t, node, "neg")
             return t
         if isinstance(node, ast.BinOp):
             a = self.gen_expr(node.left)
@@ -341,7 +361,7 @@ class _CodeGen:
             test = self.probe(node, a, b)
             t = self.new_temp()
             for op in self.branches(node):
-                self.gen_binop(op, a, b, node.line, t, test)
+                self.gen_binop(node, op, a, b, t, test)
             return t
         raise TypeError(f"unknown expression node {node!r}")
 
@@ -382,52 +402,86 @@ class _CodeGen:
         if ops:
             self.indent -= 1
 
-    def store(self, var: str, op: str, a: str, b: str, line: int, test: str | None = None):
+    def store(self, var: str, node: ast.Node, op: str, a: str, b: str,
+              test: str | None = None):
         """Emit ``var = a op b``: in ``var`` itself, but through a temporary
         for ``/`` and ``%``, whose fix-ups read the operands."""
         if op in ("/", "%"):
-            self.emit(f"{var} = {self.gen_binop(op, a, b, line)}")
+            self.emit(f"{var} = {self.gen_binop(node, op, a, b)}")
         else:
-            self.gen_binop(op, a, b, line, var, test)
+            self.gen_binop(node, op, a, b, var, test)
 
-    def gen_binop(self, op: str, a: str, b: str, line: int,
+    def gen_binop(self, node: ast.Node, op: str, a: str, b: str,
                   target: str | None = None, test: str | None = None) -> str:
-        """Emit ``a op b`` into ``target``, or into a new temporary, and
-        return it.  Only an operator whose fix-ups read nothing but the
-        result takes a ``target``: not ``/`` or ``%``.  A relational or
-        logical operator takes ``test``, when given, as its test."""
+        """Emit ``a op b``, operator ``op`` at ``node``, into ``target``, or
+        into a new temporary, and return it.  Only an operator whose fix-ups
+        read nothing but the result takes a ``target``: not ``/`` or ``%``.
+        A relational or logical operator takes ``test``, when given, as its
+        test."""
         t = target or self.new_temp()
-        if op in ("+", "-", "*"):
+        if op in ("+", "-", "*", "&", "|", "^"):
             self.emit(f"{t} = {a} {op} {b}")
-            # a literal atom is in 0..MAX and the other operand in int64, so
-            # adding it cannot go below MIN nor subtracting it above MAX
-            if op == "+" and (a.isdigit() or b.isdigit()):
-                self.emit(f"if {t} > {_INT_MAX}: {t} = _wrap({t})")
-            elif op == "-" and b.isdigit():
-                self.emit(f"if {t} < {_INT_MIN}: {t} = _wrap({t})")
-            else:
-                self.emit(f"if {t} > {_INT_MAX} or {t} < {_INT_MIN}: {t} = _wrap({t})")
         elif op == "/":
-            self.emit(f"if {b} == 0: _div0({line})")
+            self.emit(f"if {b} == 0: _div0({node.line})")
             self.emit(f"{t} = {a} // {b}")
             self.emit(f"if {t} < 0 and {t} * {b} != {a}: {t} += 1")
-            self.emit(f"if {t} > {_INT_MAX}: {t} = _wrap({t})")
         elif op == "%":
-            self.emit(f"if {b} == 0: _div0({line})")
+            self.emit(f"if {b} == 0: _div0({node.line})")
             self.emit(f"{t} = {a} % {b}")
             self.emit(f"if {t} != 0 and ({t} < 0) != ({a} < 0): {t} -= {b}")
-        elif op == "<<":
-            self.emit(f"{t} = {a} << ({b} & 63)")
-            self.emit(f"if {t} > {_INT_MAX} or {t} < {_INT_MIN}: {t} = _wrap({t})")
-        elif op == ">>":
-            self.emit(f"{t} = {a} >> ({b} & 63)")
-        elif op in ("&", "|", "^"):
-            self.emit(f"{t} = {a} {op} {b}")
+        elif op in ("<<", ">>"):
+            self.emit(f"{t} = {a} {op} ({b} & 63)")
         elif op in _TESTS:
             self.emit(f"{t} = 1 if {test or _test(op, a, b)} else 0")
         else:
             raise ValueError(f"unknown operator {op!r}")
+        self.checked(t, node, op)
         return t
+
+    def checked(self, t: str, node: ast.Node, op: str):
+        """Emit the overflow check of ``t``, the exact result of operator
+        ``op`` at ``node`` (``neg``: unary minus): a wrap on each int64
+        bound it may pass."""
+        found = self.facts and self.facts.results.get((id(node), op))
+        if found is not None:
+            low, high = found[0] < _INT_MIN, found[1] > _INT_MAX
+        else:
+            low, high = op in ("+", "-", "*", "<<"), op in ("+", "-", "*", "<<", "/", "neg")
+        if low and high:
+            self.emit(f"if {t} > {_INT_MAX} or {t} < {_INT_MIN}: {t} = _wrap({t})")
+        elif high:
+            self.emit(f"if {t} > {_INT_MAX}: {t} = _wrap({t})")
+        elif low:
+            self.emit(f"if {t} < {_INT_MIN}: {t} = _wrap({t})")
+
+    def hoist(self, loop: ast.While):
+        """Emit, before ``loop``, each largest subexpression of its
+        condition that has an operator, cannot crash, has no relational or
+        logical operator and reads no variable the loop assigns: the
+        condition reads it from its atom, computed once per entry."""
+        assigned = {stmt.name for stmt in _statements(loop.body)
+                    if isinstance(stmt, (ast.Assign, ast.AugAssign))}
+
+        def invariant(node) -> bool:
+            if isinstance(node, ast.Var):
+                return node.name not in assigned
+            if isinstance(node, ast.UnaryOp):
+                return invariant(node.operand)
+            if isinstance(node, ast.BinOp):
+                ops = self.switch_ops if node is self.switch_node else (node.op,)
+                return (not any(op in _TESTS or op in ("/", "%") for op in ops)
+                        and invariant(node.left) and invariant(node.right))
+            return isinstance(node, (ast.IntLit, ast.InLen))
+
+        def walk(node):
+            if isinstance(node, (ast.UnaryOp, ast.BinOp)) and invariant(node):
+                self.hoisted[id(node)] = self.gen_expr(node)
+            else:
+                for child in ("left", "right", "operand", "index"):
+                    if hasattr(node, child):
+                        walk(getattr(node, child))
+
+        walk(loop.cond)
 
     # ---- statements ----
 
@@ -450,7 +504,7 @@ class _CodeGen:
                 b = self.gen_expr(value.right)
                 test = self.probe(value, a, b)
                 for op in self.branches(value):
-                    self.store(var, op, a, b, value.line, test)
+                    self.store(var, value, op, a, b, test)
             else:
                 self.emit(f"{var} = {self.gen_expr(value)}")
         elif isinstance(stmt, ast.AugAssign):
@@ -459,7 +513,7 @@ class _CodeGen:
             var = f"v_{stmt.name}"
             self.probe(stmt, var, atom)
             for op in self.branches(stmt):
-                self.store(var, op[0], var, atom, stmt.line)
+                self.store(var, stmt, op[:-1], var, atom)
         elif isinstance(stmt, ast.Print):
             self.pending += _stmt_cost(stmt)
             self.emit(f"_out_append({self.gen_expr(stmt.value)})")
@@ -491,6 +545,7 @@ class _CodeGen:
             tail = _tail_cost(stmt.body)
             self.pending -= tail
             self.flush()
+            self.hoist(stmt)
             key = loop_slice(stmt)
             if key is None:
                 check = "if _s > _budget: _over(_s)"
@@ -546,11 +601,16 @@ def _state(names: Sequence[str]) -> str:
 
 
 def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
-                      hooks=None, switch=None) -> str:
+                      hooks=None, switch=None, budget: int | None = None) -> str:
     """The function of top-level statement ``index``: it takes the run's
     context, the step count and the variables ``names``, and returns the
-    last two.  With ``switch`` (see ``_CodeGen``) it also takes ``_K``."""
-    gen = _CodeGen(hooks, switch=switch)
+    last two.  With ``switch`` (see ``_CodeGen``) it also takes ``_K``.
+    Its overflow checks are those that ``stmt``'s facts keep, under runs
+    of at most ``budget`` steps (None: any); instrumented by ``hooks``,
+    its ``blind`` relational nodes refine nothing (``ranges.analyse``)."""
+    bound = None if budget is None else budget + _cost_bound(stmt)
+    facts = ranges.analyse(stmt, bound, switch, getattr(hooks, "blind", frozenset()))
+    gen = _CodeGen(hooks, switch=switch, facts=facts)
     k = "" if switch is None else ", _K"
     context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
     gen.lines.append(f"def _st{index}({context}, {_state(names)}{k}):")
@@ -560,17 +620,18 @@ def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
     return "\n".join(gen.lines) + "\n"
 
 
-def generate_source(program: MiniProgram, hooks=None) -> str:
+def generate_source(program: MiniProgram, hooks=None, budget: int | None = None) -> str:
     """Python source of the execution function, exposed for inspection.
 
     Each top-level statement becomes a function that takes and returns the
     step count and the variables the statement names, so they stay fast
     locals; the driver ``_mini`` calls them in order.  ``hooks`` instruments
     the code (see ``_CodeGen``), and then the budget is the global
-    ``_budget``, which the driver sets from its argument.
+    ``_budget``, which the driver sets from its argument.  The code is
+    only sound under budgets of at most ``budget`` steps (None: any).
     """
     signatures = [_signature(stmt) for stmt in program.body]
-    parts = [_statement_source(stmt, k, names, hooks)
+    parts = [_statement_source(stmt, k, names, hooks, budget=budget)
              for k, (stmt, names) in enumerate(zip(program.body, signatures))]
     context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
     lines = (["def _mini(_in, _budget, _arm):"] if hooks is None else
@@ -603,9 +664,12 @@ def _exec(source: str, namespace: dict):
 class CompiledMini:
     """A MiniImp program lowered to Python functions; ``hooks`` instruments
     it (see ``_CodeGen``) and adds its ``namespace`` to the functions'
-    globals."""
+    globals.  ``budget`` is the largest step budget it may run under, which
+    lets the code drop the overflow checks of loop counters; None keeps
+    them and allows any budget."""
 
-    def __init__(self, program: MiniProgram, hooks=None):
+    def __init__(self, program: MiniProgram, hooks=None, budget: int | None = None):
+        self.budget = budget
         self._signatures = [_signature(stmt) for stmt in program.body]
         self._namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
                            "_div0": _div0, "_oob": _oob}
@@ -614,7 +678,7 @@ class CompiledMini:
         # one function at a time: at its peak, compiling the whole text at
         # once takes several times the memory (3.6 MB for the 53 functions
         # of the benchmark's wide program, against 0.6 MB for its driver)
-        for function in _FUNCTION.split(generate_source(program, hooks))[1:]:
+        for function in _FUNCTION.split(generate_source(program, hooks, budget))[1:]:
             _exec(function, self._namespace)
         self._fn = self._namespace["_mini"]
 
@@ -624,8 +688,8 @@ class CompiledMini:
         node of ``stmt`` and operators, and the node's operator is the
         function's last argument ``_K``, one of those operators."""
         namespace = {}
-        _exec(_statement_source(stmt, index, self._signatures[index], switch=switch),
-              namespace)
+        _exec(_statement_source(stmt, index, self._signatures[index], switch=switch,
+                                budget=self.budget), namespace)
         return namespace[f"_st{index}"].__code__
 
     def with_code(self, index: int, code: CodeType, op: str) -> "CompiledMini":
@@ -633,6 +697,7 @@ class CompiledMini:
         ``index``'s function, ``op`` as its ``_K``, sharing the others and
         the driver's code."""
         clone = object.__new__(CompiledMini)
+        clone.budget = self.budget
         clone._signatures = self._signatures
         clone._namespace = dict(self._namespace)
         clone._namespace[f"_st{index}"] = FunctionType(code, clone._namespace, None, (op,))
@@ -644,9 +709,13 @@ class CompiledMini:
         """Raises BudgetExceeded past ``step_budget`` steps, or earlier when
         a loop's slice state repeats within one entry of the loop, checked
         once per ``arm`` steps of the entry (0 checks every head).  The
-        default stride is the budget, which detects nothing."""
+        default stride is the budget, which detects nothing.  Raises
+        ValueError for a budget above the one the code was generated for."""
         if step_budget <= 0:
             raise ValueError("step_budget must be positive")
+        if self.budget is not None and step_budget > self.budget:
+            raise ValueError(f"step_budget {step_budget} exceeds the {self.budget} "
+                             "the program was compiled for")
         values = tuple(int(v) for v in input_values)
         out, steps = self._fn(values, step_budget,
                               step_budget if arm is None else arm)
@@ -654,8 +723,10 @@ class CompiledMini:
         return MiniRunResult(output=output, steps=steps)
 
 
-def compile_program(program: MiniProgram) -> CompiledMini:
-    return CompiledMini(program)
+def compile_program(program: MiniProgram, budget: int | None = None) -> CompiledMini:
+    """``program`` compiled to run under at most ``budget`` steps (None:
+    any budget, with every loop counter's overflow check)."""
+    return CompiledMini(program, budget=budget)
 
 
 def eval_mini(program: MiniProgram, input_values: Sequence[int],
@@ -666,4 +737,4 @@ def eval_mini(program: MiniProgram, input_values: Sequence[int],
     and identical step counts.  Raises BudgetExceeded past the step budget
     and MiniRuntimeError on division by zero or out-of-bounds reads.
     """
-    return compile_program(program).run(input_values, step_budget)
+    return compile_program(program, step_budget).run(input_values, step_budget)

@@ -204,6 +204,8 @@ FIXTURE_INPUTS = {
     "seeds.mini": [[2, 4, 56], [1, 0, 20], [3, -2, 90], [0, 8, 7], [3, 6, 30]],
     "precedence.mini": [[3, 5, 2], [0, -4, 7], [6, 6, 1], [1, 0, 0, 9], [2, -1, -3]],
     "late.mini": [[60], [100], [7], [45]],
+    "edges.mini": [[2**63 - 2, 2**63 - 1, 1], [-2**63, 1 - 2**63, 3], [0, 0, 0],
+                   [2**63 - 1, -2**63, 9], [-5, 7, 63], []],
 }
 
 

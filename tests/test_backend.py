@@ -19,7 +19,7 @@ from mutopt import (
     overall_time,
     tokenize,
 )
-from mutopt.backend import elf_digest, normalize_output
+from mutopt.backend import BASELINE_STEP_LIMIT, elf_digest, normalize_output
 from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini
 
 from conftest import (attempt, count_full_parses, encode_bits, full_compile, load_unit,
@@ -100,7 +100,8 @@ def test_mini_run_checks_for_cycles_at_a_fixed_stride(monkeypatch):
 
     monkeypatch.setattr(CompiledMini, "run", spy)
     assert backend.run(looping, [], 4_000_000).verdict == "timeout"
-    assert backend.run(looping, [], 10**12).verdict == "timeout"
+    # the largest budget its code allows: a mutant's on the largest baseline
+    assert backend.run(looping, [], 4 * BASELINE_STEP_LIMIT).verdict == "timeout"
     # the same stride whatever the budget or the timeout factor
     assert arms == [CYCLE_STRIDE, CYCLE_STRIDE]
 
