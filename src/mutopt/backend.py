@@ -160,6 +160,15 @@ def check_template(template: str, placeholders: Sequence[str]) -> list[str]:
     return args
 
 
+TIMEOUT_FACTOR_RULE = "> 1 and give a finite budget"
+
+
+def usable_timeout_factor(factor: float) -> bool:
+    """Whether every budget under ``factor`` is finite: a mutant's on the
+    largest baseline, ``BASELINE_STEP_LIMIT`` steps, is the largest."""
+    return 1 < factor and BASELINE_STEP_LIMIT * factor < math.inf
+
+
 @dataclass(frozen=True)
 class ExecBackendConfig:
     kind: str = "mini"  # "mini" | "external"
@@ -181,8 +190,8 @@ class ExecBackendConfig:
             raise ValueError("repetitions must be >= 1")
         if self.warmups < 0:
             raise ValueError("warmups must be >= 0")
-        if not 1 < self.timeout_factor < math.inf:  # inf would overflow budgets
-            raise ValueError("timeout_factor must be > 1 and finite")
+        if not usable_timeout_factor(self.timeout_factor):
+            raise ValueError(f"timeout_factor must be {TIMEOUT_FACTOR_RULE}")
 
 
 def normalize_output(raw: bytes) -> bytes:

@@ -7,7 +7,6 @@ Exit codes: 0 an improving mutant was selected; 3 no improvement found;
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import shutil
 import sys
@@ -17,9 +16,11 @@ from pathlib import Path
 from .backend import (
     COMPILE_PLACEHOLDERS,
     RUN_PLACEHOLDERS,
+    TIMEOUT_FACTOR_RULE,
     ExecBackendConfig,
     ToolchainError,
     check_template,
+    usable_timeout_factor,
 )
 from .mutation import OPERATOR_REGISTRY, apply_all
 from .optimizer import (
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=1,
                      help="discarded warmup runs before the timed ones")
     opt.add_argument("--timeout-factor",
-                     type=_number(float, lambda v: 1 < v < math.inf, "> 1 and finite"),
+                     type=_number(float, usable_timeout_factor, TIMEOUT_FACTOR_RULE),
                      default=10.0,
                      help="per-input budget as a multiple of the baseline cost")
     opt.add_argument("--threshold",

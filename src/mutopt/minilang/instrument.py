@@ -61,7 +61,7 @@ from . import interp
 from .ast_nodes import MiniProgram
 from .interp import (BudgetExceeded, CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen,
                      _exec, _names, _reads, _statements, _variables, _wrap)
-from .ranges import compare
+from .ranges import RELATIONAL, differs_on, may_differ
 
 
 # how a mutant's run was decided without running it
@@ -132,24 +132,11 @@ def with_op(node, path: tuple, op: str):
     return replace(node, **{path[0]: with_op(child, path[1:], op)})
 
 
-# the signs of a - b on which each relational operator holds, and the one
-# comparison that holds on each proper subset of the signs
-_SIGNS = {"<": {-1}, "<=": {-1, 0}, ">": {1}, ">=": {0, 1}, "==": {0}, "!=": {-1, 1}}
-_HOLDS_ON = {frozenset(signs): op for op, signs in _SIGNS.items()}
-
-
-def _may_differ(op: str, new: str, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Whether relational ``x op y`` and ``x new y`` differ for some ``x``
-    in interval ``a`` and ``y`` in ``b``."""
-    signs = frozenset(_SIGNS[op] ^ _SIGNS[new])
-    return len(signs) == 3 or compare(_HOLDS_ON[signs], a, b) is not None
-
-
 def _differs(op: str, new: str, a: str, b: str) -> str:
     """A Python condition that holds where relational ``a op b`` and
     ``a new b`` differ."""
-    signs = frozenset(_SIGNS[op] ^ _SIGNS[new])
-    return "True" if len(signs) == 3 else f"{a} {_HOLDS_ON[signs]} {b}"
+    where = differs_on(op, new)
+    return "True" if where is None else f"{a} {where} {b}"
 
 
 def _div(a: int, b: int) -> int | None:
@@ -177,7 +164,7 @@ def alternatives(op: str) -> tuple[str, ...]:
     if op.endswith("=") and op[:-1] in _ARITHMETIC:
         return tuple(f"{new}=" for new in _ARITHMETIC if new != op[:-1])
     return next((tuple(new for new in ops if new != op)
-                 for ops in (_SIGNS, _ARITHMETIC) if op in ops), ())
+                 for ops in (RELATIONAL, _ARITHMETIC) if op in ops), ())
 
 
 class _Shadow:
@@ -222,12 +209,12 @@ def _shadow_source(name: str, stmt: ast.Stmt, shadowed: frozenset,
 
 
 class Instrumented:
-    """The original ``program`` generated once with the checks and shadows
-    that decide each of ``sites``; ``run`` returns the original's run on an
-    input and the ``Decision`` of each site there."""
+    """The original ``program`` generated once, for runs of at most
+    ``budget`` steps, with the checks and shadows that decide each of
+    ``sites``; ``run`` returns the original's run on an input and the
+    ``Decision`` of each site there."""
 
-    def __init__(self, program: MiniProgram, sites: Sequence[Site],
-                 budget: int | None = None):
+    def __init__(self, program: MiniProgram, sites: Sequence[Site], budget: int):
         self.sites = list(sites)
         conditions: set[str] = set()
         simple = []  # (statement, variable it assigns or None, variables it reads)
@@ -241,7 +228,7 @@ class Instrumented:
         self._ops: list[str] = []  # per site: the original operator
         shadows = self._classify(program, simple, conditions)
         sources = self._plan_shadows(shadows, simple)
-        self.program = CompiledMini(program, self, budget)
+        self.program = CompiledMini(program, budget, self)
         self._ns = self.program._namespace
         for source in sources:
             _exec(source, self._ns)
@@ -328,15 +315,15 @@ class Instrumented:
     def blind(self) -> frozenset:
         """The ids of the checked relational nodes: a forked run flips one
         of them, so the code's facts hold with all of them refining
-        nothing."""
-        return frozenset(node for node, n in self._site_of.items() if self._ops[n] in _SIGNS)
+        nothing and taking either truth value."""
+        return frozenset(node for node, n in self._site_of.items() if self._ops[n] in RELATIONAL)
 
     def site(self, gen: _CodeGen, node, a: str, b: str) -> str | None:
         n = self._site_of.get(id(node))
         if n is None:
             return None
         op = self._ops[n]
-        if op not in _SIGNS:
+        if op not in RELATIONAL:
             gen.emit(f"if _S{n}: _arithmetic({n}, {a}, {b})")
             return None
         # a mutant whose comparison differs from the original's on no
@@ -344,7 +331,7 @@ class Instrumented:
         operands = gen.facts and gen.facts.operands.get(id(node))
         if operands is not None:
             self._checks[n] = [(j, new) for j, new in self._checks[n]
-                               if _may_differ(op, new, *operands)]
+                               if may_differ(op, new, *operands)]
             if not self._checks[n]:
                 return None
         # The site's test, with its checks inline, for a hot loop condition
@@ -389,10 +376,8 @@ class Instrumented:
         self._infect(j, n)
         if self._bound is None or steps < interp.FORK_STEPS or not self._alive[j]:
             return False
-        bound = self._bound(steps)
-        if self.program.budget is not None:  # the code holds up to its budget
-            bound = min(bound, self.program.budget)
-        return self._fork(j, n, bound)
+        # the code holds up to its budget
+        return self._fork(j, n, min(self._bound(steps), self.program.budget))
 
     def _fork(self, j: int, n: int, bound: int) -> bool:
         """Fork: the child runs on as mutant ``j`` under ``bound`` steps and

@@ -53,12 +53,13 @@ The facts are sound for every run the code can make.  Each top-level
 statement is analysed on its own, from any int64 values, so a mutant that
 shares a statement's function shares facts that hold whatever ran before
 it; a schema's switched node takes the join of its operators; code with
-hooks is analysed with each checked relational node refining nothing,
-since a forked run flips one; the shadow functions keep every check.  A
-loop counter's facts (a variable the loop writes only with literals and
-literal increments) come from the largest budget the code may run under,
-``CompiledMini``'s ``budget``, which ``run`` enforces; with None, they keep
-their checks.
+hooks is analysed with each checked relational node refining nothing and
+taking either truth value, since a forked run flips one; the shadow
+functions keep every check.  A loop counter's facts (a variable the loop
+writes only with literals and literal increments) come from the largest
+budget the code may run under, ``CompiledMini``'s ``budget``, which
+``run`` enforces; under a budget too large to bound them, they keep their
+checks.
 
 A run can also stop early as over budget, with the same result.  The head
 of each loop without ``break`` or nested ``while`` checks with Brent's
@@ -600,16 +601,17 @@ def _state(names: Sequence[str]) -> str:
     return "_s" + "".join(f", v_{name}" for name in names)
 
 
-def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
-                      hooks=None, switch=None, budget: int | None = None) -> str:
+def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str], budget: int,
+                      hooks=None, switch=None) -> str:
     """The function of top-level statement ``index``: it takes the run's
     context, the step count and the variables ``names``, and returns the
     last two.  With ``switch`` (see ``_CodeGen``) it also takes ``_K``.
     Its overflow checks are those that ``stmt``'s facts keep, under runs
-    of at most ``budget`` steps (None: any); instrumented by ``hooks``,
-    its ``blind`` relational nodes refine nothing (``ranges.analyse``)."""
-    bound = None if budget is None else budget + _cost_bound(stmt)
-    facts = ranges.analyse(stmt, bound, switch, getattr(hooks, "blind", frozenset()))
+    of at most ``budget`` steps; instrumented by ``hooks``, its ``blind``
+    relational nodes refine nothing and may take either truth value
+    (``ranges.analyse``)."""
+    facts = ranges.analyse(stmt, budget + _cost_bound(stmt), switch,
+                           getattr(hooks, "blind", frozenset()))
     gen = _CodeGen(hooks, switch=switch, facts=facts)
     k = "" if switch is None else ", _K"
     context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
@@ -620,7 +622,7 @@ def _statement_source(stmt: ast.Stmt, index: int, names: Sequence[str],
     return "\n".join(gen.lines) + "\n"
 
 
-def generate_source(program: MiniProgram, hooks=None, budget: int | None = None) -> str:
+def generate_source(program: MiniProgram, budget: int, hooks=None) -> str:
     """Python source of the execution function, exposed for inspection.
 
     Each top-level statement becomes a function that takes and returns the
@@ -628,10 +630,10 @@ def generate_source(program: MiniProgram, hooks=None, budget: int | None = None)
     locals; the driver ``_mini`` calls them in order.  ``hooks`` instruments
     the code (see ``_CodeGen``), and then the budget is the global
     ``_budget``, which the driver sets from its argument.  The code is
-    only sound under budgets of at most ``budget`` steps (None: any).
+    only sound under budgets of at most ``budget`` steps.
     """
     signatures = [_signature(stmt) for stmt in program.body]
-    parts = [_statement_source(stmt, k, names, hooks, budget=budget)
+    parts = [_statement_source(stmt, k, names, budget, hooks)
              for k, (stmt, names) in enumerate(zip(program.body, signatures))]
     context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
     lines = (["def _mini(_in, _budget, _arm):"] if hooks is None else
@@ -665,10 +667,9 @@ class CompiledMini:
     """A MiniImp program lowered to Python functions; ``hooks`` instruments
     it (see ``_CodeGen``) and adds its ``namespace`` to the functions'
     globals.  ``budget`` is the largest step budget it may run under, which
-    lets the code drop the overflow checks of loop counters; None keeps
-    them and allows any budget."""
+    lets the code drop the overflow checks of loop counters."""
 
-    def __init__(self, program: MiniProgram, hooks=None, budget: int | None = None):
+    def __init__(self, program: MiniProgram, budget: int, hooks=None):
         self.budget = budget
         self._signatures = [_signature(stmt) for stmt in program.body]
         self._namespace = {"_wrap": _wrap, "_over": _over, "_cycle": _cycle,
@@ -678,7 +679,7 @@ class CompiledMini:
         # one function at a time: at its peak, compiling the whole text at
         # once takes several times the memory (3.6 MB for the 53 functions
         # of the benchmark's wide program, against 0.6 MB for its driver)
-        for function in _FUNCTION.split(generate_source(program, hooks, budget))[1:]:
+        for function in _FUNCTION.split(generate_source(program, budget, hooks))[1:]:
             _exec(function, self._namespace)
         self._fn = self._namespace["_mini"]
 
@@ -688,8 +689,8 @@ class CompiledMini:
         node of ``stmt`` and operators, and the node's operator is the
         function's last argument ``_K``, one of those operators."""
         namespace = {}
-        _exec(_statement_source(stmt, index, self._signatures[index], switch=switch,
-                                budget=self.budget), namespace)
+        _exec(_statement_source(stmt, index, self._signatures[index], self.budget,
+                                switch=switch), namespace)
         return namespace[f"_st{index}"].__code__
 
     def with_code(self, index: int, code: CodeType, op: str) -> "CompiledMini":
@@ -713,7 +714,7 @@ class CompiledMini:
         ValueError for a budget above the one the code was generated for."""
         if step_budget <= 0:
             raise ValueError("step_budget must be positive")
-        if self.budget is not None and step_budget > self.budget:
+        if step_budget > self.budget:
             raise ValueError(f"step_budget {step_budget} exceeds the {self.budget} "
                              "the program was compiled for")
         values = tuple(int(v) for v in input_values)
@@ -723,10 +724,9 @@ class CompiledMini:
         return MiniRunResult(output=output, steps=steps)
 
 
-def compile_program(program: MiniProgram, budget: int | None = None) -> CompiledMini:
-    """``program`` compiled to run under at most ``budget`` steps (None:
-    any budget, with every loop counter's overflow check)."""
-    return CompiledMini(program, budget=budget)
+def compile_program(program: MiniProgram, budget: int) -> CompiledMini:
+    """``program`` compiled to run under at most ``budget`` steps."""
+    return CompiledMini(program, budget)
 
 
 def eval_mini(program: MiniProgram, input_values: Sequence[int],

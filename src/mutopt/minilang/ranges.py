@@ -23,8 +23,7 @@ every loop head checks the budget, so with ``bound``, the largest budget a
 run of the code can have plus the steps a statement can take between two
 budget checks, no counter moves more than ``bound`` increments.  When that
 range lies inside int64, no increment can wrap, so it holds; otherwise the
-counter gets no cap.  Without a ``bound`` only literal assignments are
-capped.
+counter gets no cap.
 
 Soundness contract: a fact may drop a check only if it holds for every
 program that runs that code object.  So each top-level statement is
@@ -32,9 +31,10 @@ analysed on its own, from an entry state where every variable may hold any
 int64 value, and a program that shares a statement's function with
 another (``CompiledMini.with_code``) shares facts that hold whatever ran
 before it.  A schema's switched node evaluates to the join of its
-operators' results, and a switched relational node, like each node in
-``blind``, refines no state: a forked instrumented run flips such a
-comparison.  Input values are int64, as every caller checks.
+operators' results, and a switched relational node refines no state.  A
+forked instrumented run flips one comparison in ``blind``, so each of
+those refines no state either and may be false or true, whatever its
+operands.  Input values are int64, as every caller checks.
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ TOP = (INT_MIN, INT_MAX)
 Interval = tuple[int, int]  # lo <= hi
 State = dict  # variable -> Interval, for those known narrower than TOP
 
-RELATIONAL = ("<", "<=", ">", ">=", "==", "!=")
+# the signs of x - y on which each relational operator holds, and the one
+# comparison that holds on each proper subset of the signs
+_SIGNS = {"<": {-1}, "<=": {-1, 0}, ">": {1}, ">=": {0, 1}, "==": {0}, "!=": {-1, 1}}
+_HOLDS_ON = {frozenset(signs): op for op, signs in _SIGNS.items()}
+RELATIONAL = tuple(_SIGNS)
 NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 # statements visited before an analysis gives up: nested loops multiply
@@ -191,6 +195,20 @@ def compare(op: str, a: Interval, b: Interval) -> tuple[Interval, Interval] | No
     return a, b
 
 
+def differs_on(op: str, new: str) -> str | None:
+    """The comparison that holds where relational ``x op y`` and
+    ``x new y`` differ; None where they differ on every pair."""
+    signs = frozenset(_SIGNS[op] ^ _SIGNS[new])
+    return None if len(signs) == 3 else _HOLDS_ON[signs]
+
+
+def may_differ(op: str, new: str, a: Interval, b: Interval) -> bool:
+    """Whether relational ``x op y`` and ``x new y`` differ for some ``x``
+    in ``a`` and ``y`` in ``b``."""
+    where = differs_on(op, new)
+    return where is None or compare(where, a, b) is not None
+
+
 def join(s: State | None, t: State | None) -> State | None:
     if s is None:
         return t
@@ -271,7 +289,7 @@ class _GiveUp(Exception):
 
 
 class _Analysis:
-    def __init__(self, bound: int | None, switch, blind):
+    def __init__(self, bound: int, switch, blind):
         self.bound = bound
         self.switch_node, self.switch_ops = switch or (None, ())
         self.blind = blind
@@ -302,6 +320,9 @@ class _Analysis:
             seen = self.facts.operands.get(id(node))
             self.facts.operands[id(node)] = (a, b) if seen is None else (
                 hull(seen[0], a), hull(seen[1], b))
+            if id(node) in self.blind:  # a forked run may flip its value
+                self.facts.results.update(((id(node), op), (0, 1)) for op in ops)
+                return 0, 1
         return self.apply(node, ops, a, b)
 
     def apply(self, node, ops: Sequence[str], a: Interval, b: Interval) -> Interval:
@@ -413,11 +434,11 @@ class _Analysis:
                 writes[stmt.name] = None
         caps = {}
         for name, seen in writes.items():
-            if seen is None or (self.bound is None and (seen[1] or seen[2])):
+            if seen is None:
                 continue
             lo, hi = entry.get(name, TOP)
-            lo = min([lo] + seen[0]) - seen[2] * (self.bound or 0)
-            hi = max([hi] + seen[0]) + seen[1] * (self.bound or 0)
+            lo = min([lo] + seen[0]) - seen[2] * self.bound
+            hi = max([hi] + seen[0]) + seen[1] * self.bound
             # inside int64, no increment wraps; past it, one may, and
             # then the counter can hold any value
             if INT_MIN <= lo and hi <= INT_MAX and (lo, hi) != TOP:
@@ -435,15 +456,16 @@ def _meet(state: State | None, caps: State) -> State | None:
     return state
 
 
-def analyse(stmt: ast.Stmt, bound: int | None = None, switch=None,
+def analyse(stmt: ast.Stmt, bound: int, switch=None,
             blind=frozenset()) -> Facts | None:
     """The facts of top-level statement ``stmt``, entered with every
     variable anywhere in int64; None when the analysis gives up.
 
     ``bound`` bounds the steps of any run of the code (see the module
-    docstring), None for no bound.  ``switch``, a node of ``stmt`` and
-    operators, makes that node each of the operators; it and the
-    relational nodes whose ids are in ``blind`` refine nothing."""
+    docstring).  ``switch``, a node of ``stmt`` and operators, makes that
+    node each of the operators; it and the relational nodes whose ids are
+    in ``blind`` refine nothing, and those in ``blind`` may take either
+    truth value."""
     analysis = _Analysis(bound, switch, blind)
     try:
         analysis.block((stmt,), {})

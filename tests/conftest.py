@@ -27,6 +27,10 @@ RUN_SLOW = bool(os.environ.get("MUTOPT_RUN_SLOW"))
 FULL_BITS_30 = "111111111111111111111111110110"
 SCALED_BITS_20 = "11111111111111110110"
 
+# a step budget above any a test runs, under which no loop counter's range
+# fits in int64: code compiled for it keeps every loop counter's check
+ANY_BUDGET = 2**64
+
 
 def encode_bits(bits: str) -> list[int]:
     """Input encoding used by the binary-conversion fixtures: length first,
@@ -137,7 +141,7 @@ def outcomes(program, inputs, budgets, arm=None):
 
 def full_compile(text: bytes):
     """A fresh full compile: tokenize, parse and generate, with no base."""
-    return compile_program(parse_mini(tokenize(text, Language.MINI)))
+    return compile_program(parse_mini(tokenize(text, Language.MINI)), ANY_BUDGET)
 
 
 def attempt(compile, text: bytes):
@@ -251,7 +255,7 @@ def build_subject(name: str, text: bytes, inputs: list) -> Subject:
 def _build_subject(name: str, text: bytes, inputs: list) -> Subject:
     unit = tokenize(text, Language.MINI)
     original = parse_mini(unit)
-    compiled = compile_program(original)
+    compiled = compile_program(original, ANY_BUDGET)
     budgets = [10 * compiled.run(values, 10**9).steps for values in inputs]
     # A mutant's AST holds the original's objects wherever its top-level
     # statements, variables and spans equal them, so the corpus keeps each
@@ -277,7 +281,7 @@ def _build_subject(name: str, text: bytes, inputs: list) -> Subject:
     for m in apply_all([ROR, ASR, AOR], unit):
         try:
             program = parse_mini(tokenize(m.mutated_text, Language.MINI))
-            compiled_mutant = compile_program(program)
+            compiled_mutant = compile_program(program, ANY_BUDGET)
         except (CompileError, MalformedSource) as exc:
             mutants.append(Fresh(m.id, m.mutated_text, type(exc).__name__))
             continue

@@ -45,7 +45,7 @@ def test_external_config_requires_commands():
         ExecBackendConfig(kind="bogus")
     with pytest.raises(ValueError):
         ExecBackendConfig(repetitions=0)
-    for factor in (1.0, float("inf"), float("nan")):
+    for factor in (1.0, float("inf"), float("nan"), 1e299):
         with pytest.raises(ValueError):
             ExecBackendConfig(timeout_factor=factor)
 

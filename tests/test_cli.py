@@ -292,7 +292,7 @@ def test_scratch_keeps_mutant_files(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--reps", "0"), ("--warmups", "-1"), ("--timeout-factor", "1"),
-    ("--timeout-factor", "inf"), ("--jobs", "-1"), ("--jobs", "0"),
+    ("--timeout-factor", "inf"), ("--timeout-factor", "1e299"), ("--jobs", "-1"), ("--jobs", "0"),
     ("--threshold", "0.9"),
 ])
 def test_out_of_range_number_is_usage_error(flag, value, tmp_path, monkeypatch,

@@ -20,8 +20,8 @@ from mutopt.minilang.instrument import Instrumented
 from mutopt.minilang.interp import CYCLE_STRIDE, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
-from conftest import (FIXTURE_INPUTS, FIXTURES, attempt, full_compile, load_unit, outcome,
-                      outcomes)
+from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, attempt, full_compile, load_unit,
+                      outcome, outcomes)
 
 
 def _deciding_backend(unit, inputs):
@@ -128,14 +128,15 @@ def _instrumented_differences(subject) -> list[str]:
     backend.compile(subject.unit)
     sites = (backend._base.site(m.start, m.replacement)
              for m in apply_all([ROR, ASR, AOR], subject.unit))
-    probe = Instrumented(backend._base.tree, [site for site in sites if site is not None])
+    probe = Instrumented(backend._base.tree, [site for site in sites if site is not None],
+                         backend._budget)
 
     def run(*args):
         return probe.run(*args)[0]
 
     original = subject.original
     expected = {None: original.unarmed, 0: original.armed,
-                CYCLE_STRIDE: tuple(outcomes(compile_program(original.program),
+                CYCLE_STRIDE: tuple(outcomes(compile_program(original.program, ANY_BUDGET),
                                              subject.inputs, subject.budgets,
                                              CYCLE_STRIDE))}
     found = []

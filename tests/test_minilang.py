@@ -326,7 +326,7 @@ def test_b2tob10_hot_loop_is_lean():
     # ``1 << size - 1`` reads no variable the loop assigns and is computed
     # once, before the loop
     source = generate_source(parse_mini(load_unit("b2tob10.mini")),
-                             budget=10 * BASELINE_STEP_LIMIT)
+                             10 * BASELINE_STEP_LIMIT)
     lines = [line.strip() for line in source.splitlines()]
     indents = [len(line) - len(line.lstrip()) for line in source.splitlines()]
     outer, head = [i for i, line in enumerate(lines) if line == "while True:"]

@@ -19,7 +19,8 @@ from mutopt.minilang.interp import (
     loop_slice,
 )
 
-from conftest import FIXTURE_INPUTS, FIXTURES, full_compile, load_unit, outcome, outcomes
+from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, full_compile, load_unit, outcome,
+                      outcomes)
 
 # 0 checks every head; 1 and 3 check some heads of short entries, where the
 # mini backend's stride checks none
@@ -63,7 +64,7 @@ def test_loop_slice(text, expected):
     (REENTRY_TRAP, ("ok", b"3", 49)),
 ], ids=["control-dependence", "crash", "closure", "re-entry"])
 def test_traps_keep_their_outcome_when_always_armed(text, expected):
-    program = compile_program(parse(text))
+    program = compile_program(parse(text), ANY_BUDGET)
     for arm in (None,) + STRIDES:
         assert outcome(program.run, [], 10**6, arm) == expected, arm
 
@@ -74,7 +75,7 @@ def test_traps_keep_their_outcome_when_always_armed(text, expected):
     ("while (i < 3) { j = 0; while (j < 2) { j += 1; } i += 1; }", 1),
 ])
 def test_ineligible_loops_get_no_detector(text, checks):
-    assert generate_source(parse(text)).count("_cycle(") == checks
+    assert generate_source(parse(text), ANY_BUDGET).count("_cycle(") == checks
 
 
 def test_cycle_detector_finds_every_period():
@@ -104,14 +105,14 @@ def test_cycle_detector_stops_at_the_budget_and_not_before():
 
 def test_budget_stop_carries_its_step_count():
     # heads at 3, 7, 11 and 15 steps; the budget is checked at each
-    program = compile_program(parse("i = 0; while (i < 3) { i += 1; }"))
+    program = compile_program(parse("i = 0; while (i < 3) { i += 1; }"), ANY_BUDGET)
     for arm in (None,) + STRIDES:
         with pytest.raises(BudgetExceeded) as stop:
             program.run([], 13, arm)
         assert (stop.value.steps, str(stop.value)) == (15, ""), arm
     # past the budget at exit
     with pytest.raises(BudgetExceeded) as stop:
-        compile_program(parse("x = 1; y = 2;")).run([], 1)
+        compile_program(parse("x = 1; y = 2;"), ANY_BUDGET).run([], 1)
     assert stop.value.steps == 2
 
 
@@ -130,7 +131,7 @@ def _counting_cycle(monkeypatch) -> list:
 
 def test_a_long_entry_pays_one_check_per_stride(monkeypatch):
     calls = _counting_cycle(monkeypatch)
-    result = compile_program(parse("i = 0; while (i < 100000) { i += 1; }")).run(
+    result = compile_program(parse("i = 0; while (i < 100000) { i += 1; }"), ANY_BUDGET).run(
         [], 10**7, CYCLE_STRIDE)
     assert 0 < len(calls) <= result.steps // CYCLE_STRIDE + 1
 
@@ -168,7 +169,8 @@ def test_hostile_divide_by_one_is_proved_non_terminating():
     unit = tokenize((FIXTURES / "hostile.mini").read_bytes(), Language.MINI)
     mutant, = [m for m in apply_all([ASR], unit)
                if m.original == "-=" and m.replacement == "/="]
-    program = compile_program(parse_mini(tokenize(mutant.mutated_text, Language.MINI)))
+    program = compile_program(parse_mini(tokenize(mutant.mutated_text, Language.MINI)),
+                              ANY_BUDGET)
     # without the proof this run would take hours
     for arm in STRIDES:
         with pytest.raises(BudgetExceeded):
@@ -188,7 +190,7 @@ def _armed_differences(subject, strides=(0,)) -> list[str]:
             if stride == 0:
                 armed = fresh.armed
             else:
-                program = program or compile_program(fresh.program)
+                program = program or compile_program(fresh.program, ANY_BUDGET)
                 armed = outcomes(program, subject.inputs, subject.budgets, stride)
             found += [f"{subject.name} {fresh.id} on {values} at stride {stride}: "
                       f"armed gave {got}"

@@ -27,7 +27,7 @@ from mutopt.minilang.ranges import (INT_MAX, INT_MIN, NEGATION, RELATIONAL, _Ana
                                     compare, exact, wrapped)
 
 import oracle
-from conftest import FIXTURE_INPUTS, attempt, load_unit
+from conftest import ANY_BUDGET, FIXTURE_INPUTS, attempt, load_unit
 from test_decisions import _wrong_decisions
 
 EDGES = (INT_MIN, INT_MIN + 1, -64, -1, 0, 1, 63, 64, INT_MAX - 1, INT_MAX)
@@ -118,7 +118,7 @@ def _truth(node, env) -> int:
 def test_conditions_keep_every_state_they_hold_in(cond, truth, data):
     state = {n: data.draw(intervals()) for n in NAMES}
     env = {n: data.draw(inside(state[n])) for n in NAMES}
-    refined = _Analysis(None, None, frozenset()).refine(cond, state, truth)
+    refined = _Analysis(0, None, frozenset()).refine(cond, state, truth)
     if bool(_truth(cond, env)) == truth:
         assert refined is not None
         for n in NAMES:
@@ -140,16 +140,16 @@ def test_run_rejects_a_budget_above_the_compiled_one():
     assert eval_mini(parse_mini(load_unit("powsum.mini")), [5], 10**15).output
 
 
-def test_counters_keep_their_checks_without_a_budget():
+def test_counters_keep_their_checks_under_a_large_budget():
     # one top-level statement: a statement's facts start from any values
     text = b"if (1) { x = 9223372036844775807; while (x != in[0]) { x += 1; } } print(x);"
     program = parse_mini(tokenize(text, Language.MINI))
     # x starts 10^7 below MAX: a budget of 10^6 steps bounds it by that
     # plus 10^6 and a statement's steps, inside int64, so ``x + 1`` needs
-    # no check; under 10^8 steps, or any budget, it might
-    assert "_wrap(v_x)" not in generate_source(program, budget=10**6)
-    assert "_wrap(v_x)" in generate_source(program, budget=10**8)
-    assert "_wrap(v_x)" in generate_source(program)
+    # no check; under 10^8 steps it might
+    assert "_wrap(v_x)" not in generate_source(program, 10**6)
+    assert "_wrap(v_x)" in generate_source(program, 10**8)
+    assert "_wrap(v_x)" in generate_source(program, ANY_BUDGET)
     end = 2**63 - 10**7 + 999
     assert eval_mini(program, [end], 10**6).output == str(end).encode()
     with pytest.raises(interp.BudgetExceeded):
@@ -246,12 +246,12 @@ def _sweep(subjects) -> list[str]:
         source = interp._statement_source
         generated = {}
 
-        def statement_source(stmt, index, names, hooks=None, switch=None, budget=None):
+        def statement_source(stmt, index, names, budget, hooks=None, switch=None):
             if hooks is not None or switch is not None:
-                return source(stmt, index, names, hooks, switch, budget)
+                return source(stmt, index, names, budget, hooks, switch)
             key = id(stmt), index, names, budget
             if key not in generated:
-                generated[key] = stmt, source(stmt, index, names, budget=budget)
+                generated[key] = stmt, source(stmt, index, names, budget)
             return generated[key][1]
 
         mp.setattr(interp, "_statement_source", statement_source)

@@ -9,7 +9,7 @@ from mutopt.cli import load_inputs
 from mutopt.minilang import parse_mini
 from mutopt.minilang.interp import compile_program
 
-from conftest import FIXTURE_INPUTS, FIXTURES, merges_tokens, outcome
+from conftest import ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, merges_tokens, outcome
 from oracle import reference_eval
 
 
@@ -73,7 +73,7 @@ def test_codegen_matches_reference_on_generated_programs(corpus):
 def test_reference_semantics(text, inputs, expected):
     program = parse_mini(tokenize(text.encode(), Language.MINI))
     assert outcome(reference_eval, program, inputs, 10**6) == expected
-    assert outcome(compile_program(program).run, inputs, 10**6) == expected
+    assert outcome(compile_program(program, ANY_BUDGET).run, inputs, 10**6) == expected
 
 
 @pytest.mark.parametrize("text, budget, expected", [
@@ -87,7 +87,7 @@ def test_reference_semantics(text, inputs, expected):
 def test_budget_is_checked_at_the_loop_head(text, budget, expected):
     program = parse_mini(tokenize(text.encode(), Language.MINI))
     assert outcome(reference_eval, program, [], budget)[0] == expected
-    assert outcome(compile_program(program).run, [], budget)[0] == expected
+    assert outcome(compile_program(program, ANY_BUDGET).run, [], budget)[0] == expected
 
 
 # A loop's tail is paid at its next head, so the step count lags between
@@ -134,7 +134,7 @@ def _boundary_mismatches(program, values) -> list[str]:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reference(mid) == final else (mid + 1, hi)
     over = reference(lo - 1) if lo > 1 else None
-    compiled = compile_program(program)
+    compiled = compile_program(program, ANY_BUDGET)
     found = []
     for budget in range(1, lo + 2):
         want = over if budget < lo else final
