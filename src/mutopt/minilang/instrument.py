@@ -23,6 +23,32 @@ the mutant's exact outcome (after AccMut's shared execution, Wang et al.,
 ISSTA 2017).  A shadow statement that raises makes the outcome that crash,
 even after a differing print, as in a real run.
 
+A relational mutant of an ``if``'s whole condition (not inside ``&&`` or
+``||``) can have a *branch shadow* instead.  Its region is the ``if``'s
+arms and, when an arm ends in ``continue``, the rest of the loop body that
+holds the ``if``; it must be straight-line: assignments, with no ``print``,
+``break``, ``while`` or nested ``if``.  Take the variables the region
+assigns that no condition reads and close that set under assignment, the
+shadow's slice; no condition may read it either.  The shadow keeps the
+slice like a data-only one.  Where the mutant's comparison differs, a
+*flip*, it evaluates the mutant's path through the region on the slice,
+every other variable being the original's, and skips its statements on the
+original's path.  It also evaluates both paths' values of the variables
+that the region assigns and a condition reads; where they differ, it gives
+up and the mutant runs, or at its first flip, where the mutant's state is
+still the original's, the mutant is infected as at a check and may fork.
+So at every loop head the mutant holds the original's values of every
+variable a condition depends on: outside the region it takes the
+original's path and leaves each loop where the original does.  A loop
+whose cycle key (``interp.loop_slice``) repeats within an entry never
+leaves it, so no cycle check of the mutant's fresh run finds one.  Its steps
+are the original's plus, per flip, its path's steps less the original's,
+both constants of the cost model.  A crash on its path or in a shadow
+statement makes its outcome that crash.  No budget check of its run sees
+more than the original's steps plus the most those differences summed to
+at any flip, so its ``DECIDED_SHADOWED`` decision, ok or crash, holds
+within that.
+
 A mutant infected late in a long run is decided a third way: the run forks
 where it is first infected, and the child runs on as the mutant, so the
 mutant runs only its suffix (AccMut's fork at first infection, Wang et al.,
@@ -42,11 +68,12 @@ shadows (``interp._CodeGen`` hooks) and runs it per input, returning a
 code generation: a relational mutant whose comparison differs from the
 original's on no operands the interval facts allow at its site
 (``minilang.ranges``) is never infected, so it gets no check and is
-inherited on every input.  A site turns its checks off once all its
-mutants are infected.  The checks and shadows add no step,
-change no variable of the original and print nothing, so each run is the
-original's own run, with the same outcome, and the mini backend takes it as
-the baseline instead of running the original plain as well.
+inherited on every input.  A site turns its checks off once none of its
+mutants is left to check: each is infected or its branch shadow crashed.
+The checks and shadows add no step, change no variable of the original and
+print nothing, so each run is the original's own run, with the same
+outcome, and the mini backend takes it as the baseline instead of running
+the original plain as well.
 """
 
 from __future__ import annotations
@@ -60,13 +87,13 @@ from . import ast_nodes as ast
 from . import interp
 from .ast_nodes import MiniProgram
 from .interp import (BudgetExceeded, CompiledMini, MiniRunResult, MiniRuntimeError, _CodeGen,
-                     _exec, _names, _reads, _statements, _variables, _wrap)
+                     _exec, _names, _reads, _statements, _stmt_cost, _variables, _wrap)
 from .ranges import RELATIONAL, differs_on, may_differ
 
 
 # how a mutant's run was decided without running it
 DECIDED_INHERITED = "inherited"  # never infected: the original's run
-DECIDED_SHADOWED = "shadowed"  # data-only: the original's path, shadowed values
+DECIDED_SHADOWED = "shadowed"  # data-only or a branch shadow: shadowed values
 DECIDED_FORKED = "forked"  # its suffix, run in a fork of the original's run
 
 
@@ -77,8 +104,9 @@ class Decision:
     result, the message of the ``MiniRuntimeError`` it raises, or None when
     it was proved never to end.  The decision holds within ``steps`` or
     more: a run under fewer may stop over budget earlier.  That is the
-    original's steps on the input, or for a forked run the bound it ran
-    under."""
+    original's steps on the input; for a branch shadow, those plus the
+    most its flips' cost differences summed to at any flip, whether it
+    ends ok or crashes; for a forked run, the bound it ran under."""
     kind: str
     outcome: MiniRunResult | str | None
     steps: int
@@ -168,19 +196,29 @@ def alternatives(op: str) -> tuple[str, ...]:
 
 
 class _Shadow:
-    """One data-only mutant's slice values, its first crash and the prints
-    of its shadow statements, (output line, value), during one run."""
+    """One mutant's slice values, its first crash and the prints of its
+    shadow statements, (output line, value), during one run; for a branch
+    shadow also its flips, its steps less the original's, the most those
+    were after any flip, and how many of its statements to skip, those on
+    the original's path through the region after a flip."""
 
     def __init__(self, names):
         self.env = dict.fromkeys(names, 0)
         self.error: str | None = None  # the message of the first crash
         self.prints: list[tuple[int, int]] = []
+        self.flips = 0
+        self.steps = 0
+        self.peak = 0
+        self.skip = 0
 
 
 def _shade(entries, out, *args):
     """Evaluate one statement for every live shadow that holds it."""
     for shadow, fn in entries:
         if shadow.error is None:
+            if shadow.skip:
+                shadow.skip -= 1
+                continue
             try:
                 value = fn(shadow.env, *args)
             except MiniRuntimeError as exc:
@@ -190,22 +228,60 @@ def _shade(entries, out, *args):
                     shadow.prints.append((len(out), value))
 
 
-def _shadow_source(name: str, stmt: ast.Stmt, shadowed: frozenset,
-                   params: Sequence[str]) -> str:
-    """A function that evaluates ``stmt`` with the variables ``shadowed``
-    in the dict ``_w`` and the others in its parameters: it stores an
-    assignment in ``_w`` and returns a print's value."""
+def _shadow_source(name: str, stmts: Sequence[ast.Stmt], shadowed: frozenset,
+                   params: Sequence[str], returns: Sequence[str] | None = None) -> str:
+    """A function that evaluates ``stmts`` in order with the variables
+    ``shadowed`` in the dict ``_w`` and the others in its parameters: it
+    stores an assignment in ``_w`` and returns a print's value, or, given
+    ``returns``, stores one to a variable outside ``shadowed`` in its
+    parameter and returns the tuple of those parameters' values."""
     gen = _CodeGen(shadowed=shadowed)
     gen.lines.append(f"def {name}(_w, _in, _in_len{''.join(', v_' + p for p in params)}):")
-    if isinstance(stmt, ast.Print):
-        gen.emit(f"return {gen.gen_expr(stmt.value)}")
-    elif isinstance(stmt, ast.Assign):
-        gen.emit(f"_w[{stmt.name!r}] = {gen.gen_expr(stmt.value)}")
-    else:
-        target = f"_w[{stmt.name!r}]"
-        atom = gen.gen_expr(stmt.value)
-        gen.emit(f"{target} = {gen.gen_binop(stmt, stmt.op[:-1], target, atom)}")
+    for stmt in stmts:
+        if isinstance(stmt, ast.Print):
+            gen.emit(f"return {gen.gen_expr(stmt.value)}")
+            continue
+        target = (f"_w[{stmt.name!r}]" if returns is None or stmt.name in shadowed
+                  else f"v_{stmt.name}")
+        if isinstance(stmt, ast.Assign):
+            gen.emit(f"{target} = {gen.gen_expr(stmt.value)}")
+        else:
+            atom = gen.gen_expr(stmt.value)
+            gen.emit(f"{target} = {gen.gen_binop(stmt, stmt.op[:-1], target, atom)}")
+    if returns is not None:
+        gen.emit(f"return ({''.join(f'v_{kept}, ' for kept in returns)})")
     return "\n".join(gen.lines) + "\n"
+
+
+def _region(top: ast.Stmt, path: tuple, conditions: set[str], assigns):
+    """The branch shadow of the operator at ``path`` in ``top``: its slice
+    and, by the truth of the condition, the statements of that path through
+    the region and its steps; None unless the operator is relational, the
+    whole condition of an ``if``, and the region is eligible (see the
+    module docstring)."""
+    if (not path or path[-1] != "cond" or node_at(top, path).op not in RELATIONAL
+            or not isinstance(node_at(top, path[:-1]), ast.If)):
+        return None
+    where = path[:-1]
+    stmt = node_at(top, where)
+    arms = {True: stmt.then_body, False: stmt.else_body}
+    jumps = {truth: bool(arm) and isinstance(arm[-1], ast.Continue)
+             for truth, arm in arms.items()}
+    rest = ()
+    if any(jumps.values()):  # the rest of the innermost loop body
+        loop = node_at(top, where[:-2]) if len(where) >= 2 else None
+        if not isinstance(loop, ast.While):
+            return None
+        rest = loop.body[where[-1] + 1:]
+    paths = {truth: arm[:-1] if jumps[truth] else arm + rest for truth, arm in arms.items()}
+    if not all(isinstance(s, (ast.Assign, ast.AugAssign)) for s in paths[True] + paths[False]):
+        return None
+    written = {s.name for s in paths[True] + paths[False]}
+    slice_ = frozenset(_closure(written - conditions, assigns))
+    if slice_ & conditions:
+        return None
+    cost = {truth: jumps[truth] + sum(map(_stmt_cost, paths[truth])) for truth in paths}
+    return slice_, paths, cost
 
 
 class Instrumented:
@@ -226,14 +302,18 @@ class Instrumented:
         self._site_of: dict[int, int] = {}  # id of a checked node -> site number
         self._checks: list[list[tuple[int, str]]] = []  # per site: (mutant, new op)
         self._ops: list[str] = []  # per site: the original operator
+        # per branch-shadowed site: slice, statements and steps of each path
+        self._regions: dict[int, tuple] = {}
         shadows = self._classify(program, simple, conditions)
-        sources = self._plan_shadows(shadows, simple)
+        sources = self._plan_shadows(shadows, simple) + self._plan_paths(conditions)
         self.program = CompiledMini(program, budget, self)
         self._ns = self.program._namespace
         for source in sources:
             _exec(source, self._ns)
+        self._branched = {j for j, (_, changed, _) in shadows.items() if changed is None}
         self._infected: list[bool] = []
         self._live: list[int] = []
+        self._shadows: dict[int, _Shadow] = {}  # this run's, by mutant
         # per mutant: its run matched the original's on every input so far
         self._alive = [True] * len(self.sites)
         self._bound: Callable[[int], int] | None = None  # see ``run``
@@ -242,8 +322,9 @@ class Instrumented:
 
     def _classify(self, program, simple, conditions) -> dict[int, tuple]:
         """Give each mutant that is not data-only a check at its site, and
-        return the data-only ones: mutant -> its slice, the statement it
-        changes and its version of that statement."""
+        return the shadowed ones: mutant -> its slice, and for a data-only
+        one the statement it changes and its version of that statement, or
+        for a branch shadow None twice."""
         assigns = [(target, reads) for _, target, reads in simple if target is not None]
         slices: dict[str | None, frozenset] = {}  # by the variable a statement assigns
         by_path: dict[tuple, int] = {}
@@ -263,12 +344,18 @@ class Instrumented:
                     continue
             key = (site.statement, site.path)
             if key not in by_path:
-                by_path[key] = len(self._checks)
-                self._site_of[id(node)] = by_path[key]
+                n = by_path[key] = len(self._checks)
+                self._site_of[id(node)] = n
                 self._checks.append([])
                 self._ops.append(node.op[:-1] if isinstance(node, ast.AugAssign) else node.op)
+                region = _region(top, site.path, conditions, assigns)
+                if region is not None:
+                    self._regions[n] = region
+            n = by_path[key]
             new = site.op[:-1] if isinstance(node, ast.AugAssign) else site.op
-            self._checks[by_path[key]].append((j, new))
+            self._checks[n].append((j, new))
+            if n in self._regions:
+                shadows[j] = (self._regions[n][0], None, None)
         return shadows
 
     def _plan_shadows(self, shadows: dict[int, tuple], simple) -> list[str]:
@@ -287,8 +374,8 @@ class Instrumented:
                 members[slice_] = [(stmt, reads) for stmt, target, reads in simple
                                    if target in slice_ or reads & slice_]
             held = members[slice_]
-            if not any(stmt is changed for stmt, _ in held):  # a print that reads no slice
-                held = held + [(changed, _reads(changed))]
+            if changed is not None and not any(stmt is changed for stmt, _ in held):
+                held = held + [(changed, _reads(changed))]  # a print that reads no slice
             for stmt, reads in held:
                 if id(stmt) not in self._statement_of:
                     self._statement_of[id(stmt)] = len(self._params)
@@ -300,16 +387,46 @@ class Instrumented:
                 if key not in sources:
                     name = f"_h{n}_{len(sources)}"
                     own = version if stmt is changed else stmt
-                    sources[key] = name, _shadow_source(name, own, shadowed, self._params[n])
+                    sources[key] = name, _shadow_source(name, (own,), shadowed, self._params[n])
                 self._holders[n].append((j, sources[key][0]))
         self._slices = {j: slice_ for j, (slice_, _, _) in shadows.items()}
         return [source for _, source in sources.values()]
+
+    def _plan_paths(self, conditions: set[str]) -> list[str]:
+        """Give each branch-shadowed site, for each truth of the original's
+        condition, a function that evaluates the mutant's other path on the
+        shadow and returns the values of the variables that the region
+        assigns and a condition reads, and where there are any, one that
+        returns the original's; the region's variables outside the slice
+        are their parameters (``_region_args``).  Each site's plan, by that
+        truth, is the two functions' names, the mutant's steps less the
+        original's, and how many shadow statements the original's path
+        holds, which the shadow skips.  Returns the sources."""
+        self._paths: dict[int, dict[bool, tuple]] = {}
+        self._region_args: dict[int, tuple[str, ...]] = {}
+        sources = []
+        for n, (slice_, paths, cost) in self._regions.items():
+            kept = sorted({s.name for s in paths[True] + paths[False]} & conditions)
+            params = tuple(sorted(_names(paths[True] + paths[False], set()) - slice_))
+            self._region_args[n] = params
+            plan = self._paths[n] = {}
+            for truth in (True, False):
+                mine = f"_p{n}_{int(truth)}"
+                sources.append(_shadow_source(mine, paths[not truth], slice_, params, kept))
+                theirs = f"_q{n}_{int(truth)}" if kept else None
+                if kept:
+                    own = [s for s in paths[truth] if s.name in conditions]
+                    sources.append(_shadow_source(theirs, own, slice_, params, kept))
+                skip = sum(s.name in slice_ or bool(_reads(s) & slice_) for s in paths[truth])
+                plan[truth] = mine, theirs, cost[not truth] - cost[truth], skip
+        return sources
 
     # ---- code generation hooks ----
 
     @property
     def namespace(self) -> dict:
-        return {"_hit": self._hit, "_arithmetic": self._arithmetic, "_shade": _shade}
+        return {"_hit": self._hit, "_branch": self._branch, "_arithmetic": self._arithmetic,
+                "_shade": _shade}
 
     @property
     def blind(self) -> frozenset:
@@ -339,9 +456,16 @@ class Instrumented:
         # its mutant's comparison differs, and the test flips where one
         # returns True, in a forked child.  As a condition, Python compiles
         # it to jumps alone, so it costs the original's run no more than
-        # checks apart from the test would.
+        # checks apart from the test would.  At a branch-shadowed site each
+        # check calls ``_branch`` instead, with the original's truth and the
+        # region's variables outside the slice.
         test = f"{a} {op} {b}"
-        checks = " or ".join(f"_M{j} and {_differs(op, new, a, b)} and _hit({j}, {n}, _s)"
+        if n in self._regions:
+            args = "".join(f", v_{p}" for p in self._region_args[n])
+            call = f"_branch({{}}, {n}, {test}, _s, _in, _in_len{args})"
+        else:
+            call = f"_hit({{}}, {n}, _s)"
+        checks = " or ".join(f"_M{j} and {_differs(op, new, a, b)} and {call.format(j)}"
                              for j, new in self._checks[n])
         return f"(not ({test}) if _S{n} and ({checks}) else {test})"
 
@@ -362,10 +486,49 @@ class Instrumented:
     def _infect(self, j: int, n: int):
         """Mutant ``j`` is infected at site ``n``."""
         self._infected[j] = True
+        self._off(j, n)
+
+    def _off(self, j: int, n: int):
+        """Turn mutant ``j``'s check at site ``n`` off."""
         self._ns[f"_M{j}"] = False
         self._live[n] -= 1
         if self._live[n] == 0:
             self._ns[f"_S{n}"] = False
+
+    def _branch(self, j: int, n: int, taken: bool, steps: int, *args) -> bool:
+        """A flip of branch-shadowed mutant ``j`` at site ``n``, ``steps``
+        into the run: the original takes the path where the condition is
+        ``taken``, the mutant the other one.  ``args`` are ``_in``,
+        ``_in_len`` and the region's variables outside the slice.  Returns
+        False, or what ``_hit`` returns where the shadow gives up at its
+        first flip, since the mutant's state is the original's there."""
+        shadow = self._shadows[j]
+        if shadow.error is not None:  # a shadow statement crashed: its outcome
+            self._off(j, n)
+            return False
+        mine, theirs, cost, skip = self._paths[n][taken]
+        shadow.flips += 1
+        try:
+            values = self._ns[mine](shadow.env, *args)
+        except MiniRuntimeError as exc:
+            shadow.error = str(exc)
+            self._off(j, n)
+            return False
+        try:
+            same = not values or values == self._ns[theirs](shadow.env, *args)
+        except MiniRuntimeError:  # the original's run crashes in the region
+            same = False
+        if not same:  # a condition's variable differs: the mutant must run
+            shadow.error = "gave up"  # stops its shadow statements
+            if shadow.flips == 1:
+                return self._hit(j, n, steps)
+            self._infect(j, n)
+            return False
+        shadow.steps += cost
+        if shadow.steps > shadow.peak:
+            shadow.peak = shadow.steps
+        shadow.skip = skip
+        return False
 
     def _hit(self, j: int, n: int, steps: int) -> bool:
         """Mutant ``j`` is infected at relational site ``n``, ``steps`` into
@@ -401,7 +564,7 @@ class Instrumented:
                     self._ns[f"_M{k}"] = k == j
             for m in range(len(self._holders)):
                 self._ns[f"_Z{m}"] = ()
-            self._ns["_hit"] = _flip
+            self._ns["_hit"] = self._ns["_branch"] = _flip
             self._ns["_budget"] = bound
             return True
         os.close(write)
@@ -461,7 +624,7 @@ class Instrumented:
             self._ns[f"_S{n}"] = True
             for j, _ in checks:
                 self._ns[f"_M{j}"] = True
-        shadows = {j: _Shadow(slice_) for j, slice_ in self._slices.items()}
+        shadows = self._shadows = {j: _Shadow(slice_) for j, slice_ in self._slices.items()}
         for n, holders in enumerate(self._holders):
             self._ns[f"_Z{n}"] = [(shadows[j], self._ns[name]) for j, name in holders]
         try:
@@ -476,12 +639,14 @@ class Instrumented:
         decisions = []
         for j, infected in enumerate(self._infected):
             shadow = shadows.get(j)
-            if shadow is None:
-                decision = self._forked.get(j) if infected else inherited
+            if infected:  # a check held, or a branch shadow gave up
+                decision = self._forked.get(j)
+            elif shadow is None or j in self._branched and not shadow.flips:
+                decision = inherited
             else:
                 outcome = (_shadow_result(shadow, result) if shadow.error is None
                            else shadow.error)
-                decision = Decision(DECIDED_SHADOWED, outcome, result.steps)
+                decision = Decision(DECIDED_SHADOWED, outcome, result.steps + shadow.peak)
             decisions.append(decision)
             self._alive[j] = self._alive[j] and decision is not None and isinstance(
                 decision.outcome, MiniRunResult) and decision.outcome.output == result.output
@@ -497,9 +662,10 @@ def _kill(pid: int):
         pass
 
 
-def _flip(j: int, n: int, steps: int) -> bool:
-    """``_hit`` in a forked child: the one site left checked is its
-    mutant's, and each check that holds there flips the original's test."""
+def _flip(*_) -> bool:
+    """``_hit`` and ``_branch`` in a forked child: the one site left
+    checked is its mutant's, and each check that holds there flips the
+    original's test."""
     return True
 
 
@@ -531,10 +697,12 @@ def _closure(names: set[str], assigns) -> set[str]:
 
 
 def _shadow_result(shadow: _Shadow, reference: MiniRunResult) -> MiniRunResult:
-    if not shadow.prints:
+    output, steps = reference.output, reference.steps + shadow.steps
+    if shadow.prints:
+        lines = output.split(b"\n")
+        for pos, value in shadow.prints:
+            lines[pos] = str(value).encode("ascii")
+        output = b"\n".join(lines)
+    if (output, steps) == (reference.output, reference.steps):
         return reference
-    lines = reference.output.split(b"\n")
-    for pos, value in shadow.prints:
-        lines[pos] = str(value).encode("ascii")
-    output = b"\n".join(lines)
-    return reference if output == reference.output else MiniRunResult(output, reference.steps)
+    return MiniRunResult(output, steps)

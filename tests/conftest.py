@@ -210,6 +210,8 @@ FIXTURE_INPUTS = {
     "late.mini": [[60], [100], [7], [45]],
     "edges.mini": [[2**63 - 2, 2**63 - 1, 1], [-2**63, 1 - 2**63, 3], [0, 0, 0],
                    [2**63 - 1, -2**63, 9], [-5, 7, 63], []],
+    "branches.mini": [[3, 5, 1, 2], [0, 1, 4, 0, 9, 9], [-2, 2, 0, 3] + [1] * 9,
+                      [1, 0, 7, -1, 5], [2, 3, 2, 1, 0, 4, 4, 4]],
 }
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from mutopt import AOR, ASR, ROR, ExecBackendConfig, apply_all
+from mutopt import AOR, ASR, ROR, ExecBackendConfig, Language, apply_all, tokenize
 from mutopt.backend import (DECIDED_FORKED, DECIDED_INHERITED, DECIDED_SHADOWED, VERDICT_CRASH,
                             MiniBackend)
 from mutopt.cli import load_inputs
@@ -65,6 +65,12 @@ def _wrong_decisions(subject) -> tuple[list[str], Counter]:
                 if _outcome(decision) != want:
                     found.append(f"{subject.name} {fresh.id} on {values}: "
                                  f"{decision.kind} {_outcome(decision)}, ran {want}")
+                # a shadowed decision holds within its steps (a branch
+                # shadow's may exceed the original's and its own)
+                if (decision.kind == DECIDED_SHADOWED
+                        and outcome(program.run, values, decision.steps) != want):
+                    found.append(f"{subject.name} {fresh.id} on {values}: "
+                                 f"{decision.kind} does not hold within {decision.steps}")
         got, want = (_evaluate_one(b, inputs, reference, "unit", mutant)
                      for b in (backend, plain))
         if (got.status, got.input_id, got.tau, got.runs) != (want.status, want.input_id,
@@ -190,12 +196,67 @@ def test_pinned_decisions_on_scaled():
         assert kinds[id] == (DECIDED_SHADOWED,) * 3, id
     i20 = [e.id for e in inputs.entries].index("i20")
     # ROR_6, ``i <= 1 << size - 1`` to ``<``, is first infected at the last
-    # outer loop head of i20, 27 steps before its end, and forks there;
-    # ROR_18 is infected at step 27, and the four timeouts early too
+    # outer loop head of i20, 27 steps before its end, and forks there; the
+    # four timeouts are infected early
     assert kinds["ROR_6"][i20] == DECIDED_FORKED
     assert sum(kind == DECIDED_FORKED for row in kinds.values() for kind in row) == 1
-    for id in ("ROR_18", "AOR_5", "AOR_6", "AOR_7", "ROR_13"):
+    for id in ("AOR_5", "AOR_6", "AOR_7", "ROR_13"):
         assert kinds[id][i20] is None, id
+    # branch shadows: ``count > 1`` flipped sends the mutant down the other
+    # path of the ``if``, which changes only number and pos besides i += 2
+    for id in ("ROR_16", "ROR_17", "ROR_18", "ROR_19"):
+        assert kinds[id][i20] == DECIDED_SHADOWED, id
+
+
+def test_branch_shadows_flip_only_where_the_branch_differs_on_scaled(monkeypatch):
+    # one ``_branch`` call per flip: ROR_18 (``count >= 1``) flips at the 19
+    # powers of two of i20, and the three others stop calling at the crash
+    # that reading past the input ends them with, so no call per iteration
+    # of the outer loop creeps in
+    flips = Counter()
+    branch = Instrumented._branch
+    monkeypatch.setattr(Instrumented, "_branch",
+                        lambda self, j, *args: flips.update([j]) or branch(self, j, *args))
+    backend = MiniBackend(ExecBackendConfig())
+    unit = load_unit("b2tob10.mini")
+    backend.compile(unit)
+    found = [(m.id, backend._base.site(m.start, m.replacement))
+             for m in apply_all([ROR, ASR, AOR], unit)]
+    found = [(id, site) for id, site in found if site is not None]
+    probe = Instrumented(backend._base.tree, [site for _, site in found], backend._budget)
+    i20, = (e.values for e in load_inputs(FIXTURES / "m_scaled").entries if e.id == "i20")
+    _, decisions = probe.run(i20, backend.baseline_budget(), CYCLE_STRIDE)
+    assert {found[j][0]: n for j, n in flips.items()} == {
+        "ROR_16": 16, "ROR_17": 26, "ROR_18": 19, "ROR_19": 26}
+    assert [isinstance(decisions[j].outcome, str) for j in sorted(flips)] == [
+        True, True, False, True]
+
+
+def test_an_original_that_crashes_in_a_branch_region_raises_its_own_crash():
+    # the mutant ``i >= in[0]`` flips at i = 0 on [0, 0, 0]: the shadow
+    # evaluates the original's path through the region for i, whose
+    # division crashes on line 8, but the original crashes first, on line 7
+    text = b"""i = 0;
+s = 0;
+while (i < 3) {
+    if (i > in[0]) {
+        i += 1;
+    } else {
+        s += 5 / in[1];
+        i += 10 / in[2];
+    }
+}
+print(s);
+"""
+    unit = tokenize(text, Language.MINI)
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(unit)
+    sites = [backend._base.site(m.start, m.replacement) for m in apply_all([ROR], unit)]
+    probe = Instrumented(backend._base.tree, sites, backend._budget)
+    assert probe._regions
+    plain = outcome(full_compile(text).run, [0, 0, 0], 10**6)
+    assert plain == ("MiniRuntimeError", "division by zero at line 7")
+    assert outcome(lambda *args: probe.run(*args)[0], [0, 0, 0], 10**6, None) == plain
 
 
 def test_precedence_regroup_is_not_decided():
