@@ -43,17 +43,19 @@ does not depend on its own path.
 On a C source the external backend first checks the one-operator mutants
 in a few schema binaries (``ExternalBackend.decide``, ``cschema``): each
 compiles many mutants once, switched at run time by an environment
-variable.  A mutant that a schema kills or crashes compiles no binary of
-its own; its ``run`` calls are answered from its schema runs, marked
-``DECIDED_SCHEMA``.  Every other mutant, one that passes the schema or
-times out in it included, compiles and runs alone, so only such programs
-are digested and timed.
+variable, and runs as a fork server, one process per input for all the
+mutants it has left.  A mutant that a schema kills or crashes compiles no
+binary of its own; its ``run`` calls are answered from its schema runs,
+marked ``DECIDED_SCHEMA``.  Every other mutant, one that passes the
+schema or that the server stops at its cap included, compiles and runs
+alone, so only such programs are digested and timed.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import shlex
 import signal
 import struct
@@ -203,8 +205,8 @@ def normalize_output(raw: bytes) -> bytes:
 
 def _run_group(cmd: list[str], timeout: float, stdin_data: bytes | None = None,
                env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    """``subprocess.run`` with captured output, in a new session whose whole
-    process group is killed on timeout, so no descendant outlives it;
+    """``subprocess.run`` with captured output, in a new session that is
+    killed on timeout (``_kill_session``), so no descendant outlives it;
     ``env``, when given, is the whole environment."""
     stdin = None if stdin_data is None else subprocess.PIPE
     with subprocess.Popen(cmd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -212,13 +214,31 @@ def _run_group(cmd: list[str], timeout: float, stdin_data: bytes | None = None,
         try:
             stdout, stderr = proc.communicate(stdin_data, timeout=timeout)
         except BaseException:  # timeout or interrupt: no process may survive
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+            _kill_session(proc.pid)
             proc.wait()
             raise
     return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
+def _kill_session(sid: int) -> None:
+    """Kill the session ``sid`` while its leader is unreaped: the leader's
+    process group, then, where ``/proc`` lists the processes, the group of
+    every other member, such as a fork server's arms, each in a group of
+    its own.  A session's id is not reused while it has a member."""
+    try:
+        os.killpg(sid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    try:
+        pids = [int(name) for name in os.listdir("/proc") if name.isdigit()]
+    except OSError:  # no /proc
+        return
+    for pid in pids:
+        try:
+            if os.getsid(pid) == sid:
+                os.killpg(os.getpgid(pid), signal.SIGKILL)
+        except OSError:  # gone
+            pass
 
 
 SHF_ALLOC = 0x2
@@ -511,11 +531,12 @@ class ExternalBackend:
 
     The first program compiled is the original.  On a C source, ``decide``
     checks its one-operator mutants in a few schema binaries
-    (``cschema``) and records the runs of each one the schema kills or
-    crashes.  ``compile`` of such a mutant writes its source and builds
-    nothing, and ``run`` answers from that record by the same rule as for
-    an identical binary, marked ``DECIDED_SCHEMA``; a run it did not
-    record builds the mutant alone first.  Schema binaries are never
+    (``cschema``), each spawned once per input as a fork server for the
+    mutants it has not yet decided, and records the runs of each one the
+    schema kills or crashes.  ``compile`` of such a mutant writes its
+    source and builds nothing, and ``run`` answers from that record by the
+    same rule as for an identical binary, marked ``DECIDED_SCHEMA``; a run
+    it did not record builds the mutant alone first.  Schema binaries are never
     digested, so a schema's run and an identical binary's never answer
     each other.
     """
@@ -587,14 +608,24 @@ class ExternalBackend:
         start of the token it replaces and the new lexeme, against
         ``baseline``, the original's run on ``inputs``, in schema binaries,
         and record the runs of each mutant that one kills or crashes; the
-        rest, timeouts too, are left to run alone.  Only on a ``.c``
-        original with an ok baseline.  A schema that does not compile is
-        split in halves, down to single mutants, so a mutant whose arm does
-        not compile (a ``%`` on a ``double``) leaves only itself to run
-        alone.  The original must be compiled.  Replaces the earlier record
-        for later compiles.  Spawns through ``_spawn``, never ``compile`` or
+        rest are left to run alone.  Only on a ``.c`` original with an ok
+        baseline.  A schema that does not compile is split in halves, down
+        to single mutants, so a mutant whose arm does not compile (a ``%``
+        on a ``double``) leaves only itself to run alone.
+
+        Each schema runs as a fork server (``cschema``), once per input
+        while any of its mutants is still undecided, for those mutants
+        alone, each under its ``mutant_budget`` (``_serve``).  A mutant's
+        arm that exits 0 with the baseline's output goes on to the next
+        input; one that exits 0 with another output is killed there, and
+        one that exits otherwise or dies of a signal crashes there.  An arm
+        the server stopped, at its cap or its output limit, runs alone, as
+        does every arm still undecided when a server run's frames do not
+        parse or its arm 0 does not give the baseline's output.  The
+        original must be compiled.  Replaces the earlier record for later
+        compiles.  Spawns through ``_serve``, never ``compile`` or
         ``run``."""
-        from .cschema import SWITCH, schemas  # only a C search writes schemas
+        from .cschema import schemas  # only a C search writes schemas
 
         self._decided = {}
         source, name = self._original
@@ -602,7 +633,6 @@ class ExternalBackend:
             return
         unit = source if isinstance(source, SourceUnit) else tokenize(source, Language.C_LIKE)
         ends = {t.start: t.end for t in unit.tokens}
-        env = dict(os.environ)
         (self.scratch / "schema").mkdir(exist_ok=True)
 
         def part(members):  # the schema of some members of one
@@ -627,17 +657,52 @@ class ExternalBackend:
             except ToolchainError as exc:
                 raise ToolchainError(f"while compiling mutant schema {src_path.name}: "
                                      f"{exc}") from exc
-            spawn = partial(self._spawn, binary, warmups=0, repetitions=1, env=env)
-            for n, index in enumerate(members, 1):
-                env[SWITCH] = str(n)
-                checked = _overall(self, spawn, inputs, baseline)
-                if checked.verdict in (VERDICT_KILLED, VERDICT_CRASH):
-                    start, new = edits[index]
+            # each undecided arm's runs so far, by its number in the schema
+            runs = {n: [] for n in range(1, len(members) + 1)}
+            for values, ref in zip(inputs, baseline.results):
+                if not runs:
+                    break
+                budget = self.mutant_budget(ref.cost)
+                served = self._serve(binary, values, budget, list(runs))
+                if served is None or served[0] != ref.output:
+                    break
+                for n, result in served[1].items():
+                    if result is None:  # stopped: runs alone
+                        del runs[n]
+                        continue
+                    runs[n].append((budget, result))
+                    if result.ok and result.output == ref.output:
+                        continue
+                    start, new = edits[members[n - 1]]
                     mutant = unit.text[:start] + new.encode() + unit.text[ends[start]:]
-                    self._decided[_text_digest(mutant)] = {
-                        tuple(values): (self.mutant_budget(ref.cost), result)
-                        for values, ref, result in zip(inputs, baseline.results,
-                                                       checked.results)}
+                    self._decided[_text_digest(mutant)] = dict(
+                        zip(map(tuple, inputs), runs.pop(n)))
+
+    def _serve(self, binary: Path, input_values: Sequence[int], budget: float,
+               arms: list[int]) -> tuple[bytes, dict[int, RunResult | None]] | None:
+        """One run of the schema ``binary`` as a fork server on the input,
+        for its ``arms`` under ``budget`` seconds each: arm 0's normalized
+        output, and each arm's result, None where the server stopped it.
+        None when the server does not exit 0 within room for every arm's
+        budget (its session is killed), or its output is not exactly
+        one frame for arm 0 and each of ``arms``, in order, or arm 0 did
+        not exit 0."""
+        from .cschema import SWITCH
+
+        env = dict(os.environ)
+        env[SWITCH] = f"{math.ceil(budget * 1000)}:{','.join(map(str, arms))}"
+        try:
+            proc = _run_group(self._command(binary), (len(arms) + 1) * budget + 1.0,
+                              _stdin(input_values), env)
+        except OSError as exc:
+            raise ToolchainError(f"cannot start run command {self._run_args[0]}: "
+                                 f"{exc.strerror}") from exc
+        except subprocess.TimeoutExpired:
+            return None
+        results = _frames(proc.stdout, [0, *arms]) if proc.returncode == 0 else None
+        if results is None or results[0] is None or not results[0].ok:
+            return None
+        return results[0].output, dict(zip(arms, results[1:]))
 
     def run(self, program: Path, input_values: Sequence[int],
             budget: float) -> RunResult:
@@ -673,18 +738,21 @@ class ExternalBackend:
             self._recorded[key] = budget, result
         return result
 
-    def _spawn(self, program: Path, input_values: Sequence[int], budget: float,
-               warmups: int, repetitions: int,
-               env: dict[str, str] | None = None) -> RunResult:
-        stdin_data = (" ".join(str(v) for v in input_values) + "\n").encode("ascii")
+    def _command(self, program: Path) -> list[str]:
+        """The run command for ``program``, which reads its input on stdin."""
         mapping = {"bin": str(program), "input": "-"}
-        cmd = [arg.format_map(mapping) for arg in self._run_args]
+        return [arg.format_map(mapping) for arg in self._run_args]
+
+    def _spawn(self, program: Path, input_values: Sequence[int], budget: float,
+               warmups: int, repetitions: int) -> RunResult:
+        stdin_data = _stdin(input_values)
+        cmd = self._command(program)
         times_ms: list[float] = []
         output: bytes | None = None
         for i in range(warmups + repetitions):
             t0 = time.perf_counter()
             try:
-                proc = _run_group(cmd, budget, stdin_data, env)
+                proc = _run_group(cmd, budget, stdin_data)
             except OSError as exc:
                 raise ToolchainError(f"cannot start run command {cmd[0]}: "
                                      f"{exc.strerror}") from exc
@@ -705,6 +773,36 @@ class ExternalBackend:
 
     def baseline_budget(self) -> float:
         return BASELINE_TIME_LIMIT
+
+
+def _stdin(input_values: Sequence[int]) -> bytes:
+    """A program's standard input: the values on one line."""
+    return (" ".join(str(v) for v in input_values) + "\n").encode("ascii")
+
+
+# a fork server's frame header: arm, wait status (-1: stopped), microseconds,
+# output length
+_FRAME = re.compile(rb"(\d+) (-1|\d+) (\d+) (\d+)\n")
+
+
+def _frames(data: bytes, arms: Sequence[int]) -> list[RunResult | None] | None:
+    """The results a schema fork server framed in ``data`` for ``arms``, in
+    order: ok for an exit 0 (its output normalized, its cost the arm's
+    time), a crash for any other exit or a signal, None for an arm it
+    stopped.  None unless ``data`` is exactly one frame for each arm."""
+    results: list[RunResult | None] = []
+    pos = 0
+    for arm in arms:
+        frame = _FRAME.match(data, pos)
+        if frame is None or int(frame[1]) != arm:
+            return None
+        status, pos = int(frame[2]), frame.end() + int(frame[4])
+        if status == 0:
+            results.append(RunResult(normalize_output(data[frame.end():pos]),
+                                     Cost(int(frame[3]) / 1000.0, UNIT_MS), VERDICT_OK))
+        else:
+            results.append(None if status < 0 else RunResult(b"", None, VERDICT_CRASH))
+    return results if pos == len(data) else None
 
 
 def _text_digest(text: bytes) -> bytes:

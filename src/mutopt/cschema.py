@@ -6,7 +6,8 @@ mutation, Just, Kapfhammer and Schweiggert, AST 2011).
 ``(__mutopt_k == 1 ? (e1) : __mutopt_k == 2 ? (e2) : (e))``, where ``e1``
 and ``e2`` are ``e`` with one mutant's operator swapped.  ``__mutopt_k`` is
 read from the environment variable ``SWITCH`` before ``main`` runs; unset,
-the schema is the original.
+the schema is the original, and a single number ``n`` runs the n-th
+mutant.
 
 A full expression is the condition of an ``if``, ``while``, ``switch`` or
 ``do``, a ``for`` clause, an expression statement or a ``return`` value,
@@ -23,10 +24,46 @@ writes a schema of each.
 Each arm is written on one line, from the expression's tokens without its
 comments, and the newlines it spans follow the chain, so every line after
 it keeps its number.
+
+The prelude is also a fork server (after the AFL fork server, Zalewski,
+2014, and split-stream execution, Tokumoto et al., ICST 2016), so that
+one process runs many mutants on one input.  Its protocol:
+
+- ``SWITCH`` set to ``B:n1,n2,...``, a budget ``B`` in milliseconds and
+  a list of mutants, makes the process a server.  It reads its standard
+  input to the end, 1 MiB at most, and in place of ``main`` runs arm 0,
+  the original's path, then each listed arm, in that order.
+- Each arm is a fork that returns from the prelude into ``main``, in a
+  process group of its own.  The input reaches it on a pipe as its
+  standard input, and its standard output and error go to pipes; its
+  standard error is read and dropped.  An arm ends when it has exited and
+  both of its output streams are closed, as a spawned program's run does.
+- The cap: arm 0 runs for at most ``B`` of wall time.  Every other arm
+  also stops at its cap of CPU time, 4 times arm 0's CPU time plus 2 ms,
+  never above ``B``.  CPU time, read from the arm's CPU clock, is what a
+  hanging arm burns, and it does not grow while a busy host keeps the arm
+  waiting.  An arm that writes more than 1 MiB of output stops too.
+- The server kills each arm's process group before it reaps the arm.
+  Then it writes one frame for the arm to its own standard output: the
+  line ``arm status micros length``, then ``length`` bytes of the arm's
+  output.  ``status`` is the arm's wait status (0 for exit 0), or -1 for
+  an arm the server stopped or that died of ``SIGKILL``, the server's
+  own signal; ``micros`` is its wall time from the fork to its end;
+  ``length`` is 0 unless ``status`` is 0.  The server exits 0 after the
+  last frame, and 2 when it cannot serve.
+
+The server's calls into libc are declared under ``__mutopt_`` names bound
+to the libc symbols with ``__asm__`` labels, so the prelude includes no
+header and declares no name a program may use, and its functions are
+compiled at ``-O0`` under GCC, which keeps its share of a schema's
+compile small.  Its signal numbers and clocks are Linux's.  A source that
+names one of those symbols at file scope would have the server call its
+own function of that name, so it gets no schema.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Sequence
@@ -41,14 +78,179 @@ SWITCH = "MUTOPT_SCHEMA_K"
 # schema, 30.2 MB at 16, 30.4 MB at 28 and 32.5 MB at all 75.
 MUTANTS_PER_SCHEMA = 16
 
+# The fork server (see the module docstring).  Linux's numbers: 1 is
+# CLOCK_MONOTONIC, POLLIN; 4 POLLOUT; 9 SIGKILL; 13 SIGPIPE; 17 SIGCHLD.
+_SERVER = r"""#if defined(__GNUC__) && !defined(__clang__)
+#define __mutopt_O0 __attribute__((optimize("O0")))
+#else
+#define __mutopt_O0
+#endif
+struct __mutopt_pollfd { int fd; short events, revents; };
+struct __mutopt_timespec { long sec, nsec; };
+int __mutopt_fork(void) __asm__("fork");
+int __mutopt_pipe(int *) __asm__("pipe");
+int __mutopt_dup2(int, int) __asm__("dup2");
+int __mutopt_close(int) __asm__("close");
+long __mutopt_read(int, void *, unsigned long) __asm__("read");
+long __mutopt_write(int, const void *, unsigned long) __asm__("write");
+int __mutopt_poll(struct __mutopt_pollfd *, unsigned long, int) __asm__("poll");
+int __mutopt_kill(int, int) __asm__("kill");
+int __mutopt_waitpid(int, int *, int) __asm__("waitpid");
+int __mutopt_setpgid(int, int) __asm__("setpgid");
+int __mutopt_clock_gettime(int, struct __mutopt_timespec *) __asm__("clock_gettime");
+int __mutopt_cpuclock(int, int *) __asm__("clock_getcpuclockid");
+int __mutopt_fflush(void *) __asm__("fflush");
+int __mutopt_snprintf(char *, unsigned long, const char *, ...) __asm__("snprintf");
+void (*__mutopt_signal(int, void (*)(int)))(int) __asm__("signal");
+void __mutopt_exit(int) __asm__("_exit");
+enum { __mutopt_limit = 1 << 20 };
+static char __mutopt_in[__mutopt_limit], __mutopt_out[__mutopt_limit + 1];
+static int __mutopt_chld[2]; /* a byte for each SIGCHLD */
+/* microseconds on ``clock``; 0 if it cannot be read */
+__mutopt_O0 static long long __mutopt_now(int clock) {
+    struct __mutopt_timespec t;
+    if (__mutopt_clock_gettime(clock, &t)) return 0;
+    return t.sec * 1000000LL + t.nsec / 1000;
+}
+__mutopt_O0 static void __mutopt_exited(int sig) {
+    (void) sig;
+    __mutopt_write(__mutopt_chld[1], "", 1);
+}
+__mutopt_O0 static void __mutopt_put(const char *p, long n) {
+    long w;
+    for (; n > 0; p += w, n -= w)
+        if ((w = __mutopt_write(1, p, n)) <= 0) __mutopt_exit(2);
+}
+/* Run arm ``arm`` on the input, for at most ``budget`` microseconds and
+   ``cap`` of CPU, frame it and set ``*cpu`` to its CPU time; 1 in the arm
+   itself, which goes on into main. */
+__mutopt_O0 static int __mutopt_arm(int arm, long len, long long budget, long long cap,
+                                    long long *cpu) {
+    int in[2], out[2], err[2], pid, status = -1, exited = 0, i, n, timer = -1, ws;
+    long sent = 0, got = 0, r;
+    long long start, left, spare, wall;
+    char sink[4096], head[80];
+    struct __mutopt_pollfd fds[4], tick;
+    tick.fd = __mutopt_chld[0];
+    tick.events = 1;
+    while (__mutopt_poll(&tick, 1, 0) > 0) __mutopt_read(tick.fd, sink, sizeof sink);
+    if (__mutopt_pipe(in) || __mutopt_pipe(out) || __mutopt_pipe(err)) __mutopt_exit(2);
+    __mutopt_fflush(0);
+    start = __mutopt_now(1);
+    if ((pid = __mutopt_fork()) < 0) __mutopt_exit(2);
+    if (!pid) {
+        __mutopt_setpgid(0, 0);
+        __mutopt_signal(13, (void (*)(int)) 0);
+        __mutopt_signal(17, (void (*)(int)) 0);
+        __mutopt_dup2(in[0], 0);
+        __mutopt_dup2(out[1], 1);
+        __mutopt_dup2(err[1], 2);
+        for (i = 0; i < 2; i++) {
+            __mutopt_close(in[i]);
+            __mutopt_close(out[i]);
+            __mutopt_close(err[i]);
+            __mutopt_close(__mutopt_chld[i]);
+        }
+        __mutopt_k = arm;
+        return 1;
+    }
+    __mutopt_setpgid(pid, pid);
+    __mutopt_cpuclock(pid, &timer); /* its CPU clock, or none: -1 */
+    __mutopt_close(in[0]);
+    __mutopt_close(out[1]);
+    __mutopt_close(err[1]);
+    in[0] = out[1] = err[1] = -1;
+    if (!len) {
+        __mutopt_close(in[1]);
+        in[1] = -1;
+    }
+    for (;;) {
+        if (out[0] < 0 && err[0] < 0 && exited) {
+            status = 0;
+            break;
+        }
+        left = start + budget - __mutopt_now(1);
+        if ((spare = cap - __mutopt_now(timer)) < left) left = spare;
+        if (left <= 0) break;
+        n = 0;
+        fds[n].fd = tick.fd, fds[n++].events = 1;
+        if (out[0] >= 0) fds[n].fd = out[0], fds[n++].events = 1;
+        if (err[0] >= 0) fds[n].fd = err[0], fds[n++].events = 1;
+        if (in[1] >= 0) fds[n].fd = in[1], fds[n++].events = 4;
+        if (__mutopt_poll(fds, n, (int) ((left + 999) / 1000)) <= 0) continue;
+        for (i = 0; i < n; i++) {
+            if (!fds[i].revents) continue;
+            if (fds[i].fd == tick.fd) {
+                __mutopt_read(tick.fd, sink, sizeof sink);
+                exited = 1;
+            } else if (fds[i].fd == in[1]) {
+                r = len - sent < 4096 ? len - sent : 4096;
+                if ((r = __mutopt_write(in[1], __mutopt_in + sent, r)) > 0) sent += r;
+                if (r <= 0 || sent == len) {
+                    __mutopt_close(in[1]);
+                    in[1] = -1;
+                }
+            } else if (fds[i].fd == out[0]) {
+                if ((r = __mutopt_read(out[0], __mutopt_out + got, __mutopt_limit + 1 - got)) > 0)
+                    got += r;
+                else {
+                    __mutopt_close(out[0]);
+                    out[0] = -1;
+                }
+            } else if (__mutopt_read(err[0], sink, sizeof sink) <= 0) {
+                __mutopt_close(err[0]);
+                err[0] = -1;
+            }
+        }
+        if (got > __mutopt_limit) break;
+    }
+    *cpu = __mutopt_now(timer);
+    wall = __mutopt_now(1) - start;
+    __mutopt_kill(-pid, 9);
+    __mutopt_waitpid(pid, &ws, 0);
+    status = !status && (ws & 0x7f) != 9 ? ws : -1;
+    for (i = 0; i < 2; i++) {
+        if (in[i] >= 0) __mutopt_close(in[i]);
+        if (out[i] >= 0) __mutopt_close(out[i]);
+        if (err[i] >= 0) __mutopt_close(err[i]);
+    }
+    got = status ? 0 : got;
+    __mutopt_put(head, __mutopt_snprintf(head, sizeof head, "%d %d %lld %ld\n",
+                                         arm, status, wall, got));
+    __mutopt_put(__mutopt_out, got);
+    return 0;
+}
+/* Serve the arms listed in ``s`` under the budget in __mutopt_k, in
+   milliseconds; returns only in an arm. */
+__mutopt_O0 static void __mutopt_serve(const char *s) {
+    long long budget = 1000LL * __mutopt_k, cap = budget, cpu;
+    long len = 0, r;
+    int arm = 0;
+    while ((r = __mutopt_read(0, __mutopt_in + len, __mutopt_limit - len)) > 0) len += r;
+    if (r < 0 || len == __mutopt_limit || __mutopt_pipe(__mutopt_chld)) __mutopt_exit(2);
+    __mutopt_signal(13, (void (*)(int)) 1);
+    __mutopt_signal(17, __mutopt_exited);
+    for (;;) {
+        if (__mutopt_arm(arm, len, budget, cap, &cpu)) return;
+        if (!arm && (cap = 4 * cpu + 2000) > budget) cap = budget;
+        if (!*s) __mutopt_exit(0);
+        for (arm = 0; *s >= '0' && *s <= '9'; s++) arm = 10 * arm + (*s - '0');
+        if (*s) s++;
+    }
+}
+"""
 _PRELUDE = (
     "char *getenv(const char *);\n"
     "static int __mutopt_k;\n"
+    + _SERVER +
     "__attribute__((constructor)) static void __mutopt_switch(void) {\n"
     f'    const char *s = getenv("{SWITCH}");\n'
     "    while (s && *s >= '0' && *s <= '9') __mutopt_k = 10 * __mutopt_k + (*s++ - '0');\n"
+    "    if (s && *s == ':') __mutopt_serve(s + 1);\n"
     "}\n"
     "#line 1\n").encode("ascii")
+# the libc symbols the server calls
+_SERVER_CALLS = frozenset(re.findall(r'__asm__\("(\w+)"\)', _SERVER))
 
 # a statement that starts with one of these is a declaration, or no
 # expression; so is one that starts ``T x`` or ``T *x``
@@ -72,10 +274,17 @@ def schemas(unit: SourceUnit, edits: Sequence[tuple[int, str]]
     one per ``MUTANTS_PER_SCHEMA`` mutants that sit in a full expression,
     in ``edits`` order, each with the indices of its mutants in ``edits``;
     the n-th runs when ``SWITCH`` is n.  Empty when the source already
-    names ``__mutopt_*``."""
-    if any(t.kind is TokenKind.IDENTIFIER and t.lexeme.startswith("__mutopt")
-           for t in unit.tokens):
-        return []
+    names ``__mutopt_*``, or names at file scope, outside preprocessor
+    lines, a libc symbol that the fork server calls (``_SERVER_CALLS``)."""
+    directives, depth = _directives(unit), 0
+    for t in unit.tokens:
+        if t.kind is TokenKind.IDENTIFIER and t.lexeme.startswith("__mutopt"):
+            return []
+        if _within(directives, t.start):
+            continue
+        depth += (t.lexeme == "{") - (t.lexeme == "}")
+        if depth <= 0 and t.kind is TokenKind.IDENTIFIER and t.lexeme in _SERVER_CALLS:
+            return []
     spans = full_expressions(unit)
     starts = [a for a, _ in spans]
     at = {t.start: i for i, t in enumerate(unit.tokens)}

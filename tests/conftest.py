@@ -87,21 +87,23 @@ int main(void) {
 
 
 def logging_run_cmd(log: Path, interpreter: str = "") -> str:
-    """An external ``--run-cmd`` that appends the program's path and the
-    schema mutant it is switched to (``cschema.SWITCH``, empty outside a
-    schema) to ``log`` at each spawn, then runs it (through
-    ``interpreter``, if given)."""
+    """An external ``--run-cmd`` that appends the program's path and its
+    ``cschema.SWITCH`` value (empty outside a schema) to ``log`` at each
+    spawn, then runs it (through ``interpreter``, if given)."""
     script = f'echo "$0 ${SWITCH}" >> {shlex.quote(str(log))}; exec {interpreter} "$0"'
     return f"sh -c {shlex.quote(script)} {{bin}}"
 
 
 def spawns(log: Path) -> Counter:
-    """The spawns ``logging_run_cmd`` logged, by program file name; a schema
-    binary's by its name and the mutant's number, ``00.a.c.bin#3``."""
+    """The runs ``logging_run_cmd`` logged, by program file name: one per
+    spawn, but a schema's fork server (``SWITCH`` ``budget:n1,n2,...``)
+    counts once for each mutant it runs, by the binary's name and the
+    mutant's number, ``00.a.c.bin#3``."""
     names = Counter()
     for line in log.read_text().splitlines():
-        path, _, n = line.rpartition(" ")
-        names[Path(path).name + (f"#{n}" if n else "")] += 1
+        path, _, switch = line.rpartition(" ")
+        arms = switch.partition(":")[2].split(",") if switch else [""]
+        names.update(Path(path).name + (f"#{n}" if n else "") for n in arms)
     return names
 
 

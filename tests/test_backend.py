@@ -2,6 +2,7 @@
 
 import shlex
 import shutil
+import sys
 import time
 from dataclasses import replace
 
@@ -220,16 +221,23 @@ def test_external_crash_and_timeout_verdicts(tmp_path):
 
 
 def test_external_timeout_kills_the_whole_process_group(tmp_path):
-    # needs no compiler: the run command leaves a grandchild behind
-    marker = tmp_path / "marker"
-    script = f"(sleep 1; touch {shlex.quote(str(marker))}) & sleep 5"
-    cfg = ext_config(compile_cmd="cp {src} {out}",
-                     run_cmd=f"sh -c {shlex.quote(script)}")
-    backend = make_backend(cfg, tmp_path / "scratch")
-    program = backend.compile(b"", name="script.sh")
-    assert backend.run(program, [], budget=0.3).verdict == "timeout"
+    # needs no compiler: the run command leaves a grandchild behind, in its
+    # own process group or, as each arm of a schema's fork server, in a
+    # group of its own within the session
+    markers = [tmp_path / "marker", tmp_path / "moved"]
+    shell = f"(sleep 1; touch {shlex.quote(str(markers[0]))}) & sleep 5"
+    moved = ("import os, time\n"
+             "if os.fork() == 0:\n"
+             f"    os.setpgid(0, 0); time.sleep(1); open({str(markers[1])!r}, 'w')\n"
+             "time.sleep(5)\n")
+    for run_cmd in (f"sh -c {shlex.quote(shell)}",
+                    f"{shlex.quote(sys.executable)} -c {shlex.quote(moved)}"):
+        cfg = ext_config(compile_cmd="cp {src} {out}", run_cmd=run_cmd)
+        backend = make_backend(cfg, tmp_path / "scratch")
+        program = backend.compile(b"", name="script.sh")
+        assert backend.run(program, [], budget=0.3).verdict == "timeout"
     time.sleep(1.5)
-    assert not marker.exists()
+    assert not any(marker.exists() for marker in markers)
 
 
 def test_external_missing_compiler_is_toolchain_error(tmp_path):

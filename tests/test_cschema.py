@@ -2,8 +2,11 @@
 and that checking mutants in schema binaries gives the verdicts each
 mutant gets compiled alone."""
 
+import os
 import shutil
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,10 +46,11 @@ def snippet_program(name: str, *edits: tuple[str, str]) -> tuple[bytes, tuple[in
 
 
 def search(tmp_path, text: bytes, inputs: InputSet, name: str = "unit.c",
-           compile_cmd: str = "cc -O2 {src} -o {out}", line_range=None):
+           compile_cmd: str = "cc -O2 {src} -o {out}", line_range=None,
+           run_cmd: str = "{bin}", timeout_factor: float = 10.0):
     config = OptimizeConfig(
-        backend=ExecBackendConfig(kind="external", compile_cmd=compile_cmd, run_cmd="{bin}",
-                                  repetitions=1, warmups=0),
+        backend=ExecBackendConfig(kind="external", compile_cmd=compile_cmd, run_cmd=run_cmd,
+                                  repetitions=1, warmups=0, timeout_factor=timeout_factor),
         scratch_dir=tmp_path, source_name=name, line_range=line_range)
     return optimize(OPERATORS, tokenize(text, Language.C_LIKE), inputs, config)
 
@@ -214,12 +218,22 @@ def test_a_schema_that_does_not_compile_is_split_down_to_its_bad_arm(tmp_path):
     assert len(list((tmp_path / "schema").glob("*.unit.c"))) == 7
 
 
-HANGING_C = b"""#include <stdio.h>
+# On 7, line 7's ``a + 3`` and line 8's ``a * 2`` pick what the program
+# does; each AOR mutant of them is hostile in its own way
+HOSTILE_C = b"""#include <signal.h>
+#include <stdio.h>
 #include <unistd.h>
 int main(void) {
-    int a = 0;
+    int a = 0, b = 0, x, y, k;
     if (scanf("%d", &a) != 1) return 1;
-    if (a > 100) {
+    x = a + 3;
+    y = a * 2;
+    static char big[1 << 16];
+    switch (x) {
+    case 4: for (;;) {}
+    case 21: close(1); for (;;) {}
+    case 2: for (k = 0; k < 32; k++) fwrite(big, 1, sizeof big, stdout); break;
+    case 1:
         if (fork() == 0) {
             sleep(1);
             fopen("MARKER", "w");
@@ -227,31 +241,168 @@ int main(void) {
         }
         for (;;) {}
     }
-    printf("%d\\n", a);
+    switch (y) {
+    case 9: raise(SIGKILL); break;
+    case 5: while (getchar() != EOF) b++; break;
+    case 3: return 3;
+    case 1: raise(SIGTERM); break;
+    }
+    printf("%d %d\\n", a, b);
+    return 0;
+}
+"""
+
+# by line and replacement: the status class and the decided kind of each
+# run, on 7.  ``-``, ``*`` and ``%`` on line 7 hang, close stdout and spin,
+# or fork a child that would write the marker a second later and spin;
+# ``/`` writes 2 MiB, past the fork server's output limit, and exits.  The
+# server stops each, which runs alone.  On line 8, ``+`` dies of SIGKILL,
+# the server's own signal, so it runs alone too; ``-`` reads past the
+# input and prints how far, ``/`` exits 3 and ``%`` dies of SIGTERM, which
+# the server decides.
+HOSTILE = {(7, "-"): ("timeout", (None,)), (7, "*"): ("timeout", (None,)),
+           (7, "/"): ("killed", (None,)), (7, "%"): ("timeout", (None,)),
+           (8, "+"): ("crash", (None,)), (8, "-"): ("killed", ("schema",)),
+           (8, "/"): ("crash", ("schema",)), (8, "%"): ("crash", ("schema",))}
+
+
+def running_under(path) -> list[int]:
+    """The running processes whose program file lies under ``path``, from
+    Linux's /proc (none without it): an arm is a fork of its schema binary,
+    and each of its children a fork of the arm."""
+    found = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            if os.readlink(entry / "exe").startswith(str(path)):
+                found.append(int(entry.name))
+        except OSError:  # gone, a zombie, or another user's
+            pass
+    return found
+
+
+@external
+def test_hanging_schema_mutant_leaves_no_process_and_runs_alone(tmp_path, monkeypatch):
+    marker = tmp_path / "marker"
+    text = HOSTILE_C.replace(b"MARKER", str(marker).encode())
+    inputs = input_set([7])
+    report = search(tmp_path / "schema", text, inputs, compile_cmd="cc -O0 {src} -o {out}",
+                    line_range=(7, 8))
+    assert running_under(tmp_path) == []
+    time.sleep(1.5)
+    assert not marker.exists()
+    assert {(v.line, v.replacement): (v.status, v.decided) for v in report.verdicts} == HOSTILE
+    assert report.host["decided"]["schema"] == 3
+    alone(monkeypatch)
+    assert verdicts(report) == verdicts(search(tmp_path / "alone", text, inputs,
+                                               compile_cmd="cc -O0 {src} -o {out}",
+                                               line_range=(7, 8)))
+
+
+@external
+@pytest.mark.parametrize("wrapper", ['"$0"; echo x', '"$0" > /dev/null'],
+                         ids=["line_after", "swallowed"])
+def test_unparseable_frames_decide_nothing(wrapper, tmp_path, monkeypatch):
+    # a run command that appends a line to the program's output, or drops
+    # it, breaks every fork server's frames, so no schema decides anything
+    run_cmd = f"sh -c '{wrapper}' {{bin}}"
+    inputs = input_set([3], [5])
+    report = search(tmp_path / "schema", FOLDED_C, inputs, run_cmd=run_cmd)
+    assert (tmp_path / "schema" / "schema" / "00.unit.c.bin").is_file()
+    assert report.host["decided"]["schema"] == 0
+    alone(monkeypatch)
+    assert verdicts(report) == verdicts(search(tmp_path / "alone", FOLDED_C, inputs,
+                                               run_cmd=run_cmd))
+
+
+# Lines 5 and 6 set the loop's work: their ``>``, ``>=`` and ``!=`` give it
+# 20 times the original's.  The sum is printed divided by line 5's share,
+# so line 5's slow mutants print the right answer and line 6's a wrong
+# one.  On 1500000 the original runs for a few milliseconds.
+CAPPED_C = b"""#include <stdio.h>
+int main(void) {
+    long n = 0, s = 0, k, w, v;
+    if (scanf("%ld", &n) != 1) return 1;
+    w = n < 0;
+    v = n < 0;
+    for (k = 0; k < (1 + 19 * (w | v)) * n; k++) s += 1;
+    printf("%ld\\n", s / (1 + 19 * w));
     return 0;
 }
 """
 
 
 @external
-def test_hanging_schema_mutant_leaves_no_process_and_runs_alone(tmp_path, monkeypatch):
-    # ``a < 100``, ``a <= 100`` and ``a != 100`` fork a child that would
-    # write the marker a second later, then spin; the schema's run of each
-    # times out and its process group is killed, and it runs alone
-    marker = tmp_path / "marker"
-    text = HANGING_C.replace(b"MARKER", str(marker).encode())
-    inputs = input_set([5])
-    report = search(tmp_path / "schema", text, inputs, compile_cmd="cc -O0 {src} -o {out}",
-                    line_range=(6, 6))
-    time.sleep(1.5)
-    assert not marker.exists()
-    hanging = [v for v in report.verdicts if v.status == "timeout"]
-    assert [v.replacement for v in hanging] == ["<", "<=", "!="]
-    assert all(v.decided == (None,) for v in hanging)
+def test_the_cap_never_changes_a_verdict(tmp_path, monkeypatch):
+    inputs, lines, compile_cmd = input_set([1500000]), (5, 6), "cc -O0 {src} -o {out}"
+    # the fork server stops the slow arms at their cap, never arm 0
+    backend = ExternalBackend(ExecBackendConfig(kind="external", compile_cmd=compile_cmd,
+                                                run_cmd="{bin}"), tmp_path / "direct")
+    unit = tokenize(CAPPED_C, Language.C_LIKE)
+    mutants = apply_all([ROR], unit, lines)
+    (text, members), = cschema.schemas(unit, [(m.start, m.replacement) for m in mutants])
+    binary = tmp_path / "direct" / "capped.c.bin"
+    binary.with_suffix("").write_bytes(text)
+    backend._cc(binary.with_suffix(""), binary)
+    slow = {n: (mutants[i].line, mutants[i].replacement) for n, i in enumerate(members, 1)
+            if mutants[i].replacement in (">", ">=", "!=")}
+    output, results = backend._serve(binary, [1500000], 1.0, list(slow))
+    assert output == b"1500000"
+    assert results == dict.fromkeys(slow)
+    # so each runs alone, with the verdict it gets without schemas: line
+    # 5's equivalent, line 6's killed; a budget of 100 times the original's
+    # keeps them clear of a timeout
+    report = search(tmp_path / "schema", CAPPED_C, inputs, compile_cmd=compile_cmd,
+                    line_range=lines, timeout_factor=100.0)
     alone(monkeypatch)
-    assert verdicts(report) == verdicts(search(tmp_path / "alone", text, inputs,
-                                               compile_cmd="cc -O0 {src} -o {out}",
-                                               line_range=(6, 6)))
+    per_mutant = search(tmp_path / "alone", CAPPED_C, inputs, compile_cmd=compile_cmd,
+                        line_range=lines, timeout_factor=100.0)
+    assert verdicts(report) == verdicts(per_mutant)
+    by_key = {(v.line, v.replacement): v for v in report.verdicts}
+    for line, op in slow.values():
+        v = by_key[line, op]
+        assert (v.status in EQUIVALENT, v.status == "killed") == (line == 5, line == 6)
+        assert "schema" not in v.decided
+
+
+# a program with its own functions named like libc's, which the prelude
+# calls under other names
+OWN_LIBC_C = b"""int printf(const char *, ...);
+static int read(int a[1]) { return a[0]; }
+static void write(int v) { printf("%d\\n", v); }
+static int fork(int a) { return a + 1; }
+static int pipe(int a) { return a * 2; }
+static int poll(int a) { return a - 1; }
+static int kill(int a) { return a % 5; }
+static int close(int a) { return 0 - a; }
+int main(void) {
+    int a = 3;
+    write(read(&a) + fork(a) + pipe(a) + poll(a) + kill(a) + close(a));
+    return 0;
+}
+"""
+
+
+@external
+@pytest.mark.parametrize("level", ["-O0", "-O2"])
+def test_prelude_names_nothing_a_program_may(level, tmp_path, monkeypatch):
+    def cc(text: bytes, *flags: str) -> subprocess.CompletedProcess:
+        src = tmp_path / "unit.c"
+        src.write_bytes(text)
+        return subprocess.run(["cc", level, *flags, str(src), "-o", str(tmp_path / "unit")],
+                              capture_output=True, timeout=120)
+
+    # the prelude is clean C99
+    main = b"int main(void) { return 0; }\n"
+    assert cc(cschema._PRELUDE + main, "-std=c99", "-Wall", "-Wextra", "-Werror").stderr == b""
+    # a schema of a program that defines its own read, write, fork, pipe,
+    # poll, kill and close compiles; but its fork server would call them
+    # there, so no such program gets a schema
+    unit = tokenize(OWN_LIBC_C, Language.C_LIKE)
+    edits = [(m.start, m.replacement) for m in apply_all(OPERATORS, unit)]
+    assert cschema.schemas(unit, edits) == []
+    monkeypatch.setattr(cschema, "_SERVER_CALLS", frozenset())
+    text, members = cschema.schemas(unit, edits)[0]
+    assert members and cc(text).returncode == 0
 
 
 # ---- no state shared with trivial compiler equivalence ----

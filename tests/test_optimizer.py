@@ -487,11 +487,13 @@ def test_external_times_only_survivors_and_runs_each_binary_once(tmp_path):
     verdicts = {(v.line, v.replacement): v for v in report.verdicts}
     spawned = {key: sum(n for name, n in logged.items() if name.endswith(f".{v.mutant_id}.c.bin"))
                for key, v in verdicts.items()}
-    # all 15 mutants sit in one schema, which runs the n-th mutant when
-    # switched to n and checks each before any compiles alone
+    # all 15 mutants sit in one schema, whose fork server is spawned once
+    # per input and runs there each mutant that no earlier input killed,
+    # before any compiles alone
     schema = {key: logged[f"00.folded.c.bin#{n}"] for n, key in enumerate(verdicts, 1)}
+    assert log.read_text().count("/00.folded.c.bin ") == 2
     timed = 1 + 1 + 2  # per input: the check's run, one warmup, two measured
-    # killed ones spawn once per input they reached, in the schema, and
+    # killed ones run once per input they reached, in the schema, and
     # never alone; the schema answers each of their runs
     assert {key: (v.status, v.input_id, spawned[key], schema[key], v.decided)
             for key, v in verdicts.items() if v.tau is None} == {
