@@ -22,11 +22,16 @@ input (``minilang.instrument``), which gives the outcome of every mutant
 that is never infected on that input (inherited) or that changes only data
 no condition reads (shadowed); a mutant first infected late in a long run
 runs only its suffix, in a fork of that run (forked).  That run is also
-the original's baseline, so the original runs once per input.  Every
-mutant still compiles and calls ``run`` once per run it reports.
-``compile`` attaches to a mutant's program the record of its decisions,
-found by its ``Site``, and ``run`` answers a decided run by the input's
+the original's baseline, so the original runs once per input, and it
+records the original's state on entry to each top-level statement.  Every
+mutant still calls ``compile``, and ``run`` once per run it reports.
+``compile`` relexes a one-operator mutant, finds its ``Site`` and attaches
+the record of its decisions; ``run`` answers a decided run by the input's
 values, within the decision's ``steps``, marked in ``RunResult.decided``.
+Only a run that executes builds the site's schema, the first time a run of
+one of the site's mutants reaches the statement, and starts at that
+statement from the original's state on entry to it; it is still an
+executed run.
 
 The external backend evaluates a program in two passes over the inputs
 (``overall_time``).  The check pass runs it once per input (``run``) and
@@ -56,7 +61,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import shlex
 import signal
 import struct
 import subprocess
@@ -67,8 +71,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from statistics import median
-from types import CodeType
+from types import CodeType, FunctionType
 from typing import Sequence, Union
 
 from .minilang import CompileError, MiniRuntimeError, BudgetExceeded, parse_mini
@@ -142,6 +145,8 @@ def check_template(template: str, placeholders: Sequence[str]) -> list[str]:
     an argument that does not format with ``placeholders`` alone; a literal
     brace is written ``{{`` or ``}}``.
     """
+    import shlex  # imported here: a search on the mini backend splits no template
+
     try:
         args = shlex.split(template)
     except ValueError as exc:  # "No closing quotation"
@@ -293,6 +298,10 @@ def elf_digest(data: bytes) -> bytes | None:
     return digest.digest()
 
 
+# the operators that add crash seeds to a loop's cycle key (``loop_slice``)
+_SEEDS = frozenset({"/", "%", "/=", "%="})
+
+
 class _Base:
     """The first program a MiniBackend compiles, kept so that a text that
     swaps one of its operators compiles at the cost of one statement, or
@@ -304,11 +313,13 @@ class _Base:
     a schema of the statement (mutant schemata; Untch, Offutt and
     Harrold, ISSTA 1993): the statement's function compiled once for all
     the operators of the site, which switches between them on ``_K``, a
-    parameter set to the mutant's operator.  An operator whose statement
-    gives an enclosing loop another cycle key (``/`` and ``%`` add crash
-    seeds) gets a schema of its own, so every mutant runs the loop heads of
-    its own fresh compile.  Mutation emits the mutants of a site together,
-    so only the current site's schemas are kept."""
+    parameter set to the mutant's operator.  The schema is built when a run
+    of the mutant first reaches the statement, so a mutant whose runs are
+    all decided builds none.  An operator whose statement gives an
+    enclosing loop another cycle key (``/`` and ``%`` add crash seeds) gets
+    a schema of its own, so every mutant runs the loop heads of its own
+    fresh compile.  Mutation emits the mutants of a site together, so only
+    the current site's schemas are kept."""
 
     def __init__(self, unit: SourceUnit, tree: MiniProgram, program: CompiledMini):
         self.unit = unit
@@ -347,9 +358,10 @@ class _Base:
     def derive(self, text: bytes) -> tuple[CompiledMini, Site] | None:
         """``text`` compiled as a mutant of the base that swaps one operator
         for another and keeps the statement's tree, and its ``Site``: the
-        base with its site's schema; None when ``text`` is no such mutant
-        or its schema does not compile, and the full compile decides.  Only
-        the changed token is lexed again (``relex``)."""
+        base, whose site's statement runs the schema, built when a run first
+        reaches it; None when ``text`` is no such mutant, and the full
+        compile decides.  Only the changed token is lexed again
+        (``relex``)."""
         found = relex(self.unit, text)
         if found is None:
             return None
@@ -358,11 +370,16 @@ class _Base:
         site = self.site(start, token.lexeme)
         if site is None:
             return None
-        try:  # code past CPython's limits: the full compile decides
-            return self.program.with_code(site.statement, self._schema(site, start),
-                                          site.op), site
-        except CompileError:
-            return None
+
+        def make(namespace: dict) -> FunctionType:
+            try:
+                return FunctionType(self._schema(site, start), namespace, None, (site.op,))
+            except CompileError:  # past CPython's limits: the mutant's own statement
+                stmt = with_op(self.tree.body[site.statement], site.path, site.op)
+                return FunctionType(self.program.statement_code(site.statement, stmt, None),
+                                    namespace)
+
+        return self.program.with_statement(site.statement, make), site
 
     def _schema(self, site: Site, start: int) -> CodeType:
         """The code of the schema that runs ``site``'s mutant, the operator
@@ -370,12 +387,15 @@ class _Base:
         top, path = self.tree.body[site.statement], site.path
         if self._current != (site.statement, path):
             # the loops whose bodies hold the site; its operator changes
-            # no other loop's key
+            # no other loop's key, and only a crash seed changes theirs
             loops = [path[:i] for i, step in enumerate(path)
                      if step == "body" and isinstance(node_at(top, path[:i]), ast.While)]
+            old = node_at(top, path).op
+            own = tuple(loop_slice(node_at(top, loop)) for loop in loops)
             self._current = site.statement, path
-            self._keys = {op: tuple(loop_slice(node_at(with_op(top, path, op), loop))
-                                    for loop in loops)
+            self._keys = {op: own if old not in _SEEDS and op not in _SEEDS else
+                          tuple(loop_slice(node_at(with_op(top, path, op), loop))
+                                for loop in loops)
                           for op in self.swaps(start)}
             self._schemas = {}
         key = self._keys[site.op]
@@ -387,13 +407,13 @@ class _Base:
         return self._schemas[key]
 
 
-def _mini_result(run, input_values: Sequence[int], budget: int) -> RunResult:
-    """``run(input_values, budget, arm)``, a ``CompiledMini.run``, as a
-    ``RunResult``."""
+def _mini_result(run, input_values: Sequence[int], budget: int, *start) -> RunResult:
+    """``run(input_values, budget, arm, *start)``, a ``CompiledMini.run``,
+    as a ``RunResult``."""
     try:
         # one cycle check per CYCLE_STRIDE steps of a loop entry: a program
         # stuck in a short cycle stops a few strides after entering it
-        result = run(input_values, budget, CYCLE_STRIDE)
+        result = run(input_values, budget, CYCLE_STRIDE, *start)
     except BudgetExceeded:
         return RunResult(b"", None, VERDICT_TIMEOUT)
     except MiniRuntimeError:
@@ -406,9 +426,10 @@ class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
     a later text that swaps one of its operators and keeps the statement's
     tree re-lexes the changed token and runs its site's schema, compiled
-    once for all the site's operators, in place of the statement that holds
-    it, sharing the base's other compiled statements (``_Base.derive``).
-    Any other text is compiled in full.
+    once for all the site's operators when a run of one of them first
+    reaches the statement, in place of the statement that holds it,
+    sharing the base's other compiled statements (``_Base.derive``).  Any
+    other text is compiled in full.
 
     ``decide`` runs the base once per input, instrumented, for its baseline,
     and settles some runs of its one-operator mutants from that run
@@ -419,6 +440,15 @@ class MiniBackend:
     the input's values, without executing, when the decision's ``steps``
     are within the budget.  A record outlives a later ``decide``: each
     decision is a fact about the mutant on those values.
+
+    The same run records the base's state on entry to each top-level
+    statement, by input values.  A mutant's site is in some statement k,
+    and the statements before k are the base's own, so on those values the
+    mutant reaches k in the base's state; an executed run of it starts
+    there, when that state's steps are within the budget.  It stops, ends
+    or crashes with the same output and steps as a run from the start:
+    the base's loops before k exit, so no cycle check there finds a
+    repeat, and no budget check there sees more steps than k's entry.
 
     Every program is generated for the largest budget a run can get, a
     mutant's on the largest baseline (``BASELINE_STEP_LIMIT`` times the
@@ -434,7 +464,11 @@ class MiniBackend:
         self._base: _Base | None = None
         # by site, then by input values
         self._decided: dict[Site, dict[tuple[int, ...], Decision]] = {}
-        self._answers = weakref.WeakKeyDictionary()  # compiled mutant -> its record
+        # compiled mutant -> its site's statement and its record
+        self._answers = weakref.WeakKeyDictionary()
+        # by input values: the base's values printed and its state on entry
+        # to each top-level statement (``Instrumented.entries``)
+        self._entries: dict[tuple[int, ...], tuple[list[int], list[tuple]]] = {}
 
     def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
         # name only matters to external toolchains; accepted for one signature
@@ -442,8 +476,7 @@ class MiniBackend:
             found = self._base.derive(bytes(source))
             if found is not None:
                 program, site = found
-                if site in self._decided:
-                    self._answers[program] = self._decided[site]
+                self._answers[program] = site.statement, self._decided.get(site, {})
                 return program
         if not isinstance(source, SourceUnit):
             source = tokenize(source, Language.MINI)
@@ -466,8 +499,8 @@ class MiniBackend:
         fork of that run, under ``mutant_budget`` of the steps so far.
         The base must be compiled.  Replaces earlier decisions for later
         compiles (a program compiled before keeps its record, true of the
-        values it was decided on); decides nothing unless every run is
-        ok."""
+        values it was decided on); decides nothing, and records no state,
+        unless every run is ok."""
         sites = (self._base.site(start, new) for start, new in edits)
         probe = Instrumented(self._base.tree, [site for site in sites if site is not None],
                              self._budget)
@@ -478,14 +511,15 @@ class MiniBackend:
 
         def run(values, budget, arm):
             result, decisions = probe.run(values, budget, arm, bound)
-            rows.append((tuple(values), decisions))
+            rows.append((tuple(values), decisions, (probe.printed, probe.entries)))
             return result
 
         baseline = _overall(self, partial(_mini_result, run), inputs)
         self._decided = {}
         if baseline.verdict != VERDICT_OK:
             return baseline
-        for values, decisions in rows:
+        for values, decisions, entries in rows:
+            self._entries[values] = entries
             for site, decision in zip(probe.sites, decisions):
                 if decision is not None:
                     self._decided.setdefault(site, {})[values] = decision
@@ -493,11 +527,13 @@ class MiniBackend:
 
     def decisions(self, program: CompiledMini) -> dict[tuple[int, ...], Decision]:
         """The decisions ``run`` answers for ``program``, by input values."""
-        return self._answers.get(program, {})
+        return self._answers.get(program, (0, {}))[1]
 
     def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:
-        decision = self.decisions(program).get(tuple(input_values))
+        values = tuple(input_values)
+        k, decisions = self._answers.get(program, (0, {}))
+        decision = decisions.get(values)
         if decision is not None and decision.steps <= budget:
             if decision.outcome is None:
                 return RunResult(b"", None, VERDICT_TIMEOUT, decision.kind)
@@ -506,7 +542,13 @@ class MiniBackend:
             return RunResult(decision.outcome.output,
                              Cost(decision.outcome.steps, UNIT_STEPS), VERDICT_OK,
                              decision.kind)
-        return _mini_result(program.run, input_values, budget)
+        if k and values in self._entries:
+            printed, entries = self._entries[values]
+            steps, length, variables = entries[k]
+            if steps <= budget:
+                return _mini_result(program.run, values, budget,
+                                    (k, steps, printed[:length], variables))
+        return _mini_result(program.run, values, budget)
 
     def mutant_budget(self, baseline: Cost) -> int:
         return max(1, math.ceil(baseline.value * self.config.timeout_factor))
@@ -745,6 +787,8 @@ class ExternalBackend:
 
     def _spawn(self, program: Path, input_values: Sequence[int], budget: float,
                warmups: int, repetitions: int) -> RunResult:
+        from statistics import median  # imported here: about 2.5 ms a mini search never needs
+
         stdin_data = _stdin(input_values)
         cmd = self._command(program)
         times_ms: list[float] = []

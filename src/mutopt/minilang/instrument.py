@@ -73,7 +73,10 @@ mutants is left to check: each is infected or its branch shadow crashed.
 The checks and shadows add no step, change no variable of the original and
 print nothing, so each run is the original's own run, with the same
 outcome, and the mini backend takes it as the baseline instead of running
-the original plain as well.
+the original plain as well.  The run also records the original's state on
+entry to each top-level statement (``Instrumented.entries``): a mutant
+whose site is in statement k runs the original's code on the original's
+state up to there, so an executed run of it can start at k.
 """
 
 from __future__ import annotations
@@ -319,6 +322,10 @@ class Instrumented:
         self._bound: Callable[[int], int] | None = None  # see ``run``
         self._forked: dict[int, Decision] = {}  # this run's, by mutant
         self._child: tuple[int, int] | None = None  # in a child: its pipe and bound
+        # the last run's values printed and, per top-level statement, its
+        # state on entry: steps, values printed so far and the variables
+        self.printed: list[int] = []
+        self.entries: list[tuple[int, int, tuple]] = []
 
     def _classify(self, program, simple, conditions) -> dict[int, tuple]:
         """Give each mutant that is not data-only a check at its site, and
@@ -426,7 +433,7 @@ class Instrumented:
     @property
     def namespace(self) -> dict:
         return {"_hit": self._hit, "_branch": self._branch, "_arithmetic": self._arithmetic,
-                "_shade": _shade}
+                "_shade": _shade, "_enter": self._enter}
 
     @property
     def blind(self) -> frozenset:
@@ -468,6 +475,11 @@ class Instrumented:
         checks = " or ".join(f"_M{j} and {_differs(op, new, a, b)} and {call.format(j)}"
                              for j, new in self._checks[n])
         return f"(not ({test}) if _S{n} and ({checks}) else {test})"
+
+    def _enter(self, steps: int, printed: list[int], variables: tuple):
+        """The run's state on entry to its next top-level statement."""
+        self.entries.append((steps, len(printed), variables))
+        self.printed = printed
 
     def statement(self, gen: _CodeGen, stmt):
         n = self._statement_of.get(id(stmt))
@@ -607,7 +619,10 @@ class Instrumented:
         ``budget`` and ``arm``), and each site's ``Decision`` there, or None
         where its mutant must run (it is infected and not data-only).
         Raises what the original's run raises; the checks and shadows add
-        no step, so that is what the plain original raises.
+        no step, so that is what the plain original raises.  Its
+        ``entries`` are then the original's state on entry to each
+        top-level statement it reached, as a plain run has it, and
+        ``printed`` the values it printed.
 
         With ``bound``, a function from the steps so far to a lower bound
         of the mutant's budget, the run forks at the first infection, at
@@ -624,6 +639,7 @@ class Instrumented:
             self._ns[f"_S{n}"] = True
             for j, _ in checks:
                 self._ns[f"_M{j}"] = True
+        self.entries = []
         shadows = self._shadows = {j: _Shadow(slice_) for j, slice_ in self._slices.items()}
         for n, holders in enumerate(self._holders):
             self._ns[f"_Z{n}"] = [(shadows[j], self._ns[name]) for j, name in holders]

@@ -4,13 +4,15 @@ The AST is translated into plain Python functions and executed with native
 integers; 64-bit wrapping is enforced by range checks on the int64 bounds
 that a result can pass.  Each top-level statement becomes one function,
 which takes the step count and the variables the statement names as
-parameters, so they are fast locals, and returns them; a driver calls the statement functions in order.  A
-mutant that swaps one operator changes one statement and shares the other
-functions and the driver's code with the program it derives from
-(``CompiledMini.with_code``).  That statement runs a schema
-(``statement_code`` with a switch): its function compiled once for all
-the operators of the mutant's site, where only the switched operator tests
-``_K``, a parameter whose default is the mutant's operator.
+parameters, so they are fast locals, and returns them; a driver calls the
+statement functions in order, from the first or from a later one given the
+run's state on entry to it.  A mutant that swaps one operator changes one
+statement and shares the other functions and the driver's code with the
+program it derives from (``CompiledMini.with_statement``), whose changed
+function is made when a run first reaches it.  That statement runs a
+schema (``statement_code`` with a switch): its function compiled once for
+all the operators of the mutant's site, where only the switched operator
+tests ``_K``, a parameter whose default is the mutant's operator.
 
 Cost model, counted in ``steps``:
 
@@ -80,7 +82,9 @@ operands are ready and before each assignment or print, without changing
 the step count or the output; ``minilang.instrument`` uses them to run the
 original once and decide mutants from that run.  Code generated with hooks
 reads the budget from its globals, not from a parameter, so a run can
-lower it midway.
+lower it midway, and its driver reports the run's state on entry to each
+top-level statement, from which a run of a program that shares the
+statements before it can start.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from types import CodeType, FunctionType
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import ast_nodes as ast
 from . import ranges
@@ -627,24 +631,33 @@ def generate_source(program: MiniProgram, budget: int, hooks=None) -> str:
 
     Each top-level statement becomes a function that takes and returns the
     step count and the variables the statement names, so they stay fast
-    locals; the driver ``_mini`` calls them in order.  ``hooks`` instruments
-    the code (see ``_CodeGen``), and then the budget is the global
-    ``_budget``, which the driver sets from its argument.  The code is
-    only sound under budgets of at most ``budget`` steps.
+    locals; the driver ``_mini`` calls them in order, from statement
+    ``_k`` on, with the run's state on entry to it in its other optional
+    parameters: the step count, the values printed and the variables in
+    ``program.variables``' order (see ``CompiledMini.run``).  ``hooks``
+    instruments the code (see ``_CodeGen``); then the budget is the global
+    ``_budget``, which the driver sets from its argument, and before each
+    statement the driver passes the run's state on entry to it to
+    ``_enter``, a global that the hooks' namespace gives.  The code is only
+    sound under budgets of at most ``budget`` steps.
     """
     signatures = [_signature(stmt) for stmt in program.body]
     parts = [_statement_source(stmt, k, names, budget, hooks)
              for k, (stmt, names) in enumerate(zip(program.body, signatures))]
     context = _CONTEXT if hooks is None else _HOOKED_CONTEXT
-    lines = (["def _mini(_in, _budget, _arm):"] if hooks is None else
-             ["def _mini(_in, _limit, _arm):", "    global _budget", "    _budget = _limit"])
-    lines += ["    _s = 0",
-             "    _out = []",
-             "    _out_append = _out.append",
-             "    _in_len = len(_in)"]
-    lines += [f"    v_{name} = 0" for name in program.variables]
-    lines += [f"    {_state(names)} = _st{k}({context}, {_state(names)})"
-              for k, names in enumerate(signatures)]
+    state = "".join(f", v_{name}=0" for name in program.variables)
+    lines = [f"def _mini(_in, {'_budget' if hooks is None else '_limit'}, _arm, "
+             f"_k=0, _s=0, _out=None{state}):"]
+    if hooks is not None:
+        lines += ["    global _budget", "    _budget = _limit"]
+    lines += ["    if _out is None: _out = []",
+              "    _out_append = _out.append",
+              "    _in_len = len(_in)"]
+    variables = "".join(f"v_{name}, " for name in program.variables)
+    for k, names in enumerate(signatures):
+        if hooks is not None:
+            lines.append(f"    _enter(_s, _out, ({variables}))")
+        lines.append(f"    if _k <= {k}: {_state(names)} = _st{k}({context}, {_state(names)})")
     lines += ["    if _s > _budget: _over(_s)",
               "    return _out, _s"]
     parts.append("\n".join(lines) + "\n")
@@ -684,42 +697,61 @@ class CompiledMini:
         self._fn = self._namespace["_mini"]
 
     def statement_code(self, index: int, stmt: ast.Stmt, switch) -> CodeType:
-        """The code of top-level statement ``index``'s schema for ``stmt``,
-        which names no variable the old statement does not: ``switch`` is a
-        node of ``stmt`` and operators, and the node's operator is the
-        function's last argument ``_K``, one of those operators."""
+        """The code of top-level statement ``index``'s function for
+        ``stmt``, which names no variable the old statement does not.  With a
+        ``switch``, a node of ``stmt`` and operators, it is a schema: the
+        node's operator is the function's last argument ``_K``, one of
+        those operators."""
         namespace = {}
         _exec(_statement_source(stmt, index, self._signatures[index], self.budget,
                                 switch=switch), namespace)
         return namespace[f"_st{index}"].__code__
 
-    def with_code(self, index: int, code: CodeType, op: str) -> "CompiledMini":
-        """This program with the schema ``code`` as top-level statement
-        ``index``'s function, ``op`` as its ``_K``, sharing the others and
-        the driver's code."""
+    def with_statement(self, index: int, make: Callable[[dict], FunctionType]
+                       ) -> "CompiledMini":
+        """This program with top-level statement ``index``'s function
+        replaced by ``make(globals)``, made for the copy's globals when a
+        run first calls it, sharing the others and the driver's code."""
         clone = object.__new__(CompiledMini)
         clone.budget = self.budget
         clone._signatures = self._signatures
-        clone._namespace = dict(self._namespace)
-        clone._namespace[f"_st{index}"] = FunctionType(code, clone._namespace, None, (op,))
-        clone._fn = FunctionType(self._fn.__code__, clone._namespace)
+        namespace = clone._namespace = dict(self._namespace)
+        name = f"_st{index}"
+
+        def first(*args):
+            function = namespace[name] = make(namespace)
+            return function(*args)
+
+        namespace[name] = first
+        clone._fn = FunctionType(self._fn.__code__, namespace, None, self._fn.__defaults__)
         return clone
 
     def run(self, input_values: Sequence[int], step_budget: int,
-            arm: int | None = None) -> MiniRunResult:
+            arm: int | None = None, start: tuple | None = None) -> MiniRunResult:
         """Raises BudgetExceeded past ``step_budget`` steps, or earlier when
         a loop's slice state repeats within one entry of the loop, checked
         once per ``arm`` steps of the entry (0 checks every head).  The
         default stride is the budget, which detects nothing.  Raises
-        ValueError for a budget above the one the code was generated for."""
+        ValueError for a budget above the one the code was generated for.
+
+        ``start``, when given, is ``(k, steps, printed, variables)``: the
+        run starts at top-level statement k from that state on entry to
+        it, the step count, the list of values printed so far, which the
+        run appends to, and every variable's value in the program's order
+        (``MiniProgram.variables``).  The caller vouches that the statements
+        before k reach that state within the budget."""
         if step_budget <= 0:
             raise ValueError("step_budget must be positive")
         if step_budget > self.budget:
             raise ValueError(f"step_budget {step_budget} exceeds the {self.budget} "
                              "the program was compiled for")
         values = tuple(int(v) for v in input_values)
-        out, steps = self._fn(values, step_budget,
-                              step_budget if arm is None else arm)
+        arm = step_budget if arm is None else arm
+        if start is None:
+            out, steps = self._fn(values, step_budget, arm)
+        else:
+            k, steps, printed, variables = start
+            out, steps = self._fn(values, step_budget, arm, k, steps, printed, *variables)
         output = "\n".join(map(str, out)).encode("ascii")
         return MiniRunResult(output=output, steps=steps)
 

@@ -29,7 +29,7 @@ Soundness contract: a fact may drop a check only if it holds for every
 program that runs that code object.  So each top-level statement is
 analysed on its own, from an entry state where every variable may hold any
 int64 value, and a program that shares a statement's function with
-another (``CompiledMini.with_code``) shares facts that hold whatever ran
+another (``CompiledMini.with_statement``) shares facts that hold whatever ran
 before it.  A schema's switched node evaluates to the join of its
 operators' results, and a switched relational node refines no state.  A
 forked instrumented run flips one comparison in ``blind``, so each of

@@ -22,8 +22,10 @@ input (``backend.overall_time``); a mutant whose binary is the original's,
 or an earlier mutant's, is answered from that binary's runs.  On the mini
 backend the baseline is ``MiniBackend.decide``'s one instrumented run of
 the original per input, which also settles the mutant runs it can, some in
-a fork of that run.  Either way each mutant compiles and calls ``run`` once
-per input it reports, and the backend answers the decided calls.
+a fork of that run.  Either way each mutant calls ``compile``, and ``run``
+once per input it reports, and the backend answers the decided calls; a
+mutant's code is built only for a run that executes (a mini schema, or an
+external binary a schema did not decide).
 ``host.decided`` totals the reported runs by how they were decided:
 executed, inherited, shadowed, forked, identical or schema.
 """

@@ -131,6 +131,18 @@ def outcome(run, *args) -> tuple:
     return "ok", result.output, result.steps
 
 
+def stop(program, values, budget, arm) -> tuple:
+    """``outcome`` of a run, with the step count where it stopped for a
+    BudgetExceeded."""
+    try:
+        result = program.run(values, budget, arm)
+    except BudgetExceeded as exc:
+        return "BudgetExceeded", exc.steps
+    except MiniRuntimeError as exc:
+        return "MiniRuntimeError", str(exc)
+    return "ok", result.output, result.steps
+
+
 def outcomes(program, inputs, budgets, arm=None):
     """The outcome of ``program`` on each input under its budget; or
     ``program`` itself where it is the name of a compile error (see

@@ -237,6 +237,19 @@ def test_deeply_nested_source_is_invalid_baseline(tmp_path):
     assert len(baseline) == 1 and "nesting deeper than" in baseline[0]
 
 
+def test_cli_import_loads_no_external_only_module():
+    # shlex splits the external backend's templates and statistics takes
+    # the median of its timed runs: a fresh import of the CLI, as every
+    # mini search starts, loads neither
+    code = ("import sys; before = set(sys.modules); import mutopt.cli; "
+            "print(sorted({'shlex', 'statistics'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unusable_scratch_root_exits_2(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -13,15 +13,15 @@ import pytest
 
 from mutopt import AOR, ASR, ROR, ExecBackendConfig, Language, apply_all, tokenize
 from mutopt.backend import (DECIDED_FORKED, DECIDED_INHERITED, DECIDED_SHADOWED, VERDICT_CRASH,
-                            MiniBackend)
+                            VERDICT_OK, VERDICT_TIMEOUT, MiniBackend)
 from mutopt.cli import load_inputs
-from mutopt.minilang import interp
+from mutopt.minilang import BudgetExceeded, MiniRuntimeError, interp
 from mutopt.minilang.instrument import Instrumented
-from mutopt.minilang.interp import CYCLE_STRIDE, compile_program
+from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
 from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, attempt, full_compile, load_unit,
-                      outcome, outcomes)
+                      outcome, outcomes, stop)
 
 
 def _deciding_backend(unit, inputs):
@@ -318,3 +318,107 @@ def test_a_decide_whose_baseline_fails_leaves_no_decisions():
     baseline = backend.decide([(m.start, m.replacement) for m in mutants], [[]])
     assert baseline.verdict == VERDICT_CRASH
     assert not any(backend.decisions(backend.compile(m.mutated_text)) for m in mutants)
+
+
+def _recording_runs(monkeypatch) -> list:
+    """A list that gains, at each ``CompiledMini.run``, the run's outcome,
+    with the step count where it stopped for a BudgetExceeded, and the
+    statement it started at."""
+    runs = []
+    real = CompiledMini.run
+
+    def run(self, values, budget, arm=None, start=None):
+        k = 0 if start is None else start[0]
+        try:
+            result = real(self, values, budget, arm, start)
+        except BudgetExceeded as exc:
+            runs.append((("BudgetExceeded", exc.steps), k))
+            raise
+        except MiniRuntimeError as exc:
+            runs.append((("MiniRuntimeError", str(exc)), k))
+            raise
+        runs.append((("ok", result.output, result.steps), k))
+        return result
+
+    monkeypatch.setattr(CompiledMini, "run", run)
+    return runs
+
+
+_VERDICT_CLASSES = {VERDICT_OK: "ok", VERDICT_CRASH: "MiniRuntimeError",
+                    VERDICT_TIMEOUT: "BudgetExceeded"}
+
+
+def _resumed_mismatches(subject, monkeypatch) -> tuple[list[str], int]:
+    """Runs of the subject's mutants through ``MiniBackend.run``, after
+    ``decide``, on every input under its budget, that differ from the fresh
+    full compile: a decided run by class, output and steps; an executed
+    run also by its crash's message, and by the step it stopped at over
+    budget, armed at ``CYCLE_STRIDE`` as the backend arms it.  And the
+    number of executed runs that started at a later statement."""
+    backend, _, _ = _deciding_backend(subject.unit, subject.inputs)
+    runs = _recording_runs(monkeypatch)
+    found, resumed = [], 0
+    for fresh in subject.mutants:
+        program = attempt(backend.compile, fresh.text)
+        if isinstance(program, str) or fresh.error:
+            if program != fresh.error:
+                found.append(f"{subject.name} {fresh.id}: {program} != {fresh.error}")
+            continue
+        for values, budget, want in zip(subject.inputs, subject.budgets, fresh.unarmed):
+            runs.clear()
+            result = backend.run(program, values, budget)
+            got = (_VERDICT_CLASSES[result.verdict],
+                   *((result.output, result.cost.value) if result.ok else ()))
+            if result.decided is None:
+                (got, k), = runs
+                resumed += k > 0
+                if got[0] == "BudgetExceeded":
+                    want = stop(full_compile(fresh.text), values, budget, CYCLE_STRIDE)
+            elif not result.ok:
+                want = want[:1]
+            if got != want:
+                found.append(f"{subject.name} {fresh.id} on {values} "
+                             f"({result.decided or 'executed'}): {got} != {want}")
+    return found, resumed
+
+
+@pytest.mark.parametrize("name, inputs", FIXTURE_INPUTS.items())
+def test_resumed_runs_match_full_compile_on_fixture(name, inputs, corpus, monkeypatch):
+    found, _ = _resumed_mismatches(corpus.fixture(name), monkeypatch)
+    assert found == []
+
+
+def test_resumed_runs_match_full_compile_on_generated_programs(corpus, monkeypatch):
+    found, resumed = [], 0
+    for subject in corpus.generated:
+        f, r = _resumed_mismatches(subject, monkeypatch)
+        found += f
+        resumed += r
+    assert found == []
+    assert resumed > 0
+
+
+def test_resumed_runs_match_full_compile_on_wide(corpus, monkeypatch):
+    found, resumed = _resumed_mismatches(corpus.wide, monkeypatch)
+    assert found == []
+    assert resumed > 0
+
+
+def test_a_run_starts_at_its_statement_only_within_the_budget(corpus, monkeypatch):
+    # under fewer steps than the original's entry to the mutant's statement
+    # the run starts at the first statement, and stops over budget where a
+    # fresh full compile stops, in an earlier statement's loop
+    subject = corpus.wide
+    backend, _, mutants = _deciding_backend(subject.unit, subject.inputs)
+    values = subject.inputs[0]
+    programs = [(backend.compile(m.mutated_text), m) for m in mutants]
+    program, mutant = max(programs, key=lambda found: backend._answers[found[0]][0])
+    k = backend._answers[program][0]
+    steps = backend._entries[tuple(values)][1][k][0]
+    runs = _recording_runs(monkeypatch)
+    for budget, start in ((steps - 1, 0), (steps, k)):
+        runs.clear()
+        result = backend.run(program, values, budget)
+        (got, started), = runs
+        assert (result.verdict, started) == (VERDICT_TIMEOUT, start)
+        assert got == stop(full_compile(mutant.mutated_text), values, budget, CYCLE_STRIDE)

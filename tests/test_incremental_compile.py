@@ -7,8 +7,9 @@ like a fresh full compile."""
 import pytest
 
 from mutopt import AOR, ASR, ROR, ExecBackendConfig, Language, apply_all, tokenize
-from mutopt.backend import MiniBackend
-from mutopt.minilang import BudgetExceeded, MiniRuntimeError, interp
+from mutopt.backend import MiniBackend, check
+from mutopt.cli import load_inputs
+from mutopt.minilang import interp
 from mutopt.minilang.ast_nodes import While
 from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini, loop_slice
 
@@ -23,6 +24,7 @@ from conftest import (
     outcome,
     outcomes,
     regroups,
+    stop,
 )
 
 
@@ -83,18 +85,6 @@ def test_statement_compile_matches_full_compile_on_generated_programs(corpus, mo
     assert mutants > 0 and full_parses == 0
 
 
-def _stop(program, values, budget, arm) -> tuple:
-    """``conftest.outcome`` of a run, with the step count where it stopped
-    for a BudgetExceeded."""
-    try:
-        result = program.run(values, budget, arm)
-    except BudgetExceeded as exc:
-        return "BudgetExceeded", exc.steps
-    except MiniRuntimeError as exc:
-        return "MiniRuntimeError", str(exc)
-    return "ok", result.output, result.steps
-
-
 def _timeout_mismatches(subject) -> tuple[list[str], int]:
     """Runs of the subject's mutants that the corpus has over budget, where
     the backend's compile stops at another step than a fresh full compile,
@@ -112,7 +102,7 @@ def _timeout_mismatches(subject) -> tuple[list[str], int]:
         for values, budget in stuck:
             for arm in (0, CYCLE_STRIDE):
                 compared += 1
-                got, want = (_stop(p, values, budget, arm) for p in (derived, full))
+                got, want = (stop(p, values, budget, arm) for p in (derived, full))
                 if got != want:
                     found.append(f"{subject.name} {fresh.id} on {values} arm={arm}: "
                                  f"{got} != {want}")
@@ -141,6 +131,31 @@ def test_timeouts_stop_where_full_compile_does_on_generated_programs(corpus):
     assert compared > 0
 
 
+def _compile_and_run(backend, subject, fresh):
+    """A mutant compiled by ``backend`` and run once, on the subject's
+    first input: a derived mutant builds its schema at its first executed
+    run.  The name of the compile error, if compiling raised one."""
+    program = attempt(backend.compile, fresh.text)
+    if not isinstance(program, str):
+        backend.run(program, subject.inputs[0], subject.budgets[0])
+    return program
+
+
+def _keys(fresh) -> tuple:
+    """The cycle keys of every loop of a mutant's fresh full compile."""
+    return tuple(loop_slice(stmt) for stmt in interp._statements(fresh.program.body)
+                 if isinstance(stmt, While))
+
+
+def _count_compiles(monkeypatch) -> list:
+    """A list that gains an entry at each Python ``compile`` of generated
+    code."""
+    compiles = []
+    monkeypatch.setattr(interp, "compile",
+                        lambda *args: compiles.append(1) or compile(*args), raising=False)
+    return compiles
+
+
 @pytest.mark.parametrize("name", ["b2tob10.mini", "wide"])
 def test_each_schema_compiles_once(name, corpus, monkeypatch):
     # A mutant that swaps one operator and keeps the tree's shape runs the
@@ -156,19 +171,71 @@ def test_each_schema_compiles_once(name, corpus, monkeypatch):
         if regroups(subject, fresh):
             others += 1
             continue
-        keys = tuple(loop_slice(stmt) for stmt in interp._statements(fresh.program.body)
-                     if isinstance(stmt, While))
-        schemas.add((mutant.start, keys))
+        schemas.add((mutant.start, _keys(fresh)))
     backend = MiniBackend(ExecBackendConfig())
     backend.compile(subject.unit)
-    compiles = []
-    monkeypatch.setattr(interp, "compile",
-                        lambda *args: compiles.append(1) or compile(*args), raising=False)
+    compiles = _count_compiles(monkeypatch)
     for fresh in subject.mutants:
-        attempt(backend.compile, fresh.text)
+        _compile_and_run(backend, subject, fresh)
     assert others == 0
     assert len(compiles) == len(schemas)
     assert len(schemas) < len(subject.mutants)
+
+
+def test_sites_decided_on_every_input_build_nothing(corpus, monkeypatch):
+    # A schema is built only when a run of one of its mutants executes: the
+    # mutants of the other schemas have every run answered by ``decide``.
+    subject = corpus.fixture("b2tob10.mini")
+    inputs = [e.values for e in load_inputs(FIXTURES / "m_scaled").entries]
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(subject.unit)
+    mutants = apply_all([ROR, ASR, AOR], subject.unit)
+    baseline = backend.decide([(m.start, m.replacement) for m in mutants], inputs)
+    compiles = _count_compiles(monkeypatch)
+    schemas, executed = set(), set()
+    for mutant, fresh in zip(mutants, subject.mutants):
+        run = check(backend, backend.compile(fresh.text), inputs, baseline)
+        schemas.add((mutant.start, _keys(fresh)))
+        if any(result.decided is None for result in run.results):
+            executed.add((mutant.start, _keys(fresh)))
+    assert len(compiles) == len(executed) == 9
+    assert len(schemas) == 15
+
+
+def test_a_schema_past_cpython_limits_falls_back_at_its_first_executed_run(corpus,
+                                                                          monkeypatch):
+    # No MiniImp program takes a schema alone past CPython's static limits,
+    # so a Python compile that rejects every schema, the only code that
+    # tests ``_K``, stands in for one.  Compiling a mutant builds nothing;
+    # its first run tries the schema once and falls back to the mutant's
+    # own statement, as its full compile generates it.
+    subject = corpus.fixture("b2tob10.mini")
+    backend = MiniBackend(ExecBackendConfig())
+    backend.compile(subject.unit)
+    schemas = []
+
+    def limited(source, *args):
+        if "_K" in source:
+            schemas.append(1)
+            raise SyntaxError("too many statically nested blocks")
+        return compile(source, *args)
+
+    monkeypatch.setattr(interp, "compile", limited, raising=False)
+    found, derived = [], 0
+    for fresh in subject.mutants:
+        if regroups(subject, fresh):
+            continue
+        schemas.clear()
+        program = backend.compile(fresh.text)
+        assert schemas == []
+        derived += 1
+        for arm, full in ((None, fresh.unarmed), (0, fresh.armed)):
+            got = outcomes(program, subject.inputs, subject.budgets, arm)
+            found += [f"{fresh.id} on {values} arm={arm}: {g} != {w}"
+                      for values, g, w in zip(subject.inputs, got, full) if g != w]
+        assert schemas == [1], fresh.id
+    assert found == []
+    assert derived == len(subject.mutants)
 
 
 @pytest.mark.parametrize("name", FIXTURE_INPUTS)
@@ -186,7 +253,7 @@ def test_schemas_switch_one_branch_per_mutant_that_keeps_the_tree(name, corpus, 
     monkeypatch.setattr(CompiledMini, "statement_code", lambda self, index, stmt, switch:
                         branches.extend(switch[1]) or real(self, index, stmt, switch))
     for fresh in subject.mutants:
-        attempt(backend.compile, fresh.text)
+        _compile_and_run(backend, subject, fresh)
     assert len(branches) == sum(not regroups(subject, fresh) for fresh in subject.mutants)
     assert len(branches) == {"precedence.mini": 169, "slices.mini": 112, "edges.mini": 284}.get(
         name, len(subject.mutants))
