@@ -13,6 +13,7 @@ from .backend import (
 )
 from .minilang import BudgetExceeded, CompileError, MiniRuntimeError, eval_mini, parse_mini
 from .optimizer import (
+    ConfirmationFailed,
     InputEntry,
     InputSet,
     InvalidBaseline,
@@ -32,7 +33,7 @@ __all__ = [
     "Cost", "ExecBackendConfig", "RunResult", "ToolchainError",
     "UnitMismatch", "make_backend", "overall_time",
     "BudgetExceeded", "CompileError", "MiniRuntimeError", "eval_mini", "parse_mini",
-    "InputEntry", "InputSet", "InvalidBaseline", "OptimizationReport",
+    "ConfirmationFailed", "InputEntry", "InputSet", "InvalidBaseline", "OptimizationReport",
     "OptimizeConfig", "confirm_equivalence", "improvement_test", "optimize",
     "__version__",
 ]

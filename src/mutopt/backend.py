@@ -45,11 +45,11 @@ answered from that code's recorded runs on the same input values, without
 a spawn, marked ``DECIDED_IDENTICAL``.  That assumes a program's behaviour
 does not depend on its own path.
 
-On a C source the external backend first checks the one-operator mutants
-in a few schema binaries (``ExternalBackend.decide``, ``cschema``): each
-compiles many mutants once, switched at run time by an environment
-variable, and runs as a fork server, one process per input for all the
-mutants it has left.  A mutant that a schema kills or crashes compiles no
+The external backend's ``decide`` runs the original for its baseline, as
+the mini one's does; on a C source it then checks the one-operator
+mutants in a few schema binaries (``cschema``): each compiles many
+mutants once, switched at run time by an environment variable, and runs
+as a fork server, one process per input for all the mutants it has left.  A mutant that a schema kills or crashes compiles no
 binary of its own; its ``run`` calls are answered from its schema runs,
 marked ``DECIDED_SCHEMA``.  Every other mutant, one that passes the
 schema or that the server stops at its cap included, compiles and runs
@@ -81,7 +81,8 @@ from .minilang.instrument import (Decision, Instrumented, Site, alternatives, no
                                   operator_paths, with_op)
 from .minilang.instrument import (DECIDED_FORKED, DECIDED_INHERITED,  # noqa: F401 (re-exported)
                                   DECIDED_SHADOWED)
-from .minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program, loop_slice
+from .minilang.interp import (CRASH_SEEDS, CYCLE_STRIDE, CompiledMini, compile_program,
+                              loop_slice)
 from .minilang.parser import LEVELS
 from .tokens import Language, SourceUnit, relex, tokenize
 
@@ -298,10 +299,6 @@ def elf_digest(data: bytes) -> bytes | None:
     return digest.digest()
 
 
-# the operators that add crash seeds to a loop's cycle key (``loop_slice``)
-_SEEDS = frozenset({"/", "%", "/=", "%="})
-
-
 class _Base:
     """The first program a MiniBackend compiles, kept so that a text that
     swaps one of its operators compiles at the cost of one statement, or
@@ -393,7 +390,7 @@ class _Base:
             old = node_at(top, path).op
             own = tuple(loop_slice(node_at(top, loop)) for loop in loops)
             self._current = site.statement, path
-            self._keys = {op: own if old not in _SEEDS and op not in _SEEDS else
+            self._keys = {op: own if old not in CRASH_SEEDS and op not in CRASH_SEEDS else
                           tuple(loop_slice(node_at(with_op(top, path, op), loop))
                                 for loop in loops)
                           for op in self.swaps(start)}
@@ -571,8 +568,9 @@ class ExternalBackend:
     or was ok within this one; the first program with a digest always
     spawns.
 
-    The first program compiled is the original.  On a C source, ``decide``
-    checks its one-operator mutants in a few schema binaries
+    The first program compiled is the original.  ``decide`` runs it on
+    every input for its baseline; on a C source it then checks its
+    one-operator mutants in a few schema binaries
     (``cschema``), each spawned once per input as a fork server for the
     mutants it has not yet decided, and records the runs of each one the
     schema kills or crashes.  ``compile`` of such a mutant writes its
@@ -597,7 +595,8 @@ class ExternalBackend:
         # by (warmups, repetitions, code, input values): the budget and
         # the result of that code's last run
         self._recorded: dict[tuple, tuple[float, RunResult]] = {}
-        self._original: tuple[SourceUnit | bytes, str] | None = None  # and its name
+        # the original, its name and its binary
+        self._original: tuple[SourceUnit | bytes, str, Path] | None = None
         # by the digest of a mutant's text, then by input values: the
         # budget and result of each of its runs in a schema
         self._decided: dict[bytes, dict[tuple[int, ...], tuple[float, RunResult]]] = {}
@@ -607,11 +606,11 @@ class ExternalBackend:
         # name keeps the real extension so compilers that sniff suffixes
         # (gcc, javac) treat the file correctly; the counter avoids clashes
         data = source.text if isinstance(source, SourceUnit) else bytes(source)
-        if self._original is None:
-            self._original = source, name
         self._counter += 1
         src_path = self.scratch / f"{self._counter:04d}.{name}"
         out_path = self.scratch / f"{self._counter:04d}.{name}.bin"
+        if self._original is None:
+            self._original = source, name, out_path
         src_path.write_bytes(data)
         runs = self._decided.get(_text_digest(data)) if self._decided else None
         if runs is not None:
@@ -644,16 +643,17 @@ class ExternalBackend:
             diag = proc.stderr.decode("utf-8", errors="replace").strip()
             raise CompileError(diag or f"compiler exited {proc.returncode}", 0, 0)
 
-    def decide(self, edits: Sequence[tuple[int, str]], inputs: Sequence[Sequence[int]],
-               baseline: "OverallTime") -> None:
-        """Check the original's one-operator mutants ``edits``, each the
-        start of the token it replaces and the new lexeme, against
-        ``baseline``, the original's run on ``inputs``, in schema binaries,
-        and record the runs of each mutant that one kills or crashes; the
-        rest are left to run alone.  Only on a ``.c`` original with an ok
-        baseline.  A schema that does not compile is split in halves, down
-        to single mutants, so a mutant whose arm does not compile (a ``%``
-        on a ``double``) leaves only itself to run alone.
+    def decide(self, edits: Sequence[tuple[int, str]],
+               inputs: Sequence[Sequence[int]]) -> "OverallTime":
+        """Run the original on ``inputs``, as ``overall_time`` with no
+        reference does, and return those runs as its baseline.  Then, only
+        on a ``.c`` original with an ok baseline, check its one-operator
+        mutants ``edits``, each the start of the token it replaces and the
+        new lexeme, against that baseline in schema binaries, and record
+        the runs of each mutant that one kills or crashes; the rest are
+        left to run alone.  A schema that does not compile is split in
+        halves, down to single mutants, so a mutant whose arm does not
+        compile (a ``%`` on a ``double``) leaves only itself to run alone.
 
         Each schema runs as a fork server (``cschema``), once per input
         while any of its mutants is still undecided, for those mutants
@@ -665,14 +665,17 @@ class ExternalBackend:
         does every arm still undecided when a server run's frames do not
         parse or its arm 0 does not give the baseline's output.  The
         original must be compiled.  Replaces the earlier record for later
-        compiles.  Spawns through ``_serve``, never ``compile`` or
-        ``run``."""
+        compiles.  Never calls ``compile`` or ``run``, which a trace of a
+        search charges to the mutant compiled last."""
         from .cschema import schemas  # only a C search writes schemas
 
         self._decided = {}
-        source, name = self._original
+        source, name, original = self._original
+        checked = _overall(self, partial(self._recall, original, warmups=0, repetitions=1),
+                           inputs)
+        baseline = _then_timed(self, original, inputs, checked)
         if not name.endswith(".c") or baseline.verdict != VERDICT_OK:
-            return
+            return baseline
         unit = source if isinstance(source, SourceUnit) else tokenize(source, Language.C_LIKE)
         ends = {t.start: t.end for t in unit.tokens}
         (self.scratch / "schema").mkdir(exist_ok=True)
@@ -719,6 +722,7 @@ class ExternalBackend:
                     mutant = unit.text[:start] + new.encode() + unit.text[ends[start]:]
                     self._decided[_text_digest(mutant)] = dict(
                         zip(map(tuple, inputs), runs.pop(n)))
+        return baseline
 
     def _serve(self, binary: Path, input_values: Sequence[int], budget: float,
                arms: list[int]) -> tuple[bytes, dict[int, RunResult | None]] | None:
@@ -901,7 +905,16 @@ def overall_time(backend: Backend, program: CompiledMini | Path,
     Empty input list yields a zero cost in the backend's unit.
     """
     checked = check(backend, program, inputs, reference)
-    if checked.verdict != VERDICT_OK or not isinstance(backend, ExternalBackend):
+    if not isinstance(backend, ExternalBackend):
+        return checked
+    return _then_timed(backend, program, inputs, checked, reference)
+
+
+def _then_timed(backend: ExternalBackend, program: Path, inputs: Sequence[Sequence[int]],
+                checked: OverallTime, reference: OverallTime | None = None) -> OverallTime:
+    """``checked``, the check pass of ``program``, or, when it is ok, the
+    timed pass that follows it in ``overall_time``."""
+    if checked.verdict != VERDICT_OK:
         return checked
     timed = _overall(backend, partial(backend.timed, program), inputs, reference)
     return timed if timed.verdict == VERDICT_OK else replace(timed, results=checked.results)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 an improving mutant was selected; 3 no improvement found;
-1 usage error; 2 invalid baseline, toolchain failure, or I/O error.
+1 usage error; 2 invalid baseline, toolchain failure, a selected source
+that fails its final equivalence pass, or I/O error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .backend import (
 )
 from .mutation import OPERATOR_REGISTRY, apply_all
 from .optimizer import (
+    ConfirmationFailed,
     InputEntry,
     InputSet,
     InvalidBaseline,
@@ -290,6 +292,9 @@ def _run_optimize(args, operators, config: OptimizeConfig, unit: SourceUnit,
         return EXIT_ERROR
     except ToolchainError as exc:
         sys.stderr.write(f"mutopt: toolchain error: {exc}\n")
+        return EXIT_ERROR
+    except ConfirmationFailed as exc:
+        sys.stderr.write(f"mutopt: internal error: {exc}\n")
         return EXIT_ERROR
 
     if args.keep_scratch:

@@ -208,13 +208,18 @@ def _reads(stmt: ast.Stmt) -> set[str]:
     return names
 
 
+# the operators that can crash, by a zero divisor: they add crash seeds to
+# a loop's slice (``loop_slice``)
+CRASH_SEEDS = frozenset({"/", "%", "/=", "%="})
+
+
 def _can_crash(node: ast.Expr) -> bool:
     if isinstance(node, ast.ArrayRead):
         return True
     if isinstance(node, ast.UnaryOp):
         return _can_crash(node.operand)
     if isinstance(node, ast.BinOp):
-        return node.op in ("/", "%") or _can_crash(node.left) or _can_crash(node.right)
+        return node.op in CRASH_SEEDS or _can_crash(node.left) or _can_crash(node.right)
     return False
 
 
@@ -243,7 +248,7 @@ def loop_slice(loop: ast.While) -> tuple[str, ...] | None:
         elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Print)):
             used = _reads(stmt)
             crash = _can_crash(stmt.value) or (isinstance(stmt, ast.AugAssign)
-                                               and stmt.op in ("/=", "%="))
+                                               and stmt.op in CRASH_SEEDS)
             if not isinstance(stmt, ast.Print):
                 reads.setdefault(stmt.name, set()).update(used)
             if crash:

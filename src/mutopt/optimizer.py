@@ -1,33 +1,21 @@
 """The optimization loop: evaluate every first-order mutant against the
 input set, keep the equivalent ones, and select the fastest.
 
-The original runs once on every input, and that ``OverallTime`` is the
-baseline every mutant runs against: on input i a mutant gets the backend's
-``mutant_budget`` of the original's cost and must print the original's
-output (``backend.overall_time``), or it is discarded at the first input
-where it fails.  The final confirmation compiles the selected source in
-full on a fresh backend, which decides nothing, and checks it against that
-same baseline on every input.
+The original runs once on every input, in ``backend.decide``, and that
+``OverallTime`` is the baseline every mutant runs against: on input i a
+mutant gets the backend's ``mutant_budget`` of the original's cost and must
+print the original's output (``backend.overall_time``), or it is discarded
+at the first input where it fails.  The same call decides what mutant runs
+it can, so each mutant calls ``compile``, and ``run`` once per input it
+reports, and the backend answers the decided calls (``host.decided``
+totals them by how).  The final confirmation compiles the selected source
+in full on a fresh backend, which decides nothing, and checks it against
+that same baseline on every input.
 
 ``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
 once per mutant in mutant order; the selection loop in ``optimize`` only
 refines its ``equivalent`` status into ``equivalent_faster``,
 ``equivalent_not_faster`` or ``selected``.
-
-On the external backend the baseline is a plain run of the original
-(``_baseline``).  ``ExternalBackend.decide`` then checks the mutants of a C
-source in schema binaries and keeps the runs of each one a schema kills or
-crashes.  A mutant is timed only once it has passed the check on every
-input (``backend.overall_time``); a mutant whose binary is the original's,
-or an earlier mutant's, is answered from that binary's runs.  On the mini
-backend the baseline is ``MiniBackend.decide``'s one instrumented run of
-the original per input, which also settles the mutant runs it can, some in
-a fork of that run.  Either way each mutant calls ``compile``, and ``run``
-once per input it reports, and the backend answers the decided calls; a
-mutant's code is built only for a run that executes (a mini schema, or an
-external binary a schema did not decide).
-``host.decided`` totals the reported runs by how they were decided:
-executed, inherited, shadowed, forked, identical or schema.
 """
 
 from __future__ import annotations
@@ -48,7 +36,6 @@ from .backend import (
     Backend,
     Cost,
     ExecBackendConfig,
-    MiniBackend,
     OverallTime,
     ToolchainError,
     UNIT_STEPS,
@@ -72,6 +59,19 @@ STATUS_SELECTED = "selected"
 
 class InvalidBaseline(Exception):
     """The original program fails on its own input set."""
+
+
+class ConfirmationFailed(Exception):
+    """The selected source failed the final equivalence pass."""
+
+
+@dataclass(frozen=True)
+class Confirmation:
+    """The final equivalence pass: true iff passed, else ``failure`` says why."""
+    failure: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -156,14 +156,6 @@ def improvement_test(tau_o: Cost, tau_p: Cost, threshold: float) -> bool:
     return tau_p.value < (1.0 - threshold) * tau_o.value
 
 
-def _compile_original(backend: Backend, source: SourceUnit | bytes, name: str):
-    """The original compiled; raises InvalidBaseline when it does not compile."""
-    try:
-        return backend.compile(source, name=name)
-    except CompileError as exc:
-        raise InvalidBaseline(f"original program does not compile: {exc}") from exc
-
-
 def _valid(baseline: OverallTime, inputs: InputSet) -> OverallTime:
     """``baseline``; raises InvalidBaseline when it is not ok on every input."""
     if baseline.verdict != VERDICT_OK:
@@ -171,18 +163,6 @@ def _valid(baseline: OverallTime, inputs: InputSet) -> OverallTime:
             f"original program verdict {baseline.verdict!r} on input "
             f"{inputs.entries[baseline.failing_index].id!r}")
     return baseline
-
-
-def _baseline(backend: Backend, source: SourceUnit | bytes, inputs: InputSet,
-              name: str) -> OverallTime:
-    """Compile the original and run it on every input with no reference.
-
-    Raises InvalidBaseline when it does not compile or does not run cleanly
-    on every input.
-    """
-    program = _compile_original(backend, source, name)
-    return _valid(overall_time(backend, program, [e.values for e in inputs.entries]),
-                  inputs)
 
 
 def _evaluate_one(backend: Backend, inputs: InputSet, baseline: OverallTime,
@@ -227,27 +207,29 @@ def _host_block() -> dict:
 
 
 def confirm_equivalence(candidate: SourceUnit | bytes, baseline: OverallTime,
-                        inputs: InputSet, config: OptimizeConfig) -> bool:
-    """True iff candidate prints the baseline's normalized output on every
-    input in the set, within each input's mutant budget.  ``baseline`` is
-    the original's run on these inputs: ``MiniBackend.decide``'s on the
-    mini backend, ``_baseline``'s on the external one.
+                        inputs: InputSet, config: OptimizeConfig) -> Confirmation:
+    """A true ``Confirmation`` iff candidate prints the baseline's
+    normalized output on every input in the set, within each input's
+    mutant budget.  ``baseline`` is the original's run on these inputs,
+    ``backend.decide``'s.
 
     The candidate is compiled in full on a fresh backend, which decides
     nothing, and runs once per input against ``baseline`` (``check``),
     untimed; so on the mini backend it is that backend's first program.
     On the external backend its files go to ``confirm/`` under the scratch
-    directory, apart from the search's.  Any mismatch, compile failure,
-    timeout or crash yields False.
+    directory, apart from the search's.  A compile failure, or a mismatch,
+    timeout or crash on an input, which it names, yields a false one.
     """
     scratch = None if config.scratch_dir is None else config.scratch_dir / "confirm"
     backend = make_backend(config.backend, scratch)
     try:
         program = backend.compile(candidate, name=config.source_name)
     except CompileError:
-        return False
+        return Confirmation("it does not compile")
     run = check(backend, program, [e.values for e in inputs.entries], baseline)
-    return run.verdict == VERDICT_OK
+    if run.verdict == VERDICT_OK:
+        return Confirmation()
+    return Confirmation(f"{run.verdict} on input {inputs.entries[run.failing_index].id!r}")
 
 
 def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
@@ -255,28 +237,18 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
     """Run the full selection loop and return the report.
 
     Raises InvalidBaseline when the original program does not compile or
-    does not run cleanly on every input; propagates ToolchainError.
+    does not run cleanly on every input, and ConfirmationFailed when the
+    selected source fails the final equivalence pass; propagates
+    ToolchainError.
     """
     backend = make_backend(config.backend, config.scratch_dir)
-    # perfbench/trace_run.py attributes a compile or run span to a mutant
-    # only when it is a direct child of optimize, between the apply_all span
-    # and the one final confirm_equivalence span.  So the original's compile
-    # and the external backend's baseline runs stay above apply_all, and the
-    # evaluate phase must not go through make_backend, apply_all or
-    # confirm_equivalence, the module globals the tracer wraps.  ``decide``
-    # runs the original through ``CompiledMini.run``, or the schema binaries
-    # through ``ExternalBackend._spawn``, not the backend's compile or run,
-    # so no mutant is charged with it.
-    if isinstance(backend, MiniBackend):
-        _compile_original(backend, source, config.source_name)
-        mutants = apply_all(operators, source, config.line_range)
-        baseline = _valid(backend.decide([(m.start, m.replacement) for m in mutants],
-                                         [e.values for e in inputs.entries]), inputs)
-    else:
-        baseline = _baseline(backend, source, inputs, config.source_name)
-        mutants = apply_all(operators, source, config.line_range)
-        backend.decide([(m.start, m.replacement) for m in mutants],
-                       [e.values for e in inputs.entries], baseline)
+    try:
+        backend.compile(source, name=config.source_name)
+    except CompileError as exc:
+        raise InvalidBaseline(f"original program does not compile: {exc}") from exc
+    mutants = apply_all(operators, source, config.line_range)
+    baseline = _valid(backend.decide([(m.start, m.replacement) for m in mutants],
+                                     [e.values for e in inputs.entries]), inputs)
     verdicts = [_evaluate_one(backend, inputs, baseline, config.source_name, mutant)
                 for mutant in mutants]
     current_tau = baseline.cost
@@ -295,9 +267,11 @@ def optimize(operators: Sequence[MutationOperator], source: SourceUnit,
         best_verdict.status = STATUS_SELECTED
 
     selected_source = best.mutated_text if best is not None else source.text
-    if not confirm_equivalence(selected_source, baseline, inputs, config):
-        raise RuntimeError(
-            "internal error: selected source failed the final equivalence pass")
+    confirmed = confirm_equivalence(selected_source, baseline, inputs, config)
+    if not confirmed:
+        raise ConfirmationFailed(
+            f"selected {'mutant ' + best.id if best is not None else 'original'} "
+            f"failed the final equivalence pass: {confirmed.failure}")
 
     return OptimizationReport(
         unit=backend.unit,

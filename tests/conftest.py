@@ -13,7 +13,7 @@ from mutopt.cli import load_inputs
 from mutopt.cschema import SWITCH
 from mutopt.minilang import BudgetExceeded, MiniProgram, MiniRuntimeError, interp, parse_mini
 from mutopt.minilang.interp import compile_program
-from mutopt.optimizer import InvalidBaseline, _baseline, confirm_equivalence
+from mutopt.optimizer import confirm_equivalence
 from mutopt.tokens import MalformedSource
 
 import minigen
@@ -109,14 +109,16 @@ def spawns(log: Path) -> Counter:
 
 def confirm_against(candidate, original, inputs, config) -> bool:
     """``confirm_equivalence`` of ``candidate`` against ``original``'s own
-    baseline, run on a fresh backend; False when the original itself does
-    not compile or run cleanly on every input."""
+    baseline, ``decide``'s run of it on a fresh backend; False when the
+    original itself does not compile or run cleanly on every input."""
     backend = mutopt.backend.make_backend(config.backend, config.scratch_dir)
     try:
-        baseline = _baseline(backend, original, inputs, config.source_name)
-    except InvalidBaseline:
+        backend.compile(original, name=config.source_name)
+    except CompileError:
         return False
-    return confirm_equivalence(candidate, baseline, inputs, config)
+    baseline = backend.decide([], [e.values for e in inputs.entries])
+    return baseline.verdict == "ok" and bool(
+        confirm_equivalence(candidate, baseline, inputs, config))
 
 
 # ---- differential helpers ----

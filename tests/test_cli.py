@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mutopt import Cost, Mutant
+from mutopt import Cost, Mutant, optimizer
 from mutopt.cli import InputSetError, load_inputs, main
 from mutopt.optimizer import MutantVerdict, OptimizationReport
 from mutopt.report import report_to_dict
@@ -217,6 +217,20 @@ def test_invalid_baseline_leaves_no_scratch_directory(tmp_path, monkeypatch, cap
               if line.startswith("mutopt:")]
     assert len(errors) == 1 and errors[0].startswith("mutopt: invalid baseline: ")
     assert list(scratch.iterdir()) == []
+
+
+def test_failed_confirmation_exits_2_with_one_message(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MUTOPT_SCRATCH", str(tmp_path / "scratch"))
+    monkeypatch.setattr(optimizer, "confirm_equivalence",
+                        lambda *args: optimizer.Confirmation("killed on input 'n256'"))
+    code = main(["optimize", "--source", str(FIXTURES / "powsum.mini"),
+                 "--inputs", str(FIXTURES / "m_powsum"), "--operators", "ror,asr,aor"])
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("mutopt:")]
+    assert errors == ["mutopt: internal error: selected mutant ASR_10 failed the final "
+                      "equivalence pass: killed on input 'n256'"]
+    assert "Traceback" not in err
 
 
 def test_deeply_nested_source_is_invalid_baseline(tmp_path):

@@ -14,9 +14,9 @@ from mutopt import ROR, ASR, AOR, ExecBackendConfig, Language, apply_all, tokeni
 from mutopt import cschema
 from mutopt.backend import ExternalBackend, check, overall_time
 from mutopt.cli import load_inputs
-from mutopt.optimizer import InputEntry, InputSet, OptimizeConfig, optimize
+from mutopt.optimizer import InputEntry, InputSet, InvalidBaseline, OptimizeConfig, optimize
 
-from conftest import FIXTURES, FOLDED_C
+from conftest import FIXTURES, FOLDED_C, logging_run_cmd, spawns
 
 external = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 EQUIVALENT = ("equivalent_not_faster", "equivalent_faster", "selected")
@@ -405,6 +405,57 @@ def test_prelude_names_nothing_a_program_may(level, tmp_path, monkeypatch):
     assert members and cc(text).returncode == 0
 
 
+# ---- the baseline is decide's run of the original ----
+
+CRASHES_ON_ZERO_C = b"""int scanf(const char *, ...);
+int printf(const char *, ...);
+int main(void) {
+    int a = 0;
+    scanf("%d", &a);
+    if (a == 0) return 3;
+    printf("%d\\n", a + 1);
+    return 0;
+}
+"""
+
+
+@external
+def test_a_crashing_original_is_an_invalid_baseline_and_compiles_no_schema(tmp_path):
+    inputs = InputSet((InputEntry("good", (3,)), InputEntry("zero", (0,))))
+    with pytest.raises(InvalidBaseline, match="'crash' on input 'zero'"):
+        search(tmp_path, CRASHES_ON_ZERO_C, inputs)
+    assert not (tmp_path / "schema").exists()
+
+
+@external
+def test_decide_returns_the_baseline_that_overall_time_gives(tmp_path):
+    def backend(name):
+        config = ExecBackendConfig(kind="external", compile_cmd="cc -O0 {src} -o {out}",
+                                   run_cmd=logging_run_cmd(tmp_path / f"{name}.log"),
+                                   repetitions=2, warmups=1)
+        return ExternalBackend(config, tmp_path / name)
+
+    unit = tokenize(FOLDED_C, Language.C_LIKE)
+    inputs = [(3,), (5,), (9,)]
+    searched = backend("search")
+    searched.compile(unit, name="folded.c")
+    baseline = searched.decide([(m.start, m.replacement) for m in apply_all([ROR], unit)],
+                               inputs)
+    plain = backend("plain")
+    expected = overall_time(plain, plain.compile(unit, name="folded.c"), inputs)
+    # the same runs of the original: a check, a warmup and two timed runs per input
+    original = "0001.folded.c.bin"
+    assert (spawns(tmp_path / "search.log")[original] == spawns(tmp_path / "plain.log")[original]
+            == len(inputs) * 4)
+    assert (baseline.verdict, baseline.failing_index) == (expected.verdict,
+                                                          expected.failing_index)
+    assert len(baseline.results) == len(expected.results) == len(inputs)
+    assert [r.output for r in baseline.results] == [r.output for r in expected.results]
+    assert [r.decided for r in baseline.results] == [None] * len(inputs)
+    # a schema was checked against it
+    assert (tmp_path / "search" / "schema").is_dir()
+
+
 # ---- no state shared with trivial compiler equivalence ----
 
 @external
@@ -414,9 +465,9 @@ def test_schema_runs_and_identical_binaries_never_answer_each_other(tmp_path):
     backend = ExternalBackend(config, tmp_path)
     unit = tokenize(FOLDED_C, Language.C_LIKE)
     inputs = [(3,), (5,)]
-    baseline = overall_time(backend, backend.compile(unit, name="folded.c"), inputs)
+    backend.compile(unit, name="folded.c")
     mutants = apply_all([ROR], unit)
-    backend.decide([(m.start, m.replacement) for m in mutants], inputs, baseline)
+    baseline = backend.decide([(m.start, m.replacement) for m in mutants], inputs)
     # schema binaries are never digested, so no identity record is theirs
     assert all(path.parent == tmp_path for path in backend._digests)
     results = {}

@@ -32,7 +32,6 @@ from mutopt.backend import MiniBackend, make_backend
 from mutopt.cli import load_inputs, main
 from mutopt.minilang import BudgetExceeded, interp
 from mutopt.minilang.interp import CYCLE_STRIDE
-from mutopt.optimizer import _baseline
 
 from conftest import (FIXTURE_INPUTS, FIXTURES, FOLDED_C, confirm_against,
                       load_unit, logging_run_cmd, spawns)
@@ -314,15 +313,16 @@ def test_confirm_equivalence_false_when_original_crashes(max_search_unit):
 
 def test_confirm_equivalence_checks_against_the_given_baseline(max_search_unit):
     backend = make_backend(ExecBackendConfig())
-    baseline = _baseline(backend, max_search_unit, MAX_INPUTS, "unit")
+    backend.compile(max_search_unit)
+    baseline = backend.decide([], [e.values for e in MAX_INPUTS.entries])
     assert confirm_equivalence(max_search_unit, baseline, MAX_INPUTS, OptimizeConfig())
     # the original itself fails against a reference whose output on one
     # input was altered
     first, *rest = baseline.results
     altered = replace(baseline, results=(replace(first, output=first.output + b"0"),
                                          *rest))
-    assert not confirm_equivalence(max_search_unit, altered, MAX_INPUTS,
-                                   OptimizeConfig())
+    confirmed = confirm_equivalence(max_search_unit, altered, MAX_INPUTS, OptimizeConfig())
+    assert not confirmed and confirmed.failure == "killed on input 'a'"
 
 
 def test_confirmation_compiles_only_the_candidate_on_a_fresh_backend(
