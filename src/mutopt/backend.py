@@ -9,12 +9,14 @@ toolchain.  Costs from different backends are never comparable; ``Cost``
 carries its unit and adds only within it.
 
 The interpreter backend compiles its first program, the original, in full
-and keeps it as the base.  A later text takes one of two paths.  One that
-swaps one operator of the base, for one that the parser recorded as
-keeping the statement's tree (``MiniProgram.levels``), runs a schema: the
-function of the top-level statement that holds the operator, compiled
-once for all the operators of that site and switched by a parameter, the
-mutant's operator.  Any other text compiles in full.
+and keeps it as the base.  A later text may come with its edit: the start
+of the one operator token of the base that it swaps, and the new lexeme.
+One whose new operator the parser recorded as keeping the statement's
+tree (``MiniProgram.levels``) runs a schema: the function of the
+top-level statement that holds the operator, compiled once for all the
+operators of that site and switched by a parameter, the mutant's
+operator.  Any other text, and every text compiled without an edit,
+compiles in full.
 
 The interpreter backend can also decide runs without executing them:
 ``MiniBackend.decide`` runs an instrumented form of the original once per
@@ -25,7 +27,7 @@ runs only its suffix, in a fork of that run (forked).  That run is also
 the original's baseline, so the original runs once per input, and it
 records the original's state on entry to each top-level statement.  Every
 mutant still calls ``compile``, and ``run`` once per run it reports.
-``compile`` relexes a one-operator mutant, finds its ``Site`` and attaches
+``compile`` finds a one-operator mutant's ``Site`` by its edit and attaches
 the record of its decisions; ``run`` answers a decided run by the input's
 values, within the decision's ``steps``, marked in ``RunResult.decided``.
 Only a run that executes builds the site's schema, the first time a run of
@@ -49,8 +51,9 @@ The external backend's ``decide`` runs the original for its baseline, as
 the mini one's does; on a C source it then checks the one-operator
 mutants in a few schema binaries (``cschema``): each compiles many
 mutants once, switched at run time by an environment variable, and runs
-as a fork server, one process per input for all the mutants it has left.  A mutant that a schema kills or crashes compiles no
-binary of its own; its ``run`` calls are answered from its schema runs,
+as a fork server, one process per input for all the mutants it has left.
+A mutant that a schema kills or crashes, compiled with its edit, compiles
+no binary of its own; its ``run`` calls are answered from its schema runs,
 marked ``DECIDED_SCHEMA``.  Every other mutant, one that passes the
 schema or that the server stops at its cap included, compiles and runs
 alone, so only such programs are digested and timed.
@@ -84,7 +87,7 @@ from .minilang.instrument import (DECIDED_FORKED, DECIDED_INHERITED,  # noqa: F4
 from .minilang.interp import (CRASH_SEEDS, CYCLE_STRIDE, CompiledMini, compile_program,
                               loop_slice)
 from .minilang.parser import LEVELS
-from .tokens import Language, SourceUnit, relex, tokenize
+from .tokens import Language, SourceUnit, apart, tokenize
 
 VERDICT_OK = "ok"
 VERDICT_TIMEOUT = "timeout"
@@ -329,8 +332,9 @@ class _Base:
 
     def site(self, start: int, new: str) -> Site | None:
         """The ``Site`` where the token at ``start`` becomes ``new``, when
-        ``new`` is one of its ``swaps``."""
-        if new not in self.swaps(start):
+        ``new`` is one of its ``swaps`` and lexes apart from the tokens
+        beside it (``tokens.apart``)."""
+        if new not in self.swaps(start) or not apart(self.unit, start, new):
             return None
         node = self.tree.operators[start]
         # the top-level statement that holds it: the last to start at or before it
@@ -352,19 +356,12 @@ class _Base:
         return tuple(op for op in alternatives(node.op)
                      if levels is None or LEVELS[op] in levels)
 
-    def derive(self, text: bytes) -> tuple[CompiledMini, Site] | None:
-        """``text`` compiled as a mutant of the base that swaps one operator
-        for another and keeps the statement's tree, and its ``Site``: the
-        base, whose site's statement runs the schema, built when a run first
-        reaches it; None when ``text`` is no such mutant, and the full
-        compile decides.  Only the changed token is lexed again
-        (``relex``)."""
-        found = relex(self.unit, text)
-        if found is None:
-            return None
-        index, token = found
-        start = self.unit.tokens[index].start
-        site = self.site(start, token.lexeme)
+    def derive(self, start: int, new: str) -> tuple[CompiledMini, Site] | None:
+        """The mutant of the base whose token at ``start`` becomes ``new``,
+        compiled, and its ``Site``: the base, whose site's statement runs
+        the schema, built when a run first reaches it; None when that swap
+        is no ``site``, and the full compile decides."""
+        site = self.site(start, new)
         if site is None:
             return None
 
@@ -421,10 +418,10 @@ def _mini_result(run, input_values: Sequence[int], budget: int, *start) -> RunRe
 
 class MiniBackend:
     """Compiles MiniImp to Python.  The first program compiled is the base:
-    a later text that swaps one of its operators and keeps the statement's
-    tree re-lexes the changed token and runs its site's schema, compiled
-    once for all the site's operators when a run of one of them first
-    reaches the statement, in place of the statement that holds it,
+    a later text compiled with its edit, which swaps one of the base's
+    operators and keeps the statement's tree, runs its site's schema,
+    compiled once for all the site's operators when a run of one of them
+    first reaches the statement, in place of the statement that holds it,
     sharing the base's other compiled statements (``_Base.derive``).  Any
     other text is compiled in full.
 
@@ -467,10 +464,15 @@ class MiniBackend:
         # to each top-level statement (``Instrumented.entries``)
         self._entries: dict[tuple[int, ...], tuple[list[int], list[tuple]]] = {}
 
-    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> CompiledMini:
-        # name only matters to external toolchains; accepted for one signature
-        if self._base is not None and not isinstance(source, SourceUnit):
-            found = self._base.derive(bytes(source))
+    def compile(self, source: SourceUnit | bytes, name: str = "unit.src",
+                edit: tuple[int, str] | None = None) -> CompiledMini:
+        """``source`` compiled.  ``edit``, the start of the token it replaces
+        and the new lexeme, describes ``source`` against the first program
+        this backend compiled: a swap of a ``Site`` runs its schema
+        (``_Base.derive``).  Without one, or for any other edit, ``source``
+        compiles in full.  ``name`` is accepted for one signature."""
+        if edit is not None:
+            found = self._base.derive(*edit)
             if found is not None:
                 program, site = found
                 self._answers[program] = site.statement, self._decided.get(site, {})
@@ -522,10 +524,6 @@ class MiniBackend:
                     self._decided.setdefault(site, {})[values] = decision
         return baseline
 
-    def decisions(self, program: CompiledMini) -> dict[tuple[int, ...], Decision]:
-        """The decisions ``run`` answers for ``program``, by input values."""
-        return self._answers.get(program, (0, {}))[1]
-
     def run(self, program: CompiledMini, input_values: Sequence[int],
             budget: int) -> RunResult:
         values = tuple(input_values)
@@ -573,12 +571,12 @@ class ExternalBackend:
     one-operator mutants in a few schema binaries
     (``cschema``), each spawned once per input as a fork server for the
     mutants it has not yet decided, and records the runs of each one the
-    schema kills or crashes.  ``compile`` of such a mutant writes its
-    source and builds nothing, and ``run`` answers from that record by the
-    same rule as for an identical binary, marked ``DECIDED_SCHEMA``; a run
-    it did not record builds the mutant alone first.  Schema binaries are never
-    digested, so a schema's run and an identical binary's never answer
-    each other.
+    schema kills or crashes, under its edit.  ``compile`` of such a
+    mutant, given that edit, writes its source and builds nothing, and
+    ``run`` answers from that record by the same rule as for an identical
+    binary, marked ``DECIDED_SCHEMA``; a run it did not record builds the
+    mutant alone first.  Schema binaries are never digested, so a schema's
+    run and an identical binary's never answer each other.
     """
 
     unit = UNIT_MS
@@ -597,12 +595,19 @@ class ExternalBackend:
         self._recorded: dict[tuple, tuple[float, RunResult]] = {}
         # the original, its name and its binary
         self._original: tuple[SourceUnit | bytes, str, Path] | None = None
-        # by the digest of a mutant's text, then by input values: the
-        # budget and result of each of its runs in a schema
-        self._decided: dict[bytes, dict[tuple[int, ...], tuple[float, RunResult]]] = {}
+        # by a mutant's edit, then by input values: the budget and result
+        # of each of its runs in a schema
+        self._decided: dict[tuple[int, str],
+                            dict[tuple[int, ...], tuple[float, RunResult]]] = {}
         self._answers: dict[Path, dict] = {}  # an unbuilt program -> its runs
 
-    def compile(self, source: SourceUnit | bytes, name: str = "unit.src") -> Path:
+    def compile(self, source: SourceUnit | bytes, name: str = "unit.src",
+                edit: tuple[int, str] | None = None) -> Path:
+        """The path of ``source``'s binary.  ``edit``, the start of the token
+        it replaces and the new lexeme, describes ``source`` against the
+        first program this backend compiled: a mutant whose schema runs
+        ``decide`` recorded under it builds nothing, and ``run`` answers from
+        that record.  Without an edit, ``source`` always builds."""
         # name keeps the real extension so compilers that sniff suffixes
         # (gcc, javac) treat the file correctly; the counter avoids clashes
         data = source.text if isinstance(source, SourceUnit) else bytes(source)
@@ -612,11 +617,10 @@ class ExternalBackend:
         if self._original is None:
             self._original = source, name, out_path
         src_path.write_bytes(data)
-        runs = self._decided.get(_text_digest(data)) if self._decided else None
-        if runs is not None:
-            self._answers[out_path] = runs
-            return out_path
-        self._build(src_path, out_path)
+        if edit in self._decided:
+            self._answers[out_path] = self._decided[edit]
+        else:
+            self._build(src_path, out_path)
         return out_path
 
     def _build(self, src_path: Path, out_path: Path) -> None:
@@ -650,10 +654,11 @@ class ExternalBackend:
         on a ``.c`` original with an ok baseline, check its one-operator
         mutants ``edits``, each the start of the token it replaces and the
         new lexeme, against that baseline in schema binaries, and record
-        the runs of each mutant that one kills or crashes; the rest are
-        left to run alone.  A schema that does not compile is split in
-        halves, down to single mutants, so a mutant whose arm does not
-        compile (a ``%`` on a ``double``) leaves only itself to run alone.
+        the runs of each mutant that one kills or crashes under its edit,
+        for ``compile``; the rest are left to run alone.  A schema that does
+        not compile is split in halves, down to single mutants, so a mutant
+        whose arm does not compile (a ``%`` on a ``double``) leaves only
+        itself to run alone.
 
         Each schema runs as a fork server (``cschema``), once per input
         while any of its mutants is still undecided, for those mutants
@@ -677,7 +682,6 @@ class ExternalBackend:
         if not name.endswith(".c") or baseline.verdict != VERDICT_OK:
             return baseline
         unit = source if isinstance(source, SourceUnit) else tokenize(source, Language.C_LIKE)
-        ends = {t.start: t.end for t in unit.tokens}
         (self.scratch / "schema").mkdir(exist_ok=True)
 
         def part(members):  # the schema of some members of one
@@ -718,9 +722,7 @@ class ExternalBackend:
                     runs[n].append((budget, result))
                     if result.ok and result.output == ref.output:
                         continue
-                    start, new = edits[members[n - 1]]
-                    mutant = unit.text[:start] + new.encode() + unit.text[ends[start]:]
-                    self._decided[_text_digest(mutant)] = dict(
+                    self._decided[edits[members[n - 1]]] = dict(
                         zip(map(tuple, inputs), runs.pop(n)))
         return baseline
 
@@ -851,12 +853,6 @@ def _frames(data: bytes, arms: Sequence[int]) -> list[RunResult | None] | None:
         else:
             results.append(None if status < 0 else RunResult(b"", None, VERDICT_CRASH))
     return results if pos == len(data) else None
-
-
-def _text_digest(text: bytes) -> bytes:
-    import hashlib  # see elf_digest
-
-    return hashlib.sha256(text).digest()
 
 
 def _covers(within: float, result: RunResult, budget: float) -> bool:

@@ -15,9 +15,9 @@ inside a function body.  Everything else is left out: preprocessor lines,
 file scope, declarations (so array sizes and ``static`` and ``enum``
 initializers), ``case`` labels, and any expression that holds a brace, a
 preprocessor line or ``__LINE__``.  A mutant whose operator merges with
-a neighbour is left out too.  The scan matches brackets and statements on
-tokens and never parses C; a body it cannot follow gives no full
-expression.  A schema may still not compile (a ``%`` on a ``double``,
+a neighbour (``tokens.apart``) is left out too.  The scan matches
+brackets and statements on tokens and never parses C; a body it cannot
+follow gives no full expression.  A schema may still not compile (a ``%`` on a ``double``,
 say); ``ExternalBackend.decide`` then splits its mutants in halves and
 writes a schema of each.
 
@@ -68,7 +68,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Sequence
 
-from .tokens import MalformedSource, SourceUnit, Token, TokenKind, tokenize
+from .tokens import SourceUnit, Token, TokenKind, apart
 
 SWITCH = "MUTOPT_SCHEMA_K"
 
@@ -293,7 +293,7 @@ def schemas(unit: SourceUnit, edits: Sequence[tuple[int, str]]
         k = bisect_right(starts, start) - 1
         i = at.get(start)
         if k >= 0 and i is not None and unit.tokens[i].end <= spans[k][1] \
-                and _apart(unit, i, new):
+                and apart(unit, start, new):
             members.append((index, k, unit.tokens[i], new))
     return [_schema(unit, spans, members[i:i + MUTANTS_PER_SCHEMA])
             for i in range(0, len(members), MUTANTS_PER_SCHEMA)]
@@ -318,18 +318,6 @@ def _schema(unit: SourceUnit, spans, members) -> tuple[bytes, list[int]]:
         pos = b
     out.append(text[pos:])
     return b"".join(out), [index for index, *_ in members]
-
-
-def _apart(unit: SourceUnit, i: int, new: str) -> bool:
-    """Whether ``new`` in place of token ``i``, which has a token on each
-    side, lexes apart from both: ``a+-b`` to ``a--b`` does not."""
-    left, old, right = unit.tokens[i - 1:i + 2]
-    window = unit.text[left.start:old.start] + new.encode() + unit.text[old.end:right.end]
-    try:
-        tokens = tokenize(window).tokens
-    except MalformedSource:  # ``*`` to ``/`` before ``*`` opens a comment
-        return False
-    return [t.lexeme for t in tokens] == [left.lexeme, new, right.lexeme]
 
 
 def _line(tokens: list[Token], swap: Token | None = None, new: str = "") -> str:

@@ -6,11 +6,12 @@ The original runs once on every input, in ``backend.decide``, and that
 mutant gets the backend's ``mutant_budget`` of the original's cost and must
 print the original's output (``backend.overall_time``), or it is discarded
 at the first input where it fails.  The same call decides what mutant runs
-it can, so each mutant calls ``compile``, and ``run`` once per input it
-reports, and the backend answers the decided calls (``host.decided``
-totals them by how).  The final confirmation compiles the selected source
-in full on a fresh backend, which decides nothing, and checks it against
-that same baseline on every input.
+it can, so each mutant calls ``compile`` with the edit ``decide`` got for
+it, and ``run`` once per input it reports, and the backend answers the
+decided calls (``host.decided`` totals them by how).  The final
+confirmation compiles the selected source in full on a fresh backend,
+which decides nothing, and checks it against that same baseline on every
+input.
 
 ``_evaluate_one`` is the one place a mutant's ``MutantVerdict`` is made,
 once per mutant in mutant order; the selection loop in ``optimize`` only
@@ -167,7 +168,8 @@ def _valid(baseline: OverallTime, inputs: InputSet) -> OverallTime:
 
 def _evaluate_one(backend: Backend, inputs: InputSet, baseline: OverallTime,
                   source_name: str, mutant: Mutant) -> MutantVerdict:
-    """Compile one mutant and run it on the inputs against the baseline.
+    """Compile one mutant, with its edit, and run it on the inputs against
+    the baseline.
 
     The status is compile_error, the backend's verdict (killed, crash or
     timeout, with ``input_id`` naming the input) or ``equivalent`` (with
@@ -181,7 +183,8 @@ def _evaluate_one(backend: Backend, inputs: InputSet, baseline: OverallTime,
     )
     name = mutant.filename(source_name)
     try:
-        program = backend.compile(mutant.mutated_text, name=name)
+        program = backend.compile(mutant.mutated_text, name=name,
+                                  edit=(mutant.start, mutant.replacement))
     except CompileError:
         return verdict
     except ToolchainError as exc:

@@ -8,14 +8,15 @@ Lexing is one left-to-right scan of a single compiled regex with one named
 group per token class.  The same scan tracks line and column and decides
 whether each ``+ - * / %`` is binary from the token before it.  A source
 that is not valid UTF-8, or that has an unterminated string or block comment,
-raises ``MalformedSource``.  ``relex`` lexes a text that differs from a
-tokenized one inside one token again around that token alone.
+raises ``MalformedSource``.  ``apart`` tells whether swapping one operator
+token keeps every other token, from a scan of that token and its two
+neighbours alone.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -163,70 +164,22 @@ def _ends_operand(kind: TokenKind, lexeme: str) -> bool:
     return kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL) or lexeme in (")", "]")
 
 
-def _common_prefix(a: bytes, b: bytes, limit: int) -> int:
-    """Length, at most ``limit``, of the longest common prefix of ``a`` and
-    ``b``, by bisection over slice comparisons."""
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def relex(unit: SourceUnit, text: bytes) -> tuple[int, Token] | None:
-    """The index of the one token of ``unit`` that ``text`` changes, and that
-    token as ``text`` has it, when every other token of ``tokenize(text)`` is
-    certain to be the unit's own, moved by the change in length; else None.
-
-    ``text`` must differ from ``unit.text`` only inside one token, neither
-    the first nor the last, with no newline in its old or new form.  Lexed
-    again in ``text`` from the token before, the changed token and its two
-    neighbours must keep their boundaries: ``a+-b`` to ``a--b`` merges two
-    tokens, and ``*`` to ``/`` before ``/*c*/`` opens a line comment.  The
-    new token must be a comment iff the old one was, and otherwise end an
-    operand iff it did, so every later ``+ - * / %`` keeps its kind.
-    """
-    old_text, tokens = unit.text, unit.tokens
-    shorter = min(len(old_text), len(text))
-    prefix = _common_prefix(old_text, text, shorter)
-    suffix = _common_prefix(old_text[::-1], text[::-1], shorter - prefix)
-    end = len(old_text) - suffix
-    i = bisect_right(tokens, prefix, key=lambda t: t.start) - 1
-    if end == prefix and i > 0 and tokens[i - 1].end == prefix:
-        i -= 1  # an insertion between two tokens, as ``<`` to ``<=`` in ``a<b``
-    if not 0 < i < len(tokens) - 1 or end > tokens[i].end:
-        return None
+def apart(unit: SourceUnit, start: int, new: str) -> bool:
+    """Whether ``new`` in place of the token of ``unit`` that starts at
+    ``start``, both operators that end no operand, lexes apart from the
+    tokens on both sides of it, so that every other token stays the unit's
+    own, moved by the change in length: ``a+-b`` to ``a--b`` merges two
+    tokens, and ``*`` to ``/`` before ``/*c*/`` opens a line comment.
+    False at the first and the last token, and at an offset where no token
+    starts."""
+    tokens = unit.tokens
+    i = bisect_left(tokens, start, key=lambda t: t.start)
+    if not 0 < i < len(tokens) - 1 or tokens[i].start != start:
+        return False
     left, old, right = tokens[i - 1:i + 2]
-    delta = len(text) - len(old_text)
-    matches = []
-    for m in _TOKEN_RE.finditer(text, left.start):
-        if m.lastgroup != "space":
-            matches.append(m)
-            if len(matches) == 3:
-                break
-    if ([(m.start(), m.end()) for m in matches]
-            != [(left.start, left.end), (old.start, old.end + delta),
-                (right.start + delta, right.end + delta)]
-            or any(m.lastgroup == "unterminated" for m in matches)):
-        return None
-    new = matches[1]
+    window = unit.text[left.start:start] + new.encode() + unit.text[old.end:right.end]
     try:
-        lexeme = new.group().decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if "\n" in lexeme or "\n" in old.lexeme:
-        return None
-    j = i - 1
-    while j >= 0 and tokens[j].kind is TokenKind.COMMENT:
-        j -= 1
-    kind = _kind(new.lastgroup, lexeme,
-                 j >= 0 and _ends_operand(tokens[j].kind, tokens[j].lexeme))
-    comment = TokenKind.COMMENT
-    if (kind is comment) != (old.kind is comment) or (
-            kind is not comment
-            and _ends_operand(kind, lexeme) != _ends_operand(old.kind, old.lexeme)):
-        return None
-    return i, Token(kind, lexeme, old.start, old.end + delta, old.line, old.col)
+        lexed = tokenize(window).tokens
+    except MalformedSource:  # ``*`` to ``/`` before ``*`` opens a comment
+        return False
+    return [t.lexeme for t in lexed] == [left.lexeme, new, right.lexeme]

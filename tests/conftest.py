@@ -160,12 +160,30 @@ def full_compile(text: bytes):
     return compile_program(parse_mini(tokenize(text, Language.MINI)), ANY_BUDGET)
 
 
-def attempt(compile, text: bytes):
-    """The compiled program, or the name of the error compiling raised."""
+def attempt(compile, *args):
+    """The program ``compile(*args)`` returns, or the name of the error it
+    raised."""
     try:
-        return compile(text)
+        return compile(*args)
     except (CompileError, MalformedSource) as exc:
         return type(exc).__name__
+
+
+def compile_mutant(backend, mutant, name: str = "unit.src"):
+    """``backend.compile`` of a ``Mutant`` or a corpus ``Fresh`` mutant with
+    its edit, as ``optimize`` compiles it: on a backend that compiled its
+    original first, the schema path (or the schema record), where the edit
+    allows it."""
+    if isinstance(mutant, Fresh):
+        return backend.compile(mutant.text, name=name, edit=mutant.edit)
+    return backend.compile(mutant.mutated_text, name=name,
+                           edit=(mutant.start, mutant.replacement))
+
+
+def decisions_of(backend, program) -> dict:
+    """The decisions a ``MiniBackend``'s ``run`` answers for ``program``, by
+    input values."""
+    return backend._answers.get(program, (0, {}))[1]
 
 
 def merges_tokens(subject, fresh) -> bool:
@@ -235,12 +253,15 @@ FIXTURE_INPUTS = {
 class Fresh:
     """A fresh full compile of one program text and its runs.
 
-    ``error`` names the error compiling raised.  Otherwise ``program`` is the
-    AST, and ``unarmed`` and ``armed`` hold the outcome on each of the
-    subject's inputs under its budget, unarmed and armed at 0.
+    ``edit`` is a mutant's, the start of the token it replaces and the new
+    lexeme; None for the original.  ``error`` names the error compiling
+    raised.  Otherwise ``program`` is the AST, and ``unarmed`` and ``armed``
+    hold the outcome on each of the subject's inputs under its budget,
+    unarmed and armed at 0.
     """
     id: str
     text: bytes
+    edit: tuple[int, str] | None = None
     error: str | None = None
     program: MiniProgram | None = None
     unarmed: tuple | None = None
@@ -284,7 +305,7 @@ def _build_subject(name: str, text: bytes, inputs: list) -> Subject:
     spans = {s: s for s in original.spans}
     runs = {}
 
-    def fresh(id, text, program, compiled):
+    def fresh(id, text, edit, program, compiled):
         if program is not original:
             program = MiniProgram(
                 body=tuple(statements.get(s, s) for s in program.body),
@@ -292,20 +313,21 @@ def _build_subject(name: str, text: bytes, inputs: list) -> Subject:
                            else program.variables),
                 spans=tuple(spans.get(s, s) for s in program.spans))
         unarmed, armed = (tuple(outcomes(compiled, inputs, budgets, arm)) for arm in (None, 0))
-        return Fresh(id, text, None, program,
+        return Fresh(id, text, edit, None, program,
                      runs.setdefault(unarmed, unarmed), runs.setdefault(armed, armed))
 
     mutants = []
     for m in apply_all([ROR, ASR, AOR], unit):
+        edit = m.start, m.replacement
         try:
             program = parse_mini(tokenize(m.mutated_text, Language.MINI))
             compiled_mutant = compile_program(program, ANY_BUDGET)
         except (CompileError, MalformedSource) as exc:
-            mutants.append(Fresh(m.id, m.mutated_text, type(exc).__name__))
+            mutants.append(Fresh(m.id, m.mutated_text, edit, type(exc).__name__))
             continue
-        mutants.append(fresh(m.id, m.mutated_text, program, compiled_mutant))
+        mutants.append(fresh(m.id, m.mutated_text, edit, program, compiled_mutant))
     return Subject(name, unit, inputs, budgets,
-                   fresh("original", text, original, compiled), mutants)
+                   fresh("original", text, None, original, compiled), mutants)
 
 
 class Corpus:

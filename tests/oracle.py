@@ -5,7 +5,10 @@ selection loop.  ``optimize`` runs the original once per input and compares
 every mutant against those memoized outputs.  This oracle follows the paper's
 procedure word for word instead: for every comparison it re-runs the current
 best program, and it adopts an equivalent mutant as the new best under
-``improvement_test``.  Its verdicts must equal ``optimize``'s.
+``improvement_test``.  It passes ``compile`` no edit, so every mutant
+compiles in full, and it never calls ``decide``: no schema and no decided
+run of ``optimize``'s is in its path.  Its verdicts must equal
+``optimize``'s.
 
 ``reference_tokenize`` is an independent byte-at-a-time lexer, with a second
 pass that decides binary position per arithmetic operator; ``tokenize`` does

@@ -23,8 +23,8 @@ from mutopt import (
 from mutopt.backend import BASELINE_STEP_LIMIT, elf_digest, normalize_output
 from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini
 
-from conftest import (attempt, count_full_parses, encode_bits, full_compile, load_unit,
-                      logging_run_cmd, outcomes, spawns)
+from conftest import (attempt, compile_mutant, count_full_parses, encode_bits, full_compile,
+                      load_unit, logging_run_cmd, outcomes, spawns)
 
 HAVE_CC = shutil.which("cc") is not None
 external = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -351,7 +351,7 @@ def test_overall_time_speedup_of_walk_doubling_rewrite():
     star = [m for m in apply_all([ASR], unit)
             if m.original == "+=" and m.replacement == "*="]
     tail = max(star, key=lambda m: m.line)
-    mutant = backend.compile(tail.mutated_text)
+    mutant = compile_mutant(backend, tail)
     inputs = [encode_bits("11111111111111110110"), encode_bits("0"), encode_bits("1")]
     tau_original = overall_time(backend, original, inputs)
     tau_mutant = overall_time(backend, mutant, inputs)
@@ -365,17 +365,18 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
 
     backend = mini_backend()
     unit = load_unit("b2tob10.mini")
+    backend.compile(unit)
     for m in apply_all([ROR, ASR, AOR], unit):
         name = m.filename("b2tob10.mini")
         try:
-            program = backend.compile(m.mutated_text)
+            program = compile_mutant(backend, m)
         except CompileError:
             # the name argument, shared with the external backend, is ignored
             with pytest.raises(CompileError):
-                backend.compile(m.mutated_text, name=name)
+                compile_mutant(backend, m, name=name)
             continue
         assert isinstance(program, CompiledMini)
-        assert isinstance(backend.compile(m.mutated_text, name=name), CompiledMini)
+        assert isinstance(compile_mutant(backend, m, name=name), CompiledMini)
 
 
 # ---- statement-level compile against the base ----
@@ -387,7 +388,7 @@ def test_compile_maps_every_mutant_to_program_or_compile_error():
     # ... and here leaves a program that parses: x = a + 3;
     (b"x = a -/*c*/ 1; y = 2; x = x\n+ 3;", "-", "/"),
 ])
-def test_relex_fallback_matches_full_compile(statement, site, merging, monkeypatch):
+def test_merging_swap_falls_back_to_full_compile(statement, site, merging, monkeypatch):
     from mutopt import AOR, apply_all
 
     text = b"a = in[0];\nb = in[1];\n" + statement + b"\nprint(x + y);\n"
@@ -400,7 +401,7 @@ def test_relex_fallback_matches_full_compile(statement, site, merging, monkeypat
     mutants = [m for m in apply_all([AOR], unit) if m.line == 3 and m.original == site]
     assert len(mutants) == 4
     for m in mutants:
-        assert (outcomes(attempt(backend.compile, m.mutated_text), inputs, budgets)
+        assert (outcomes(attempt(compile_mutant, backend, m), inputs, budgets)
                 == outcomes(attempt(full_compile, m.mutated_text), inputs, budgets)), m.id
     # the base and the one mutant whose replacement merges tokens
     assert len(parses) == 2
@@ -418,6 +419,24 @@ def test_change_between_statements_compiles_in_full(monkeypatch):
     assert outcomes(program, [[4]], [10**6]) == [("ok", b"4", 3)]
 
 
+def test_a_swap_compiled_without_its_edit_compiles_in_full(monkeypatch):
+    # only its edit takes a mutant to its site's schema: the same text
+    # without one, as the oracle compiles it, is parsed in full
+    from mutopt import ROR, apply_all
+
+    parses = count_full_parses(monkeypatch)
+    backend = mini_backend()
+    unit = load_unit("powsum.mini")
+    backend.compile(unit)
+    mutant = apply_all([ROR], unit)[0]
+    derived = compile_mutant(backend, mutant)
+    assert len(parses) == 1
+    full = backend.compile(mutant.mutated_text)
+    assert len(parses) == 2
+    inputs, budgets = [[64], [5]], [10**6] * 2
+    assert outcomes(full, inputs, budgets) == outcomes(derived, inputs, budgets)
+
+
 def test_base_is_the_first_program_compiled(monkeypatch):
     from mutopt import ASR, apply_all
 
@@ -427,7 +446,7 @@ def test_base_is_the_first_program_compiled(monkeypatch):
     backend.compile(unit)
     backend.compile(b"print(1);")  # compiled in full; the base stays
     mutant = apply_all([ASR], unit)[0]
-    program = backend.compile(mutant.mutated_text)
+    program = compile_mutant(backend, mutant)
     assert len(parses) == 2
     assert (outcomes(program, [[64]], [10**6])
             == outcomes(full_compile(mutant.mutated_text), [[64]], [10**6]))

@@ -16,7 +16,7 @@ from mutopt.backend import ExternalBackend, check, overall_time
 from mutopt.cli import load_inputs
 from mutopt.optimizer import InputEntry, InputSet, InvalidBaseline, OptimizeConfig, optimize
 
-from conftest import FIXTURES, FOLDED_C, logging_run_cmd, spawns
+from conftest import FIXTURES, FOLDED_C, compile_mutant, logging_run_cmd, spawns
 
 external = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 EQUIVALENT = ("equivalent_not_faster", "equivalent_faster", "selected")
@@ -472,7 +472,7 @@ def test_schema_runs_and_identical_binaries_never_answer_each_other(tmp_path):
     assert all(path.parent == tmp_path for path in backend._digests)
     results = {}
     for m in mutants:
-        program = backend.compile(m.mutated_text, name=m.filename("folded.c"))
+        program = compile_mutant(backend, m, name=m.filename("folded.c"))
         results[m.line, m.replacement] = program, check(backend, program, inputs, baseline)
     kinds = {key: {r.decided for r in run.results} for key, (_, run) in results.items()}
     # line 6's ``<``, ``<=`` and ``==`` build one binary, killed on input 5:
@@ -491,3 +491,24 @@ def test_schema_runs_and_identical_binaries_never_answer_each_other(tmp_path):
     program, _ = results[6, "<"]
     assert backend.run(program, (7,), 60.0).decided is None
     assert program.exists() and program in backend._digests
+
+
+@external
+def test_a_mutant_compiled_without_its_edit_is_never_answered_by_its_schema(tmp_path):
+    config = ExecBackendConfig(kind="external", compile_cmd="cc -O0 {src} -o {out}",
+                               run_cmd="{bin}", repetitions=1, warmups=0)
+    backend = ExternalBackend(config, tmp_path)
+    unit = tokenize(FOLDED_C, Language.C_LIKE)
+    inputs = [(3,), (5,)]
+    backend.compile(unit, name="folded.c")
+    mutants = apply_all([ROR], unit)
+    baseline = backend.decide([(m.start, m.replacement) for m in mutants], inputs)
+    # line 6's ``<``, which the schema kills on input 5
+    killed, = [m for m in mutants if (m.line, m.replacement) == (6, "<")]
+    alone = backend.compile(killed.mutated_text, name="alone.c")
+    assert alone.exists()
+    run = check(backend, alone, inputs, baseline)
+    assert run.verdict == "killed" and "schema" not in {r.decided for r in run.results}
+    recorded = compile_mutant(backend, killed, name="recorded.c")
+    assert not recorded.exists()
+    assert {r.decided for r in check(backend, recorded, inputs, baseline).results} == {"schema"}

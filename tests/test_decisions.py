@@ -20,8 +20,8 @@ from mutopt.minilang.instrument import Instrumented
 from mutopt.minilang.interp import CYCLE_STRIDE, CompiledMini, compile_program
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
-from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, attempt, full_compile, load_unit,
-                      outcome, outcomes, stop)
+from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, attempt, compile_mutant,
+                      decisions_of, full_compile, load_unit, outcome, outcomes, stop)
 
 
 def _deciding_backend(unit, inputs):
@@ -56,8 +56,8 @@ def _wrong_decisions(subject) -> tuple[list[str], Counter]:
                             for i, values in enumerate(subject.inputs)))
     found, decided = [], Counter()
     for mutant, fresh in zip(mutants, subject.mutants):
-        program = attempt(backend.compile, fresh.text)
-        decisions = {} if isinstance(program, str) else backend.decisions(program)
+        program = attempt(compile_mutant, backend, fresh)
+        decisions = {} if isinstance(program, str) else decisions_of(backend, program)
         for values, want in zip(subject.inputs, fresh.unarmed or ()):
             decision = decisions.get(tuple(values))
             if decision is not None:
@@ -176,7 +176,7 @@ def test_instrumented_original_matches_full_compile_on_wide(corpus):
 
 
 def _kinds(backend, mutant, inputs):
-    decisions = backend.decisions(backend.compile(mutant.mutated_text))
+    decisions = decisions_of(backend, compile_mutant(backend, mutant))
     found = (decisions.get(tuple(values)) for values in inputs)
     return tuple(None if d is None else d.kind for d in found)
 
@@ -268,7 +268,7 @@ def test_precedence_regroup_is_not_decided():
     start = unit.text.index(b"in[0] - in[1] * in[2]") + len(b"in[0] ")
     regroup, = [m for m in mutants if m.start == start and m.replacement == "/"]
     assert _kinds(backend, regroup, [[4, 1, 2]]) == (None,)
-    run = backend.run(backend.compile(regroup.mutated_text), [4, 1, 2], 10**6)
+    run = backend.run(compile_mutant(backend, regroup), [4, 1, 2], 10**6)
     assert run.decided is None
     assert run.output == full_compile(regroup.mutated_text).run([4, 1, 2], 10**6).output
     assert run.output.split(b"\n")[5] == b"8"
@@ -280,7 +280,7 @@ def test_decisions_are_answered_only_within_the_budget():
     backend, reference, mutants = _deciding_backend(unit, inputs)
     steps = reference.cost.value
     inherited = next(m for m in mutants if _kinds(backend, m, inputs) == (DECIDED_INHERITED,))
-    program = backend.compile(inherited.mutated_text)
+    program = compile_mutant(backend, inherited)
     assert backend.run(program, inputs[0], steps).decided == DECIDED_INHERITED
     assert backend.run(program, inputs[0], steps - 1).decided is None
 
@@ -291,7 +291,7 @@ def test_a_later_decide_leaves_earlier_compiles_right():
     # run would, whether it still has a decision for them or not
     unit = load_unit("powsum.mini")
     backend, _, mutants = _deciding_backend(unit, [[64], [5]])
-    programs = [attempt(backend.compile, m.mutated_text) for m in mutants]
+    programs = [attempt(compile_mutant, backend, m) for m in mutants]
     inputs = [[3], [64]]
     reference = backend.decide([(m.start, m.replacement) for m in mutants], inputs)
     found, decided = [], 0
@@ -313,11 +313,11 @@ def test_a_later_decide_leaves_earlier_compiles_right():
 def test_a_decide_whose_baseline_fails_leaves_no_decisions():
     unit = load_unit("powsum.mini")
     backend, _, mutants = _deciding_backend(unit, [[64]])
-    assert any(backend.decisions(backend.compile(m.mutated_text)) for m in mutants)
+    assert any(decisions_of(backend, compile_mutant(backend, m)) for m in mutants)
     # powsum reads in[0]: on no input the original crashes
     baseline = backend.decide([(m.start, m.replacement) for m in mutants], [[]])
     assert baseline.verdict == VERDICT_CRASH
-    assert not any(backend.decisions(backend.compile(m.mutated_text)) for m in mutants)
+    assert not any(decisions_of(backend, compile_mutant(backend, m)) for m in mutants)
 
 
 def _recording_runs(monkeypatch) -> list:
@@ -359,7 +359,7 @@ def _resumed_mismatches(subject, monkeypatch) -> tuple[list[str], int]:
     runs = _recording_runs(monkeypatch)
     found, resumed = [], 0
     for fresh in subject.mutants:
-        program = attempt(backend.compile, fresh.text)
+        program = attempt(compile_mutant, backend, fresh)
         if isinstance(program, str) or fresh.error:
             if program != fresh.error:
                 found.append(f"{subject.name} {fresh.id}: {program} != {fresh.error}")
@@ -411,7 +411,7 @@ def test_a_run_starts_at_its_statement_only_within_the_budget(corpus, monkeypatc
     subject = corpus.wide
     backend, _, mutants = _deciding_backend(subject.unit, subject.inputs)
     values = subject.inputs[0]
-    programs = [(backend.compile(m.mutated_text), m) for m in mutants]
+    programs = [(compile_mutant(backend, m), m) for m in mutants]
     program, mutant = max(programs, key=lambda found: backend._answers[found[0]][0])
     k = backend._answers[program][0]
     steps = backend._entries[tuple(values)][1][k][0]

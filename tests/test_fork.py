@@ -18,7 +18,7 @@ from mutopt.minilang import interp
 from mutopt.minilang.instrument import node_at, with_op
 from mutopt.optimizer import InputEntry, InputSet, _evaluate_one
 
-from conftest import FIXTURE_INPUTS, load_unit
+from conftest import FIXTURE_INPUTS, compile_mutant, decisions_of, load_unit
 
 LATE = load_unit("late.mini")
 LATE_INPUTS = FIXTURE_INPUTS["late.mini"]
@@ -59,7 +59,7 @@ def deciding_backend(unit, inputs):
 
 def decisions(backend, mutants, inputs) -> dict:
     """Each mutant's decision on each input, None where it must run."""
-    return {(m.id, tuple(values)): backend.decisions(backend.compile(m.mutated_text))
+    return {(m.id, tuple(values)): decisions_of(backend, compile_mutant(backend, m))
             .get(tuple(values)) for m in mutants for values in inputs}
 
 
@@ -116,7 +116,7 @@ def test_a_fork_that_reaches_its_bound_decides_nothing(monkeypatch):
     late = [m for m in mutants if m.start == start and m.replacement in (">=", "==")]
     assert len(late) == 2 and len(forks) >= 2
     for mutant in late:
-        assert backend.decisions(backend.compile(mutant.mutated_text)) == {}
+        assert decisions_of(backend, compile_mutant(backend, mutant)) == {}
     # and each runs fresh to its true verdict: it prints 1, not 2
     found = verdicts(TAIL, [[5]])
     for mutant in late:

@@ -1,8 +1,10 @@
 """Differential gate for the mini backend's compile of a mutant: a backend
-that compiled the original first re-lexes the one token a mutant swaps and
-runs the schema of the statement that holds that operator site, or
-compiles the mutant in full.  For every mutant, that must behave exactly
+that compiled the original first, given the mutant's edit, runs the schema
+of the statement that holds that operator site, or compiles the mutant in
+full.  For every mutant, that must behave exactly
 like a fresh full compile."""
+
+from functools import partial
 
 import pytest
 
@@ -18,6 +20,7 @@ from conftest import (
     FIXTURES,
     PERFBENCH,
     attempt,
+    compile_mutant,
     count_full_parses,
     full_compile,
     merges_tokens,
@@ -38,7 +41,7 @@ def _statement_compile_mismatches(subject, parses: list) -> tuple[list[str], int
     base_parses = len(parses)
     found = []
     for fresh in subject.mutants:
-        derived = attempt(backend.compile, fresh.text)
+        derived = attempt(compile_mutant, backend, fresh)
         if isinstance(derived, str) or fresh.error:
             if derived != fresh.error:
                 found.append(f"{subject.name} {fresh.id}: {derived} != {fresh.error}")
@@ -98,7 +101,7 @@ def _timeout_mismatches(subject) -> tuple[list[str], int]:
                  if got[0] == "BudgetExceeded"]
         if not stuck:
             continue
-        derived, full = backend.compile(fresh.text), full_compile(fresh.text)
+        derived, full = compile_mutant(backend, fresh), full_compile(fresh.text)
         for values, budget in stuck:
             for arm in (0, CYCLE_STRIDE):
                 compared += 1
@@ -135,7 +138,7 @@ def _compile_and_run(backend, subject, fresh):
     """A mutant compiled by ``backend`` and run once, on the subject's
     first input: a derived mutant builds its schema at its first executed
     run.  The name of the compile error, if compiling raised one."""
-    program = attempt(backend.compile, fresh.text)
+    program = attempt(compile_mutant, backend, fresh)
     if not isinstance(program, str):
         backend.run(program, subject.inputs[0], subject.budgets[0])
     return program
@@ -194,7 +197,7 @@ def test_sites_decided_on_every_input_build_nothing(corpus, monkeypatch):
     compiles = _count_compiles(monkeypatch)
     schemas, executed = set(), set()
     for mutant, fresh in zip(mutants, subject.mutants):
-        run = check(backend, backend.compile(fresh.text), inputs, baseline)
+        run = check(backend, compile_mutant(backend, fresh), inputs, baseline)
         schemas.add((mutant.start, _keys(fresh)))
         if any(result.decided is None for result in run.results):
             executed.add((mutant.start, _keys(fresh)))
@@ -226,7 +229,7 @@ def test_a_schema_past_cpython_limits_falls_back_at_its_first_executed_run(corpu
         if regroups(subject, fresh):
             continue
         schemas.clear()
-        program = backend.compile(fresh.text)
+        program = compile_mutant(backend, fresh)
         assert schemas == []
         derived += 1
         for arm, full in ((None, fresh.unarmed), (0, fresh.armed)):
@@ -278,9 +281,9 @@ EDITS = (";", "{", "}", "(", ")", "else", "while", "print", "in", "x", "zz", "1"
     ("census.mini", [[-3], [0], [7]]),
 ])
 def test_any_one_token_edit_matches_full_compile(name, inputs):
-    # arbitrary replacements, not just operator swaps: statements that end
-    # early, merge into the next one or gain a variable must all come out
-    # as the full compile says
+    # arbitrary replacements, each compiled with its edit, not just operator
+    # swaps: statements that end early, merge into the next one or gain a
+    # variable must all come out as the full compile says
     text = (FIXTURES / name).read_bytes()
     unit = tokenize(text, Language.MINI)
     backend = MiniBackend(ExecBackendConfig())
@@ -290,7 +293,7 @@ def test_any_one_token_edit_matches_full_compile(name, inputs):
     for tok in unit.tokens:
         for lexeme in EDITS:
             edited = text[:tok.start] + lexeme.encode() + text[tok.end:]
-            derived = attempt(backend.compile, edited)
+            derived = attempt(partial(backend.compile, edit=(tok.start, lexeme)), edited)
             full = attempt(full_compile, edited)
             where = f"{tok.lexeme!r}@{tok.start} -> {lexeme!r}"
             if isinstance(derived, str) or isinstance(full, str):

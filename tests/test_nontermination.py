@@ -19,8 +19,8 @@ from mutopt.minilang.interp import (
     loop_slice,
 )
 
-from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, full_compile, load_unit, outcome,
-                      outcomes)
+from conftest import (ANY_BUDGET, FIXTURE_INPUTS, FIXTURES, compile_mutant, full_compile,
+                      load_unit, outcome, outcomes)
 
 # 0 checks every head; 1 and 3 check some heads of short entries, where the
 # mini backend's stride checks none
@@ -154,7 +154,7 @@ def test_scaled_timeouts_stop_within_a_few_strides():
     stopped = {}
     for m in apply_all([ROR, ASR, AOR], unit):
         if m.id in ("AOR_5", "AOR_6", "AOR_7", "ROR_13"):
-            assert backend.run(backend.compile(m.mutated_text), i20, budget).verdict == "timeout"
+            assert backend.run(compile_mutant(backend, m), i20, budget).verdict == "timeout"
             with pytest.raises(BudgetExceeded) as stop:
                 full_compile(m.mutated_text).run(i20, budget, CYCLE_STRIDE)
             stopped[m.id] = stop.value.steps

@@ -34,7 +34,7 @@ from mutopt.minilang import BudgetExceeded, interp
 from mutopt.minilang.interp import CYCLE_STRIDE
 
 from conftest import (FIXTURE_INPUTS, FIXTURES, FOLDED_C, confirm_against,
-                      load_unit, logging_run_cmd, spawns)
+                      count_full_parses, load_unit, logging_run_cmd, spawns)
 from oracle import literal_verdicts
 
 HAVE_CC = shutil.which("cc") is not None
@@ -336,9 +336,9 @@ def test_confirmation_compiles_only_the_candidate_on_a_fresh_backend(
         backend, compiled = make_backend(*args), []
         compile = backend.compile
 
-        def record(source, name="unit.src"):
+        def record(source, name="unit.src", edit=None):
             compiled.append(bytes(getattr(source, "text", source)))
-            return compile(source, name)
+            return compile(source, name, edit)
 
         backend.compile = record
         made.append((backend, compiled))
@@ -361,13 +361,16 @@ def test_confirmation_compiles_only_the_candidate_on_a_fresh_backend(
     ("powsum.mini", input_set(("n", [64]))),
     ("hostile.mini", load_inputs(FIXTURES / "m_hostile")),
 ], ids=["max_search", "powsum", "hostile"])
-def test_memoized_verdicts_match_literal_oracle(fixture, inputs):
+def test_memoized_verdicts_match_literal_oracle(fixture, inputs, monkeypatch):
     # the oracle re-runs the current best program for every comparison
     unit = load_unit(fixture)
     report = run_optimize(unit, inputs)
     got = [(v.mutant_id, v.status, v.input_id, v.tau, v.runs)
            for v in report.verdicts]
+    parses = count_full_parses(monkeypatch)
     assert got == literal_verdicts([ROR, ASR, AOR], unit, inputs)
+    # and it compiled the original and every mutant in full
+    assert len(parses) == 1 + len(report.verdicts)
 
 
 def test_host_counts_how_each_run_was_decided():

@@ -27,7 +27,7 @@ from mutopt.minilang.ranges import (INT_MAX, INT_MIN, NEGATION, RELATIONAL, _Ana
                                     compare, exact, wrapped)
 
 import oracle
-from conftest import ANY_BUDGET, FIXTURE_INPUTS, attempt, load_unit
+from conftest import ANY_BUDGET, FIXTURE_INPUTS, attempt, compile_mutant, load_unit
 from test_decisions import _wrong_decisions
 
 EDGES = (INT_MIN, INT_MIN + 1, -64, -1, 0, 1, 63, 64, INT_MAX - 1, INT_MAX)
@@ -219,7 +219,7 @@ def _unsound(subject) -> list[str]:
             found.append(f"{subject.name} {fresh.id} full compile: {got} != {fresh.unarmed}")
         # the base, or the mutant through its schema
         program = backend._base.program if fresh is subject.original else attempt(
-            backend.compile, fresh.text)
+            compile_mutant, backend, fresh)
         got = _outcomes(program, subject.inputs, subject.budgets)
         if got != fresh.unarmed:
             found.append(f"{subject.name} {fresh.id} schema: {got} != {fresh.unarmed}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mutopt import AOR, ASR, ROR, Language, MalformedSource, TokenKind, apply_all, tokenize
-from mutopt.tokens import Token, relex
+from mutopt.tokens import apart
 
 from conftest import FIXTURES, PERFBENCH, load_unit
 from oracle import reference_tokenize
@@ -248,19 +248,21 @@ def test_matches_reference_tokenizer(data):
     assert_matches_reference(data)
 
 
-# ---- relex: one changed token lexed again ----
+# ---- apart: a swap that keeps every other token ----
 
-def relexed_tokens(unit, text):
-    """``unit``'s tokens as ``relex`` says ``text`` has them, or None."""
-    found = relex(unit, text)
-    if found is None:
-        return None
-    i, new = found
-    delta = new.end - unit.tokens[i].end
-    return (list(unit.tokens[:i]) + [new]
-            + [Token(t.kind, t.lexeme, t.start + delta, t.end + delta, t.line,
-                     t.col + delta if t.line == new.line else t.col)
-               for t in unit.tokens[i + 1:]])
+def spans(tokens) -> list[tuple]:
+    return [(t.kind, t.lexeme, t.start, t.end) for t in tokens]
+
+
+def swapped(unit, start, new) -> list[tuple]:
+    """``spans`` of ``unit``'s tokens with ``new`` in place of the lexeme of
+    the token at ``start``, its kind kept, and every later token moved by
+    the change in length."""
+    old, = [t for t in unit.tokens if t.start == start]
+    delta = len(new.encode()) - (old.end - old.start)
+    return [(t.kind, new if t is old else t.lexeme,
+             t.start + delta * (t.start > start), t.end + delta * (t.start >= start))
+            for t in unit.tokens]
 
 
 @pytest.mark.parametrize("name, language", [
@@ -271,44 +273,27 @@ def relexed_tokens(unit, text):
     ("snippets/max_snippet.c", Language.C_LIKE),
     ("snippets/pow3_snippet.c", Language.C_LIKE),
 ])
-def test_relex_matches_tokenize_on_every_mutant(name, language):
+def test_apart_matches_tokenize_on_every_mutant(name, language):
+    # a swap is apart exactly when the mutant lexes as the unit with that
+    # one lexeme swapped; the swaps of merges.mini that merge two tokens
+    # or open a comment are not
     unit = load_unit(name, language)
+    kept = 0
     for m in apply_all([ROR, ASR, AOR], unit):
-        tokens = list(tokenize(m.mutated_text, language).tokens)
-        # a swap that keeps the token count keeps its neighbours' boundaries;
-        # one that merges two tokens (merges.mini) must be declined
-        want = tokens if len(tokens) == len(unit.tokens) else None
-        assert relexed_tokens(unit, m.mutated_text) == want, m.id
+        want = (spans(tokenize(m.mutated_text, language).tokens)
+                == swapped(unit, m.start, m.replacement))
+        assert apart(unit, m.start, m.replacement) == want, m.id
+        kept += want
+    assert kept > 0
 
 
-@pytest.mark.parametrize("before, after", [
-    (b"x = a+-b;", b"x = a--b;"),          # two tokens merge
-    (b"x = a*/*c*/b;", b"x = a//*c*/b;"),  # a line comment opens
-    (b"x = a < b;", b"x = a<= b;"),        # the change spans a space
-    (b"x = a + b;", b"x = a + c + d;"),    # and several tokens
-    (b"x = a + b;", b"y = a + b;"),        # the first token
-    (b"x = a + b;", b"x = a + b,"),        # the last token
-    (b"x = (a) - b;", b"x = (a+ - b;"),    # the next - turns unary
-    (b"x = a /*c*/ + b;", b"x = a /*\n*/ + b;"),  # a newline appears
-    (b"x = a + b;", b"x = a \xff b;"),     # invalid UTF-8
-    (b'x = a + b;', b'x = a " b;'),        # an unterminated string
-    (b"x = a + b;", b"x = a + b;"),        # nothing changed
-])
-def test_relex_declines_what_it_cannot_vouch_for(before, after):
-    assert relex(tokenize(before, Language.MINI), after) is None
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.text(alphabet=" \nab1+-*/=<>()\"", max_size=24), st.data())
-def test_relex_agrees_with_tokenize(base, data):
-    try:
-        unit = tokenize(base)
-    except MalformedSource:
-        return
-    start = data.draw(st.integers(0, len(base)))
-    end = data.draw(st.integers(start, min(len(base), start + 3)))
-    new = data.draw(st.text(alphabet=" \nab1+-*/=<>()\"", max_size=3))
-    text = (base[:start] + new + base[end:]).encode()
-    tokens = relexed_tokens(unit, text)
-    if tokens is not None:
-        assert tokens == list(tokenize(text).tokens)
+@pytest.mark.parametrize("text, start, new", [
+    (b"x = a+-b;", 5, "-"),      # "--" is one token
+    (b"x = a*/*c*/b;", 5, "/"),  # "//" opens a line comment
+    (b"x = a <= b;", 7, "<"),    # inside a token
+    (b"x = a + b;", 5, "-"),     # between two tokens
+    (b"< a + b;", 0, ">"),       # the first token
+    (b"x = a + b <", 10, ">"),   # the last token
+], ids=["merges", "comment", "inside", "between", "first", "last"])
+def test_apart_rejects(text, start, new):
+    assert not apart(tokenize(text, Language.MINI), start, new)
